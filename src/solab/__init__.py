@@ -22,6 +22,7 @@ from .factory import (
     ClassifiedCase,
     FamilyTag,
     SolitonSpec,
+    SpecFields,
     build_classified,
     build_einstein_family,
     build_gaussian,
@@ -29,7 +30,6 @@ from .factory import (
 )
 from .geometry import (
     CurvatureSample,
-    Custom,
     Polynomial,
     SnCombination,
     WarpProfile,

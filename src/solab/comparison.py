@@ -26,8 +26,8 @@ from .errors import (
 )
 from .factory import SolitonSpec
 from .geometry import weighted_ball_volume, weighted_sphere_volume
-from .kernel import GridFn, derivative, integrate_cumulative, solve_linear_ode2_with_derivative
-from .verify import ResidualReport, _SpecData, _nan_fill, _one_sided_report
+from .kernel import GridFn, derivative, integrate_cumulative, nan_fill, solve_linear_ode2
+from .verify import ResidualReport, residual_report
 
 __all__ = [
     "ComparisonSetup",
@@ -56,7 +56,6 @@ class ComparisonSetup:
     theta: GridFn
     h: GridFn
     D_calibration: float
-    omega_tilde: GridFn | None = None
 
     def __post_init__(self):
         if abs(self.h.values[0]) > 1e-10:
@@ -79,15 +78,12 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     the smallest nondecreasing data the comparison hypotheses admit.
     """
     _require_model(s)
-    dat = _SpecData(s)
     p = s.profile
-    eig_f = dat.curv["rho_fib"] + dat.fp * dat.g_ratio
-    eig_r = dat.curv["rho_rad"] + dat.fpp
-    min_eig = _nan_fill(np.minimum(eig_f, eig_r))
+    min_eig = nan_fill(np.minimum(*s.fields.bakry_emery))
     G_vals = np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1)))
-    theta_vals = np.maximum.accumulate(np.maximum(0.0, -dat.fp))
+    theta_vals = np.maximum.accumulate(np.maximum(0.0, -s.fields.fp))
     G = GridFn(p.t0, p.t1, G_vals)
-    h, _ = solve_linear_ode2_with_derivative(G, 0.0, 1.0)
+    h = solve_linear_ode2(G, 0.0, 1.0)
     D = p.fiber_volume * math.exp(-float(s.f.values[0]))
     return ComparisonSetup(G=G, theta=GridFn(p.t0, p.t1, theta_vals), h=h, D_calibration=D)
 
@@ -102,25 +98,14 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     constant potential achieve equality.
     """
     _require_model(s)
-    dat = _SpecData(s)
     p = s.profile
-    actual = p.d * dat.g_ratio - dat.fp
+    actual = p.d * s.fields.g_ratio - s.fields.fp
     with np.errstate(divide="ignore", invalid="ignore"):
         hp = derivative(cs.h, 1).values
         bound = (p.n - 1) * hp / cs.h.values + cs.theta.values
     per = actual - bound
     per = np.where(np.isfinite(per), per, np.nan)
-    # one-sided with the opposite sign convention: violation is per > 0
-    report = _one_sided_report("laplacian_comparison", p, -per, LAPLACIAN_COMPARISON_TOL)
-    return ResidualReport(
-        identity_id=report.identity_id,
-        sup_norm=report.sup_norm,
-        argmax_t=report.argmax_t,
-        per_point=GridFn(p.t0, p.t1, per),
-        tolerance_used=report.tolerance_used,
-        passed=report.passed,
-        one_sided=True,
-    )
+    return residual_report("laplacian_comparison", p, per, LAPLACIAN_COMPARISON_TOL, sign=-1)
 
 
 class VolumeBound(NamedTuple):

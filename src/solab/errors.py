@@ -53,6 +53,11 @@ class NegativeRadicand(SolabError):
     """Diameter bound radicand 4F^2 + pi^2 (n-1) c is negative."""
 
 
+class NoTrustedSamples(SolabError):
+    """A residual check has no trusted sample left (grid too coarse for the
+    stencil bands and the pole exclusion, or no finite values)."""
+
+
 class ParseError(SolabError):
     """Manifest text is not well-formed JSON."""
 

@@ -15,17 +15,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvalidCase, InvalidWarp
-from .geometry import Custom, SnCombination, WarpProfile
-from .kernel import GridFn, cn, integrate_cumulative
+from .geometry import SnCombination, WarpProfile, curvature_grids, f_laplacian
+from .kernel import GridFn, cn, derivative, integrate_cumulative
 
 __all__ = [
     "FamilyTag",
     "ClassifiedCase",
     "SolitonSpec",
+    "SpecFields",
     "build_einstein_family",
     "build_general_family",
     "build_classified",
@@ -50,7 +53,6 @@ class FamilyTag(Enum):
     CLASSIFIED_SPACE_FORM = "classified_space_form"
     CLASSIFIED_HYPERBOLIC_WARPED = "classified_hyperbolic_warped"
     GAUSSIAN = "gaussian"
-    CUSTOM = "custom"
 
 
 class ClassifiedCase(Enum):
@@ -87,9 +89,64 @@ class SolitonSpec:
 
     @property
     def residual_tolerance(self) -> float:
-        if self.family_tag in (FamilyTag.GENERAL_WARPED, FamilyTag.CUSTOM):
+        if self.family_tag is FamilyTag.GENERAL_WARPED:
             return QUADRATURE_TOL
         return CLOSED_FORM_TOL
+
+    @cached_property
+    def fields(self) -> "SpecFields":
+        """The derived radial fields every check reads, built on first use."""
+        return SpecFields(self)
+
+
+class SpecFields:
+    """Derived radial fields of one spec, computed once and read-only.
+
+    f', f'', lambda', lambda'' (stencils), the curvature grids of the
+    profile, and g'/g (NaN where undefined, i.e. at a pole).  The object
+    keeps the profile but not the spec: a spec -> fields -> spec cycle
+    would keep the arrays of a fine grid alive until the cyclic garbage
+    collector runs.
+    """
+
+    def __init__(self, s: SolitonSpec):
+        p = s.profile
+        self.profile = p
+        self.fp = derivative(s.f, 1).values
+        self.fpp = derivative(s.f, 2).values
+        self.lamp = derivative(s.lam, 1).values
+        self.lampp = derivative(s.lam, 2).values
+        curv = curvature_grids(p)
+        g, gp, _ = p.warp_values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gr = gp / g
+        self.g_ratio = np.where(np.isfinite(gr), gr, np.nan)
+        for arr in (self.g_ratio, *curv.values()):
+            arr.setflags(write=False)
+        self.curv = MappingProxyType(curv)
+
+    @property
+    def bakry_emery(self) -> tuple:
+        """Eigenvalues (fiber, radial) of Ric + Hess f: rho_fib + f' g'/g and
+        rho_rad + f''; both equal lambda on a true soliton."""
+        return self.curv["rho_fib"] + self.fp * self.g_ratio, self.curv["rho_rad"] + self.fpp
+
+    @property
+    def lap_lam(self) -> np.ndarray:
+        """Plain Laplacian of lambda: lambda'' + d (g'/g) lambda'."""
+        return self.lampp + self.profile.d * self.g_ratio * self.lamp
+
+    @property
+    def hess_lam_T(self) -> np.ndarray:
+        """Hess lambda contracted with the trace-free Ricci tensor T:
+        d (lambda' g'/g) tau_f + lambda'' tau_r."""
+        c = self.curv
+        return self.profile.d * (self.lamp * self.g_ratio) * c["tau_f"] + self.lampp * c["tau_r"]
+
+    def f_laplacian(self, u_values: np.ndarray) -> np.ndarray:
+        """Weighted Laplacian Delta_f of the radial function with these samples."""
+        p = self.profile
+        return f_laplacian(p, self.fp, GridFn(p.t0, p.t1, u_values)).values
 
 
 def _is_pole_start(interval, g0: float, gp0: float) -> bool:
@@ -171,8 +228,6 @@ def build_general_family(
         raise ValueError("general family needs n >= 3")
     t0, t1 = float(interval[0]), float(interval[1])
     d = n - 1
-    if isinstance(g, GridFn):
-        g = Custom(g)
     profile = WarpProfile(
         n=n,
         rho_sigma=float(rho_sigma),

@@ -30,7 +30,6 @@ from .kernel import GridFn, cn, derivative, integrate_cumulative, sn
 __all__ = [
     "SnCombination",
     "Polynomial",
-    "Custom",
     "WarpProfile",
     "CurvatureSample",
     "unit_sphere_volume",
@@ -97,14 +96,7 @@ class Polynomial:
         return self._poly(tuple(j * (j - 1) * a for j, a in enumerate(self.coeffs))[2:] or (0.0,), t)
 
 
-@dataclass(frozen=True)
-class Custom:
-    """A tabulated warping function; derivatives fall back to stencils."""
-
-    fn: GridFn
-
-
-ClosedForm = SnCombination | Polynomial | Custom
+ClosedForm = SnCombination | Polynomial
 
 
 # ---------------------------------------------------------------------------
@@ -192,20 +184,12 @@ class WarpProfile:
                 np.asarray(self.g.d1(t), dtype=float),
                 np.asarray(self.g.d2(t), dtype=float),
             )
-        gf = self.g.fn if isinstance(self.g, Custom) else self.g
-        return gf.values.copy(), derivative(gf, 1).values, derivative(gf, 2).values
-
-    def _g_gridfn(self) -> GridFn:
-        if isinstance(self.g, GridFn):
-            return self.g
-        if isinstance(self.g, Custom):
-            return self.g.fn
-        return GridFn(self.t0, self.t1, self.warp_values[0])
+        return self.g.values.copy(), derivative(self.g, 1).values, derivative(self.g, 2).values
 
     def g_at(self, t):
         if isinstance(self.g, (SnCombination, Polynomial)):
             return self.g.value(t)
-        return self._g_gridfn().eval(t)
+        return self.g.eval(t)
 
     def g_prime_at(self, t):
         if isinstance(self.g, (SnCombination, Polynomial)):
@@ -289,21 +273,30 @@ def _sample_from_scalars(t, scal) -> CurvatureSample:
     return CurvatureSample(t=float(t), **{k: float(v) for k, v in scal.items()})
 
 
+def _at_pole(p: WarpProfile, t: float) -> bool:
+    return p.pole and t <= p.t0 + 1e-14 * max(1.0, abs(p.t0))
+
+
+def _pole_limit(p: WarpProfile, sample) -> dict:
+    """t -> t0+ limit of each scalar in the dict sample(t) returns,
+    Richardson extrapolated from t0 + 5h and t0 + 10h (even expansion)."""
+    near = sample(p.t0 + 5 * p.h)
+    far = sample(p.t0 + 10 * p.h)
+    vals = {}
+    for key, a in near.items():
+        b = far[key]
+        if not (np.isfinite(a) and np.isfinite(b)) or abs(a - b) > 1e3 * (1.0 + abs(a)):
+            raise PoleSingularity(f"limit at the pole diverges in {key}")
+        vals[key] = (4.0 * a - b) / 3.0
+    return vals
+
+
 def curvature_at(p: WarpProfile, t: float) -> CurvatureSample:
     """Pointwise curvature; at a pole the t -> t0+ limit is Richardson
     extrapolated from samples at t0 + 5h and t0 + 10h (even expansion)."""
     t = float(t)
-    if p.pole and t <= p.t0 + 1e-14 * max(1.0, abs(p.t0)):
-        h = p.h
-        near = _scalar_curvature_dict(p, p.t0 + 5 * h)
-        far = _scalar_curvature_dict(p, p.t0 + 10 * h)
-        vals = {}
-        for key in near:
-            a, b = near[key], far[key]
-            if not (np.isfinite(a) and np.isfinite(b)) or abs(a - b) > 1e3 * (1.0 + abs(a)):
-                raise PoleSingularity(f"curvature limit at the pole diverges in {key}")
-            vals[key] = (4.0 * a - b) / 3.0
-        return _sample_from_scalars(p.t0, vals)
+    if _at_pole(p, t):
+        return _sample_from_scalars(p.t0, _pole_limit(p, lambda tt: _scalar_curvature_dict(p, tt)))
     if not (p.t0 - 1e-12 <= t <= p.t1 + 1e-12):
         raise ValueError("t outside the profile interval")
     return _sample_from_scalars(t, _scalar_curvature_dict(p, t))
@@ -323,24 +316,22 @@ def radial_hessian(p: WarpProfile, u: GridFn, t: float):
     up = derivative(u, 1)
     upp = derivative(u, 2)
     t = float(t)
-    if p.pole and t <= p.t0 + 1e-14 * max(1.0, abs(p.t0)):
-        h = p.h
-        samples = []
-        for tt in (p.t0 + 5 * h, p.t0 + 10 * h):
-            samples.append(float(up.eval(tt)) * float(p.g_prime_at(tt)) / float(p.g_at(tt)))
-        a, b = samples
-        if not (np.isfinite(a) and np.isfinite(b)) or abs(a - b) > 1e3 * (1.0 + abs(a)):
-            raise PoleSingularity("Hessian fiber eigenvalue diverges at the pole")
-        return (4.0 * a - b) / 3.0, float(upp.eval(p.t0))
-    fiber = float(up.eval(t)) * float(p.g_prime_at(t)) / float(p.g_at(t))
-    return fiber, float(upp.eval(t))
+
+    def fiber(tt):
+        return {"hessian_fiber": float(up.eval(tt)) * float(p.g_prime_at(tt)) / float(p.g_at(tt))}
+
+    if _at_pole(p, t):
+        return _pole_limit(p, fiber)["hessian_fiber"], float(upp.eval(p.t0))
+    return fiber(t)["hessian_fiber"], float(upp.eval(t))
 
 
-def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
+def f_laplacian(p: WarpProfile, f: GridFn | np.ndarray | None, u: GridFn) -> GridFn:
     """Weighted Laplacian of a radial function: u'' + d (g'/g) u' - f' u'.
 
-    Pass f = None (or a constant) for the plain Laplacian.  At a pole the
-    endpoint sample is NaN and excluded from downstream sup-norms.
+    f is the potential, or its sampled derivative f' for a caller that
+    already holds it; pass f = None (or a constant) for the plain
+    Laplacian.  At a pole the endpoint sample is NaN and excluded from
+    downstream sup-norms.
     """
     g, gp, _ = p.warp_values
     up = derivative(u, 1).values
@@ -348,23 +339,10 @@ def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
     with np.errstate(divide="ignore", invalid="ignore"):
         out = upp + p.d * (gp / g) * up
     if f is not None:
-        out = out - derivative(f, 1).values * up
+        fprime = derivative(f, 1).values if isinstance(f, GridFn) else f
+        out = out - fprime * up
     out = np.where(np.isfinite(out), out, np.nan)
     return GridFn(p.t0, p.t1, out)
-
-
-def fl_values(p: WarpProfile, fprime: np.ndarray | None, u_values: np.ndarray) -> np.ndarray:
-    """Array-level weighted Laplacian used by the verifiers (same formula
-    as f_laplacian, avoids building intermediate GridFns)."""
-    g, gp, _ = p.warp_values
-    base = GridFn(p.t0, p.t1, u_values)
-    up = derivative(base, 1).values
-    upp = derivative(base, 2).values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = upp + p.d * (gp / g) * up
-    if fprime is not None:
-        out = out - fprime * up
-    return np.where(np.isfinite(out), out, np.nan)
 
 
 def _require_model(p: WarpProfile):

@@ -23,6 +23,7 @@ __all__ = [
     "sn",
     "cn",
     "derivative",
+    "nan_fill",
     "integrate_cumulative",
     "solve_linear_ode2",
     "fd_weights",
@@ -287,6 +288,21 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
     return f.with_values(out)
 
 
+def nan_fill(arr: np.ndarray) -> np.ndarray:
+    """Replace leading/trailing NaN (pole samples) by the nearest finite
+    value so stencils near the trusted region stay clean; the polluted
+    band is excluded from sup-norms anyway."""
+    if np.isfinite(arr).all():
+        return arr
+    out = arr.copy()
+    finite = np.flatnonzero(np.isfinite(out))
+    if finite.size == 0:
+        raise ValueError("array has no finite samples")
+    out[: finite[0]] = out[finite[0]]
+    out[finite[-1] + 1 :] = out[finite[-1]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # cumulative quadrature
 # ---------------------------------------------------------------------------
@@ -324,15 +340,18 @@ def integrate_cumulative(f: GridFn) -> GridFn:
 # ---------------------------------------------------------------------------
 
 def _rk4_linear(Q: GridFn, y0: float, yp0: float):
-    q = Q.values
-    n = q.size
+    n = Q.values.size
     h = Q.h
     mid = Q.t0 + (np.arange(n - 1) + 0.5) * h
-    qm = Q.eval(mid)
+    # memoryviews yield and take Python floats: the same IEEE double
+    # arithmetic as numpy scalars, at a fraction of the per-step overhead
+    q = memoryview(Q.values)
+    qm = memoryview(Q.eval(mid))
     y = np.empty(n)
     v = np.empty(n)
-    y[0], v[0] = float(y0), float(yp0)
-    yi, vi = y[0], v[0]
+    ys, vs = memoryview(y), memoryview(v)
+    yi, vi = float(y0), float(yp0)
+    ys[0], vs[0] = yi, vi
     for i in range(n - 1):
         q0, qh, q1 = q[i], qm[i], q[i + 1]
         k1y = vi
@@ -347,7 +366,7 @@ def _rk4_linear(Q: GridFn, y0: float, yp0: float):
         vi += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         if abs(yi) > 1e300 or abs(vi) > 1e300:
             raise OverflowDetected(f"solution exceeded 1e300 near t = {Q.t0 + (i + 1) * h:.6g}")
-        y[i + 1], v[i + 1] = yi, vi
+        ys[i + 1], vs[i + 1] = yi, vi
     return Q.with_values(y), Q.with_values(v)
 
 

@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ParseError, SchemaError
 from .factory import (
+    DEFAULT_RESOLUTION,
     ClassifiedCase,
     SolitonSpec,
     build_classified,
@@ -30,7 +31,6 @@ __all__ = ["Manifest", "parse_manifest", "build_spec", "FAMILIES", "SUITES", "DE
 SUITES = ("residual", "identities", "audits", "comparison", "okumura", "oy")
 TOLERANCE_KEYS = ("residual", "identities")
 DEFAULT_SEED = 42
-_DEFAULT_RESOLUTION = 2001
 
 # family name -> (description, {param: (kind, required, default)})
 # every family also accepts the fault-injection key "corrupt_lambda"
@@ -155,7 +155,7 @@ def _closed_form(value, path: str) -> dict:
 def default_resolution() -> int:
     env = os.environ.get("SOLAB_RESOLUTION")
     if env is None:
-        return _DEFAULT_RESOLUTION
+        return DEFAULT_RESOLUTION
     try:
         value = int(env)
     except ValueError as exc:

@@ -12,7 +12,6 @@ import numpy as np
 from .comparison import derive_setup, laplacian_comparison_check, volume_bound_check
 from .errors import SolabError
 from .factory import SolitonSpec
-from .geometry import curvature_grids
 from .manifest import Manifest, build_spec
 from .verify import (
     IDENTITY_IDS,
@@ -23,6 +22,7 @@ from .verify import (
     check_OY_hypotheses,
     classify_soliton,
     identity_residual,
+    okumura_check,
     soliton_residual,
 )
 
@@ -76,7 +76,7 @@ class RunReport:
 
 def _spec_summary(spec: SolitonSpec) -> dict:
     p = spec.profile
-    curv = curvature_grids(p)
+    curv = spec.fields.curv
     mask = p.valid_mask(curv["S"], curv["T_norm2"])
     return {
         "family": spec.family_tag.value,
@@ -99,9 +99,7 @@ def _run_okumura(n: int, seed: int) -> dict:
     min_gap = float(np.min(gap))
     pattern_ok = True
     for s in (0.5, 1.0, 2.0):
-        tup = np.array([-(n - 1) * s] + [s] * (n - 1))
-        lhs = float(np.sum(tup**3))
-        rhs = -(n - 2) / math.sqrt(n * (n - 1)) * float(np.sum(tup**2)) ** 1.5
+        lhs, rhs, _ = okumura_check([-(n - 1) * s] + [s] * (n - 1))
         pattern_ok &= abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
     return {
         "suite": "okumura",
@@ -126,6 +124,7 @@ def run_suite(m: Manifest) -> RunReport:
     results: list = []
     timings: dict = {}
     residual_points = None
+    cs = None  # comparison setup, shared by the comparison and oy suites
     overall = True
 
     for name in m.suites:
@@ -153,7 +152,7 @@ def run_suite(m: Manifest) -> RunReport:
                 passed = all(c["verdict"] != Verdict.VIOLATION.value for c in checks)
                 result = {"suite": "audits", "passed": bool(passed), "checks": checks}
             elif name == "comparison":
-                cs = derive_setup(spec)
+                cs = derive_setup(spec) if cs is None else cs
                 lap = laplacian_comparison_check(spec, cs)
                 checks = [_residual_dict(lap)]
                 passed = lap.passed
@@ -168,7 +167,7 @@ def run_suite(m: Manifest) -> RunReport:
             elif name == "okumura":
                 result = _run_okumura(p.n, m.seed)
             elif name == "oy":
-                cs = derive_setup(spec)
+                cs = derive_setup(spec) if cs is None else cs
                 rep = check_OY_hypotheses(cs.G, p.t1)
                 result = {
                     "suite": "oy",
@@ -183,7 +182,7 @@ def run_suite(m: Manifest) -> RunReport:
         overall = overall and result["passed"]
         results.append(result)
 
-    curv = curvature_grids(p)
+    curv = spec.fields.curv
     table = {
         "t": p.grid,
         "g": p.warp_values[0],

@@ -24,10 +24,10 @@ from .errors import (
     NonPositiveG,
     NotConformallyFlat,
     NotTraceFree,
+    NoTrustedSamples,
 )
 from .factory import SolitonSpec
-from .geometry import curvature_grids, fl_values
-from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative
+from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, nan_fill
 
 __all__ = [
     "IDENTITY_IDS",
@@ -37,6 +37,7 @@ __all__ = [
     "TrivialityAuditParams",
     "Verdict",
     "Classification",
+    "residual_report",
     "soliton_residual",
     "identity_residual",
     "grad_T_norm2",
@@ -147,77 +148,43 @@ class TrivialityAuditParams:
 
 
 # ---------------------------------------------------------------------------
-# shared grid data
-# ---------------------------------------------------------------------------
-
-class _SpecData:
-    """Derivatives and curvature arrays shared by the residual checks."""
-
-    def __init__(self, s: SolitonSpec):
-        p = s.profile
-        self.spec = s
-        self.p = p
-        self.n = p.n
-        self.d = p.d
-        self.g, self.gp, self.gpp = p.warp_values
-        self.f = s.f.values
-        self.fp = derivative(s.f, 1).values
-        self.fpp = derivative(s.f, 2).values
-        self.lam = s.lam.values
-        self.lamp = derivative(s.lam, 1).values
-        self.lampp = derivative(s.lam, 2).values
-        self.curv = curvature_grids(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gr = self.gp / self.g
-        self.g_ratio = np.where(np.isfinite(gr), gr, np.nan)
-
-    def f_lap(self, u_values: np.ndarray) -> np.ndarray:
-        return fl_values(self.p, self.fp, u_values)
-
-
-def _two_sided_report(ident: str, p, per_point: np.ndarray, tol: float, edge: int = 4) -> ResidualReport:
-    mask = p.valid_mask(per_point, edge=edge)
-    vals = np.abs(per_point[mask])
-    idx = np.flatnonzero(mask)[int(np.argmax(vals))]
-    sup = float(np.max(vals))
-    return ResidualReport(
-        identity_id=ident,
-        sup_norm=sup,
-        argmax_t=float(p.grid[idx]),
-        per_point=GridFn(p.t0, p.t1, per_point),
-        tolerance_used=tol,
-        passed=sup < tol,
-    )
-
-
-def _one_sided_report(ident: str, p, per_point: np.ndarray, tol: float, edge: int = 4) -> ResidualReport:
-    mask = p.valid_mask(per_point, edge=edge)
-    vals = per_point[mask]
-    idx = np.flatnonzero(mask)[int(np.argmin(vals))]
-    worst = float(np.min(vals))
-    return ResidualReport(
-        identity_id=ident,
-        sup_norm=max(0.0, -worst),
-        argmax_t=float(p.grid[idx]),
-        per_point=GridFn(p.t0, p.t1, per_point),
-        tolerance_used=tol,
-        passed=worst >= -tol,
-        one_sided=True,
-    )
-
-
-# ---------------------------------------------------------------------------
 # residuals
 # ---------------------------------------------------------------------------
+
+def residual_report(
+    ident: str, p, per_point: np.ndarray, tol: float, *, sign: int = 0, edge: int = EDGE_WIDTH
+) -> ResidualReport:
+    """Sup-norm report of per_point over the trusted samples of profile p.
+
+    sign = 0: two-sided, passes when max |per_point| < tol.  sign = +1
+    (-1): one-sided, per_point must stay >= 0 (<= 0); sup_norm is the
+    worst violation (0 when there is none) and the check passes when it
+    is at most tol.  argmax_t locates the worst sample either way.
+    """
+    mask = p.valid_mask(per_point, edge=edge)
+    if not mask.any():
+        raise NoTrustedSamples(f"{ident}: no trusted samples on a {p.n_samples}-sample grid")
+    vals = np.abs(per_point[mask]) if sign == 0 else -sign * per_point[mask]
+    k = int(np.argmax(vals))
+    worst = float(vals[k])
+    return ResidualReport(
+        identity_id=ident,
+        sup_norm=worst if sign == 0 else max(0.0, worst),
+        argmax_t=float(p.grid[np.flatnonzero(mask)[k]]),
+        per_point=GridFn(p.t0, p.t1, per_point),
+        tolerance_used=tol,
+        passed=worst < tol if sign == 0 else worst <= tol,
+        one_sided=sign != 0,
+    )
+
 
 def soliton_residual(s: SolitonSpec, tol: float | None = None) -> ResidualReport:
     """Residual of Ric + Hess(f) = lambda <,> in both eigendirections:
     max(|rho_fib + f' g'/g - lambda|, |rho_rad + f'' - lambda|)."""
-    dat = _SpecData(s)
-    fib = dat.curv["rho_fib"] + dat.fp * dat.g_ratio - dat.lam
-    rad = dat.curv["rho_rad"] + dat.fpp - dat.lam
-    per_point = np.maximum(np.abs(fib), np.abs(rad))
-    return _two_sided_report(
+    eig_f, eig_r = s.fields.bakry_emery
+    lam = s.lam.values
+    per_point = np.maximum(np.abs(eig_f - lam), np.abs(eig_r - lam))
+    return residual_report(
         "soliton", s.profile, per_point, s.residual_tolerance if tol is None else tol
     )
 
@@ -234,72 +201,47 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     """
     if ident not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {ident!r}")
-    edge = 2 * EDGE_WIDTH  # composed stencils pollute twice the band
-    dat = _SpecData(s)
-    n, d = dat.n, dat.d
-    c = dat.curv
+    fl = s.fields
+    n, d = s.profile.n, s.profile.d
+    c = fl.curv
+    lam = s.lam.values
+    sign = 0
 
     if ident == "grad_f_bochner":
-        tol = IDENTITY_TOL if tol is None else tol
-        hess2 = dat.fpp**2 + d * (dat.fp * dat.g_ratio) ** 2
+        hess2 = fl.fpp**2 + d * (fl.fp * fl.g_ratio) ** 2
         per = (
-            0.5 * dat.f_lap(dat.fp**2)
+            0.5 * fl.f_laplacian(fl.fp**2)
             - hess2
-            + dat.lam * dat.fp**2
-            + (n - 2) * dat.lamp * dat.fp
+            + lam * fl.fp**2
+            + (n - 2) * fl.lamp * fl.fp
         )
-        return _two_sided_report(ident, s.profile, per, tol, edge=edge)
-
-    if ident == "trace":
-        tol = IDENTITY_TOL if tol is None else tol
-        lap_f = dat.fpp + d * dat.g_ratio * dat.fp
-        per = c["S"] - n * dat.lam + lap_f
-        return _two_sided_report(ident, s.profile, per, tol, edge=edge)
-
-    if ident == "scalar_gradient":
-        tol = IDENTITY_TOL if tol is None else tol
-        S_prime = derivative(GridFn(s.profile.t0, s.profile.t1, _nan_fill(c["S"])), 1).values
-        per = S_prime - 2 * (n - 1) * dat.lamp - 2 * dat.fp * c["rho_rad"]
-        return _two_sided_report(ident, s.profile, per, tol, edge=edge)
-
-    if ident == "scalar_laplacian":
-        tol = IDENTITY_TOL if tol is None else tol
-        plain_lap_lam = dat.lampp + d * dat.g_ratio * dat.lamp
+    elif ident == "trace":
+        lap_f = fl.fpp + d * fl.g_ratio * fl.fp
+        per = c["S"] - n * lam + lap_f
+    elif ident == "scalar_gradient":
+        S_prime = derivative(GridFn(s.profile.t0, s.profile.t1, nan_fill(c["S"])), 1).values
+        per = S_prime - 2 * (n - 1) * fl.lamp - 2 * fl.fp * c["rho_rad"]
+    elif ident == "scalar_laplacian":
         per = (
-            0.5 * dat.f_lap(_nan_fill(c["S"]))
-            - dat.lam * c["S"]
+            0.5 * fl.f_laplacian(nan_fill(c["S"]))
+            - lam * c["S"]
             + c["ric_norm2"]
-            - (n - 1) * plain_lap_lam
+            - (n - 1) * fl.lap_lam
         )
-        return _two_sided_report(ident, s.profile, per, tol, edge=edge)
-
-    # trace_free_balance
-    if not (s.profile.fiber_constant_curvature and n >= 3):
-        raise NotConformallyFlat("the |T|^2 balance needs a space-form fiber and n >= 3")
-    tol = ONE_SIDED_SLACK if tol is None else tol
-    hess_lam_T = d * (dat.lamp * dat.g_ratio) * c["tau_f"] + dat.lampp * c["tau_r"]
-    per = (
-        0.5 * dat.f_lap(_nan_fill(c["T_norm2"]))
-        - 2.0 * (dat.lam - c["S"] * (n - 2) / (n * (n - 1))) * c["T_norm2"]
-        - (n - 2) * hess_lam_T
-        - 4.0 / (n - 2) * c["trT3"]
-    )
-    return _one_sided_report(ident, s.profile, per, tol, edge=edge)
-
-
-def _nan_fill(arr: np.ndarray) -> np.ndarray:
-    """Replace leading/trailing NaN (pole samples) by the nearest finite
-    value so stencils near the trusted region stay clean; the polluted
-    band is excluded from sup-norms anyway."""
-    if np.isfinite(arr).all():
-        return arr
-    out = arr.copy()
-    finite = np.flatnonzero(np.isfinite(out))
-    if finite.size == 0:
-        raise ValueError("array has no finite samples")
-    out[: finite[0]] = out[finite[0]]
-    out[finite[-1] + 1 :] = out[finite[-1]]
-    return out
+    else:  # trace_free_balance
+        if not (s.profile.fiber_constant_curvature and n >= 3):
+            raise NotConformallyFlat("the |T|^2 balance needs a space-form fiber and n >= 3")
+        sign = 1
+        per = (
+            0.5 * fl.f_laplacian(nan_fill(c["T_norm2"]))
+            - 2.0 * (lam - c["S"] * (n - 2) / (n * (n - 1))) * c["T_norm2"]
+            - (n - 2) * fl.hess_lam_T
+            - 4.0 / (n - 2) * c["trT3"]
+        )
+    if tol is None:
+        tol = ONE_SIDED_SLACK if sign else IDENTITY_TOL
+    # composed stencils pollute twice the band
+    return residual_report(ident, s.profile, per, tol, sign=sign, edge=2 * EDGE_WIDTH)
 
 
 def grad_T_norm2(s: SolitonSpec) -> GridFn:
@@ -311,13 +253,13 @@ def grad_T_norm2(s: SolitonSpec) -> GridFn:
     generated by parallel transport; the formula is validated against a
     brute-force coordinate computation in the test suite.
     """
-    dat = _SpecData(s)
+    fl = s.fields
     p = s.profile
-    tf = _nan_fill(dat.curv["tau_f"])
-    tr = _nan_fill(dat.curv["tau_r"])
+    tf = nan_fill(fl.curv["tau_f"])
+    tr = nan_fill(fl.curv["tau_r"])
     tfp = derivative(GridFn(p.t0, p.t1, tf), 1).values
     trp = derivative(GridFn(p.t0, p.t1, tr), 1).values
-    vals = dat.d * tfp**2 + trp**2 + 2.0 * dat.d * dat.g_ratio**2 * (tf - tr) ** 2
+    vals = p.d * tfp**2 + trp**2 + 2.0 * p.d * fl.g_ratio**2 * (tf - tr) ** 2
     return GridFn(p.t0, p.t1, np.where(np.isfinite(vals), vals, np.nan))
 
 
@@ -354,7 +296,7 @@ _NULL_THRESHOLD = 1e-10
 
 def classify_soliton(s: SolitonSpec) -> Classification:
     """Sign census of lambda; trivial when the potential is constant."""
-    fp = derivative(s.f, 1).values
+    fp = s.fields.fp
     if np.max(np.abs(fp)) < _NULL_THRESHOLD:
         return Classification.TRIVIAL
     lam = s.lam.values
@@ -389,17 +331,17 @@ def _verdict(hyps: dict, concls: dict) -> Verdict:
 
 
 def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditReport:
-    dat = _SpecData(s)
+    fp = s.fields.fp
     p = s.profile
     n = p.n
-    mask = p.valid_mask(dat.lam, dat.fp)
+    lam = s.lam.values
+    mask = p.valid_mask(lam, fp)
     r = p.grid - p.t0
-    lam = dat.lam
 
     hyps = {}
     hyps["expanding"] = Flag(bool(np.all(lam < 0)), float(np.max(lam)))
 
-    grad2 = dat.fp**2
+    grad2 = fp**2
     tail = p.grid >= p.t0 + 2.0 * (p.t1 - p.t0) / 3.0
     exponent = _fit_growth_exponent(r[tail & mask], grad2[tail & mask])
     if np.max(grad2[mask]) < 1e-20:
@@ -418,10 +360,10 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
     if n == 2:
         hyps["sign_condition"] = Flag(True, "n = 2, condition waived")
     else:
-        worst = float(np.max((dat.lamp * dat.fp)[mask]))
+        worst = float(np.max((s.fields.lamp * fp)[mask]))
         hyps["sign_condition"] = Flag(worst <= _NULL_THRESHOLD, worst)
 
-    concls = {"trivial": bool(np.max(np.abs(dat.fp[mask])) < 1e-8)}
+    concls = {"trivial": bool(np.max(np.abs(fp[mask])) < 1e-8)}
     return AuditReport(
         theorem_id="triviality",
         hypothesis_flags=hyps,
@@ -432,13 +374,13 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
 
 
 def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
-    dat = _SpecData(s)
     p = s.profile
     n = p.n
-    c = dat.curv
+    c = s.fields.curv
+    lam = s.lam.values
     mask = p.valid_mask(c["S"])
 
-    plain_lap_lam = dat.lampp + p.d * dat.g_ratio * dat.lamp
+    plain_lap_lam = s.fields.lap_lam
     lap_mask = p.valid_mask(plain_lap_lam)
     worst = float(np.max(plain_lap_lam[lap_mask]))
     hyps = {"delta_lambda_nonpositive": Flag(worst <= _NULL_THRESHOLD, worst)}
@@ -446,7 +388,7 @@ def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
     cls = classify_soliton(s)
     if cls is Classification.TRIVIAL:
         # constant lambda: audit the sign it has
-        lam0 = float(np.mean(dat.lam))
+        lam0 = float(np.mean(lam))
         cls = (
             Classification.EXPANDING if lam0 < -_NULL_THRESHOLD
             else Classification.SHRINKING if lam0 > _NULL_THRESHOLD
@@ -456,8 +398,8 @@ def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
     hyps["definite_sign"] = Flag(definite, cls.value)
 
     S_star = float(np.min(c["S"][mask]))
-    lam_star = float(np.min(dat.lam))
-    lam_sup = float(np.max(dat.lam))
+    lam_star = float(np.min(lam))
+    lam_sup = float(np.max(lam))
 
     concls = {}
     if cls is Classification.EXPANDING:
@@ -482,20 +424,19 @@ def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
 
 
 def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
-    dat = _SpecData(s)
     p = s.profile
     n = p.n
-    c = dat.curv
+    c = s.fields.curv
     mask = p.valid_mask(c["S"], c["T_norm2"])
 
-    hess_lam_T = p.d * (dat.lamp * dat.g_ratio) * c["tau_f"] + dat.lampp * c["tau_r"]
+    hess_lam_T = s.fields.hess_lam_T
     worst = float(np.min(hess_lam_T[p.valid_mask(hess_lam_T)]))
     hyps = {
         "hess_lambda_T_nonnegative": Flag(worst >= -_NULL_THRESHOLD, worst),
         "conformally_flat": Flag(bool(p.fiber_constant_curvature), str(p.fiber_constant_curvature)),
     }
     S_sup = float(np.max(c["S"][mask]))
-    lam_star = float(np.min(dat.lam))
+    lam_star = float(np.min(s.lam.values))
     hyps["scalar_curvature_bounded_above"] = Flag(bool(np.isfinite(S_sup)), S_sup)
     hyps["lambda_bounded_below"] = Flag(bool(np.isfinite(lam_star)), lam_star)
 

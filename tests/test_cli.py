@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,6 +195,14 @@ def test_cli_missing_file_exit_two(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 
 
+@pytest.mark.parametrize("suite", ["residual", "comparison"])
+def test_cli_no_trusted_samples_exit_two(tmp_path, capsys, suite):
+    # 9 samples: the stencil bands and the pole exclusion leave no sample
+    payload = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8], "resolution": 9}, suites=[suite])
+    assert main(["run", write_manifest(tmp_path, payload)]) == 2
+    assert "no trusted samples" in capsys.readouterr().err
+
+
 def test_cli_tol_override(tmp_path):
     # an absurdly tight residual tolerance turns the pass into a failure
     path = write_manifest(tmp_path, GAUSSIAN_MANIFEST)
@@ -225,6 +234,19 @@ def test_cli_demo_manifests_all_pass_and_json_is_deterministic(tmp_path, monkeyp
         assert main(["run", fname, "--format", "json", "--no-timings", "--out", str(out1)]) == 0, fname
         assert main(["run", fname, "--format", "json", "--no-timings", "--out", str(out2)]) == 0, fname
         assert out1.read_bytes() == out2.read_bytes()
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fname", sorted(DEMO_MANIFESTS))
+def test_cli_demo_json_matches_golden(tmp_path, monkeypatch, fname):
+    # regression oracle: the checked-in --no-timings JSON of each demo
+    monkeypatch.chdir(tmp_path)
+    main(["demo"])
+    out = tmp_path / "report.json"
+    assert main(["run", fname, "--format", "json", "--no-timings", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN_DIR / fname).read_bytes()
 
 
 def test_parse_rejects_bad_suite_and_tolerance_keys():

@@ -201,3 +201,28 @@ def test_einstein_shifted_interval_is_not_a_pole_model():
     s = build_einstein_family(c=-1.0, g0=0.0, gp0=1.0, a=0.3, b=0.0, n=3, interval=(1.0, 3.0))
     assert not s.profile.pole
     assert soliton_residual(s).sup_norm < 1e-8
+
+
+def test_spec_fields_are_cached_read_only_and_free_with_the_spec():
+    import gc
+    import weakref
+
+    s = build_gaussian(1.0, 3, resolution=101)
+    fields = s.fields
+    assert s.fields is fields
+    np.testing.assert_array_equal(fields.fp, derivative(s.f, 1).values)
+    np.testing.assert_array_equal(fields.curv["S"], curvature_grids(s.profile)["S"])
+    for arr in (fields.fp, fields.lampp, fields.g_ratio, fields.curv["T_norm2"]):
+        with pytest.raises(ValueError):
+            arr[5] = 0.0
+    with pytest.raises(TypeError):
+        fields.curv["S"] = fields.curv["T_norm2"]
+    # no spec -> fields -> spec cycle: dropping the spec frees the fields
+    # without waiting for the cyclic collector
+    ref = weakref.ref(fields)
+    gc.disable()
+    try:
+        del s, fields
+        assert ref() is None
+    finally:
+        gc.enable()

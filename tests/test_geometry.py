@@ -5,7 +5,6 @@ import pytest
 
 from solab.errors import InvalidWarp, NotAModel
 from solab.geometry import (
-    Custom,
     Polynomial,
     SnCombination,
     WarpProfile,
@@ -317,7 +316,7 @@ def test_custom_form_matches_tabulated():
     t = np.linspace(0.0, 2 * np.pi, 2001)
     gf = GridFn(0.0, 2 * np.pi, 2.0 + np.sin(t))
     p = WarpProfile(
-        n=3, rho_sigma=1.0, g=Custom(gf), t0=0.0, t1=2 * np.pi, n_samples=2001,
+        n=3, rho_sigma=1.0, g=gf, t0=0.0, t1=2 * np.pi, n_samples=2001,
         fiber_constant_curvature=True,
     )
     assert p.g_at(1.0) == pytest.approx(2.0 + math.sin(1.0), abs=1e-10)
