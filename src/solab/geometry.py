@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidWarp, NotAModel, PoleSingularity
+from .errors import InvalidWarp, NoTrustedSamples, NotAModel, PoleSingularity
 from .kernel import GridFn, cn, derivative, integrate_cumulative, sn
 
 __all__ = [
@@ -216,6 +216,14 @@ class WarpProfile:
             m &= self.grid > self.t0 + (POLE_EXCLUSION_STEPS - 0.5) * self.h
         for a in arrays:
             m &= np.isfinite(a)
+        return m
+
+    def trusted_mask(self, what: str, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
+        """valid_mask for a quantity reduced over it; raises
+        NoTrustedSamples, naming what, when no sample is left."""
+        m = self.valid_mask(*arrays, edge=edge)
+        if not m.any():
+            raise NoTrustedSamples(f"{what}: no trusted samples on a {self.n_samples}-sample grid")
         return m
 
 

@@ -10,6 +10,7 @@ smooth data, including second derivatives of composed integrals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -323,11 +324,11 @@ def integrate_cumulative(f: GridFn) -> GridFn:
     pairs = (h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
     F[2::2] = np.cumsum(pairs)
 
-    odd = np.arange(1, n, 2)
-    last = (h / 24.0) * (-v[odd[1:] - 2] + 13.0 * v[odd[1:] - 1] + 13.0 * v[odd[1:]] - v[np.minimum(odd[1:] + 1, n - 1)])
-    # interior 4-point rule needs a node past the right end; the final
-    # subinterval (odd last index) uses the left-sided end rule instead
-    F[odd[1:]] = F[odd[1:] - 1] + last
+    # odd k = 3, 5, ... with a node past k: the 4-point rule over
+    # [k-1, k]; an odd last index uses the left-sided end rule below
+    m = (n - 3) // 2
+    last = (h / 24.0) * (-v[1 : 1 + 2 * m : 2] + 13.0 * v[2 : 2 + 2 * m : 2] + 13.0 * v[3 : 3 + 2 * m : 2] - v[4 : 4 + 2 * m : 2])
+    F[3 : 3 + 2 * m : 2] = F[2 : 2 + 2 * m : 2] + last
     F[1] = (h / 24.0) * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
     if n % 2 == 0:
         i = n - 1
@@ -339,43 +340,115 @@ def integrate_cumulative(f: GridFn) -> GridFn:
 # second-order linear ODE
 # ---------------------------------------------------------------------------
 
-def _rk4_linear(Q: GridFn, y0: float, yp0: float):
-    n = Q.values.size
+def _rk4_step_matrices(Q: GridFn):
+    """Entries (m00, m01, m10, m11) of every RK4 step x_{i+1} = M_i x_i for
+    y'' = Q y, with x = (y, y').
+
+    Q at the half steps is the cubic through the four nearest samples, the
+    same interpolant as Q.eval up to rounding: weights (-1, 9, 9, -1)/16 inside, the first
+    and last four samples on the end intervals.  Only the four entry arrays
+    outlive the call, so the peak stays near 5 arrays of the grid's size.
+    """
+    q = Q.values
     h = Q.h
-    mid = Q.t0 + (np.arange(n - 1) + 0.5) * h
-    # memoryviews yield and take Python floats: the same IEEE double
-    # arithmetic as numpy scalars, at a fraction of the per-step overhead
-    q = memoryview(Q.values)
-    qm = memoryview(Q.eval(mid))
-    y = np.empty(n)
-    v = np.empty(n)
-    ys, vs = memoryview(y), memoryview(v)
-    yi, vi = float(y0), float(yp0)
-    ys[0], vs[0] = yi, vi
-    for i in range(n - 1):
-        q0, qh, q1 = q[i], qm[i], q[i + 1]
-        k1y = vi
-        k1v = q0 * yi
-        k2y = vi + 0.5 * h * k1v
-        k2v = qh * (yi + 0.5 * h * k1y)
-        k3y = vi + 0.5 * h * k2v
-        k3v = qh * (yi + 0.5 * h * k2y)
-        k4y = vi + h * k3v
-        k4v = q1 * (yi + h * k3y)
-        yi += (h / 6.0) * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-        vi += (h / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if abs(yi) > 1e300 or abs(vi) > 1e300:
-            raise OverflowDetected(f"solution exceeded 1e300 near t = {Q.t0 + (i + 1) * h:.6g}")
-        ys[i + 1], vs[i + 1] = yi, vi
+    q0, q1 = q[:-1], q[1:]
+    qh = q0 + q1
+    qh *= 9.0
+    qh[1:-1] -= q[:-3] + q[3:]
+    qh[0] = 5.0 * q[0] + 15.0 * q[1] - 5.0 * q[2] + q[3]
+    qh[-1] = q[-4] - 5.0 * q[-3] + 15.0 * q[-2] + 5.0 * q[-1]
+    qh /= 16.0
+
+    # m01 = h + h^3/6 qh
+    m01 = qh * (h**3 / 6.0)
+    m01 += h
+    # m10 = h/6 (q0 + 4 qh + q1 + h^2/2 qh (q0 + q1))
+    s = q0 + q1
+    m10 = s * qh
+    m10 *= h * h / 2.0
+    m10 += s
+    np.multiply(qh, 4.0, out=s)
+    m10 += s
+    m10 *= h / 6.0
+    del s
+    # m00 = 1 + h^2/6 (q0 + 2 qh + h^2/4 q0 qh), m11 the same with q1
+    diag = []
+    for qe in (q0, q1):
+        m = qe * qh
+        m *= h * h / 4.0
+        m += qe
+        m += qh
+        m += qh
+        m *= h * h / 6.0
+        m += 1.0
+        diag.append(m)
+    return diag[0], m01, m10, diag[1]
+
+
+def _transfer_scan(m00, m01, m10, m11, y0: float, yp0: float):
+    """States x_0 .. x_N of x_{i+1} = M_i x_i, x_0 = (y0, yp0), in O(N) work.
+
+    The N steps form blocks of L consecutive steps.  Sweep 1 multiplies
+    out each full block's transfer matrix with L vectorized 2x2 products
+    over strided views (block b, step j is index b*L + j); a scalar loop
+    carries the state across the N/L blocks; sweep 2 marches every block
+    from its start state, writing straight into y and y'.  Scratch beyond
+    the outputs is O(sqrt(N)).  A vectorized step (a dozen numpy calls)
+    costs about four scalar carry steps, so L = sqrt(N/8) balances the 2L
+    of the one against the N/L of the other.
+    """
+    N = m00.size
+    L = max(2, math.isqrt(N // 8))
+    nb = N // L
+    y = np.empty(N + 1)
+    v = np.empty(N + 1)
+
+    full = slice(0, nb * L, L)
+    p00, p01, p10, p11 = m00[full].copy(), m01[full].copy(), m10[full].copy(), m11[full].copy()
+    for j in range(1, L):
+        full = slice(j, j + nb * L, L)
+        a, b, c, d = m00[full], m01[full], m10[full], m11[full]
+        p00, p01, p10, p11 = a * p00 + b * p10, a * p01 + b * p11, c * p00 + d * p10, c * p01 + d * p11
+
+    # block-start states; a trailing partial block needs its start too
+    starts = [(float(y0), float(yp0))]
+    for b00, b01, b10, b11 in zip(p00.tolist(), p01.tolist(), p10.tolist(), p11.tolist()):
+        if len(starts) * L >= N:
+            break
+        ys, vs = starts[-1]
+        starts.append((b00 * ys + b01 * vs, b10 * ys + b11 * vs))
+    y[0:N:L], v[0:N:L] = zip(*starts)
+
+    for j in range(L):
+        steps, after = slice(j, N, L), slice(j + 1, N + 1, L)
+        a, b, c, d = m00[steps], m01[steps], m10[steps], m11[steps]
+        ys, vs = y[steps], v[steps]
+        y_next = a * ys + b * vs
+        v[after] = c * ys + d * vs
+        y[after] = y_next
+    return y, v
+
+
+def _rk4_linear(Q: GridFn, y0: float, yp0: float):
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, v = _transfer_scan(*_rk4_step_matrices(Q), y0, yp0)
+        # strict > lets NaN through, as the step-by-step check did
+        big = np.abs(y[1:]) > 1e300
+        big |= np.abs(v[1:]) > 1e300
+    if big.any():
+        i = int(np.argmax(big)) + 1
+        raise OverflowDetected(f"solution exceeded 1e300 near t = {Q.t0 + i * Q.h:.6g}")
     return Q.with_values(y), Q.with_values(v)
 
 
 def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> GridFn:
     """Solve y'' = Q(t) y with y(t0) = y0, y'(t0) = yp0.
 
-    Classical RK4 marching on the grid spacing, with Q interpolated
-    cubically at half steps; global error O(h^4).  Raises OverflowDetected
-    if the solution blows past 1e300.
+    Classical RK4 on the grid spacing, with Q interpolated cubically at
+    half steps; global error O(h^4).  Each step is a 2x2 matrix acting on
+    (y, y'); a blocked transfer-matrix scan multiplies them out in O(n)
+    work.  Raises OverflowDetected at the first sample where |y| or |y'|
+    exceeds 1e300.
     """
     y, _ = _rk4_linear(Q, y0, yp0)
     return y

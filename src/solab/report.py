@@ -77,7 +77,7 @@ class RunReport:
 def _spec_summary(spec: SolitonSpec) -> dict:
     p = spec.profile
     curv = spec.fields.curv
-    mask = p.valid_mask(curv["S"], curv["T_norm2"])
+    mask = p.trusted_mask("spec summary", curv["S"], curv["T_norm2"])
     return {
         "family": spec.family_tag.value,
         "n": p.n,

@@ -24,7 +24,6 @@ from .errors import (
     NonPositiveG,
     NotConformallyFlat,
     NotTraceFree,
-    NoTrustedSamples,
 )
 from .factory import SolitonSpec
 from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, nan_fill
@@ -161,9 +160,7 @@ def residual_report(
     worst violation (0 when there is none) and the check passes when it
     is at most tol.  argmax_t locates the worst sample either way.
     """
-    mask = p.valid_mask(per_point, edge=edge)
-    if not mask.any():
-        raise NoTrustedSamples(f"{ident}: no trusted samples on a {p.n_samples}-sample grid")
+    mask = p.trusted_mask(ident, per_point, edge=edge)
     vals = np.abs(per_point[mask]) if sign == 0 else -sign * per_point[mask]
     k = int(np.argmax(vals))
     worst = float(vals[k])
@@ -335,7 +332,7 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
     p = s.profile
     n = p.n
     lam = s.lam.values
-    mask = p.valid_mask(lam, fp)
+    mask = p.trusted_mask("triviality", lam, fp)
     r = p.grid - p.t0
 
     hyps = {}
@@ -378,10 +375,10 @@ def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
     n = p.n
     c = s.fields.curv
     lam = s.lam.values
-    mask = p.valid_mask(c["S"])
+    mask = p.trusted_mask("scalar_bounds", c["S"])
 
     plain_lap_lam = s.fields.lap_lam
-    lap_mask = p.valid_mask(plain_lap_lam)
+    lap_mask = p.trusted_mask("scalar_bounds", plain_lap_lam)
     worst = float(np.max(plain_lap_lam[lap_mask]))
     hyps = {"delta_lambda_nonpositive": Flag(worst <= _NULL_THRESHOLD, worst)}
 
@@ -427,10 +424,10 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
     p = s.profile
     n = p.n
     c = s.fields.curv
-    mask = p.valid_mask(c["S"], c["T_norm2"])
+    mask = p.trusted_mask("trace_free_gap", c["S"], c["T_norm2"])
 
     hess_lam_T = s.fields.hess_lam_T
-    worst = float(np.min(hess_lam_T[p.valid_mask(hess_lam_T)]))
+    worst = float(np.min(hess_lam_T[p.trusted_mask("trace_free_gap", hess_lam_T)]))
     hyps = {
         "hess_lambda_T_nonnegative": Flag(worst >= -_NULL_THRESHOLD, worst),
         "conformally_flat": Flag(bool(p.fiber_constant_curvature), str(p.fiber_constant_curvature)),

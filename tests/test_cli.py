@@ -195,7 +195,7 @@ def test_cli_missing_file_exit_two(tmp_path):
     assert main(["run", str(tmp_path / "absent.json")]) == 2
 
 
-@pytest.mark.parametrize("suite", ["residual", "comparison"])
+@pytest.mark.parametrize("suite", ["residual", "comparison", "audits", "okumura"])
 def test_cli_no_trusted_samples_exit_two(tmp_path, capsys, suite):
     # 9 samples: the stencil bands and the pole exclusion leave no sample
     payload = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8], "resolution": 9}, suites=[suite])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from solab.kernel import (
     solve_linear_ode2_with_derivative,
 )
 
-from .oracles import cosh_series, sinh_series
+from .oracles import cosh_series, rk4_scalar_ode2, sinh_series
 
 # frozen via the exponential-series oracle (see oracles.py)
 SINH_1 = 1.1752011936438016
@@ -184,17 +186,43 @@ def test_ode_negative_potential_gives_cos():
 
 
 def test_ode_variable_coefficient_against_reference():
-    from .oracles import rk4_scalar_ode2
-
     Q = GridFn.from_callable(lambda t: 1.0 + t**2, 0.0, 2.0, 2001)
     y = solve_linear_ode2(Q, 0.0, 1.0)
     ref, _ = rk4_scalar_ode2(lambda t: 1.0 + t * t, 0.0, 1.0, 0.0, 2.0, 4000)
     assert y.values[-1] == pytest.approx(ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("n", [10, 11, 2001, 2003])
+def test_ode_scan_matches_stepwise_rk4_on_a_cubic_potential(n):
+    # cubic interpolation is exact for a cubic Q, so the grid solver and
+    # the independent stepper take the same steps up to rounding; a slip
+    # at a block boundary or in a partial last block shows at the end
+    def q(t):
+        return 1.0 + t - t**3 / 10.0
+
+    y, v = solve_linear_ode2_with_derivative(GridFn.from_callable(q, 0.0, 2.0, n), 0.0, 1.0)
+    ref_y, ref_v = rk4_scalar_ode2(q, 0.0, 1.0, 0.0, 2.0, n - 1)
+    assert y.values[-1] == pytest.approx(ref_y, rel=1e-12)
+    assert v.values[-1] == pytest.approx(ref_v, rel=1e-12)
+
+
 def test_ode_overflow_detection():
-    with pytest.raises(OverflowDetected):
-        solve_linear_ode2(GridFn.constant(400.0, 0.0, 40.0, 2001), 0.0, 1.0)
+    # the first sample past 1e300, as a step-by-step march reports it
+    for q, t1, n, where in ((400.0, 40.0, 2001, "34.58"), (100.0, 80.0, 20001, "69.148")):
+        with pytest.raises(OverflowDetected, match=f"near t = {where}$"):
+            solve_linear_ode2(GridFn.constant(q, 0.0, t1, n), 0.0, 1.0)
+
+
+def test_ode_peak_memory_stays_within_eleven_grid_arrays():
+    n = 20001
+    Q = GridFn.from_callable(lambda t: 1.0 + t**2, 0.0, 2.0, n)
+    tracemalloc.start()
+    try:
+        solve_linear_ode2(Q, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 11 * 8 * n
 
 
 def test_ode_derivative_channel():
