@@ -18,14 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    EnvelopeViolation,
-    InvalidRegime,
-    NegativeRadicand,
-    NotAModel,
-)
+from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand
 from .factory import SolitonSpec
-from .geometry import weighted_ball_volume, weighted_sphere_volume
+from .geometry import sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
 from .kernel import GridFn, derivative, integrate_cumulative, nan_fill, solve_linear_ode2
 from .verify import ResidualReport, residual_report
 
@@ -64,11 +59,6 @@ class ComparisonSetup:
             raise ValueError("theta must be nondecreasing")
 
 
-def _require_model(s: SolitonSpec):
-    if not s.profile.pole:
-        raise NotAModel("comparison machinery needs a pole model spec")
-
-
 def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     """Extract (G, theta, h) from a spec.
 
@@ -77,8 +67,8 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     max(0, -min_eig/(n-1)) and theta the running max of max(0, -f'),
     the smallest nondecreasing data the comparison hypotheses admit.
     """
-    _require_model(s)
     p = s.profile
+    p.require_model()
     min_eig = nan_fill(np.minimum(*s.fields.bakry_emery))
     G_vals = np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1)))
     theta_vals = np.maximum.accumulate(np.maximum(0.0, -s.fields.fp))
@@ -97,8 +87,8 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     never exceeds the bound beyond tolerance.  Space-form models with
     constant potential achieve equality.
     """
-    _require_model(s)
     p = s.profile
+    p.require_model()
     actual = p.d * s.fields.g_ratio - s.fields.fp
     with np.errstate(divide="ignore", invalid="ignore"):
         hp = derivative(cs.h, 1).values
@@ -121,8 +111,8 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float) -> VolumeB
 
     with D calibrated so the two densities agree at the pole
     (D = fiber_volume * e^(-f(pole)), exact for models)."""
-    _require_model(s)
     p = s.profile
+    p.require_model()
     r = float(r)
     actual = weighted_ball_volume(p, s.f, r)
     Theta = integrate_cumulative(cs.theta)
@@ -147,8 +137,8 @@ def volume_bound_omega(
     with C the actual ball volume at r0 and B_cal matching the sphere
     density at r0.  Requires omega nondecreasing, xi' <= omega', and
     h(r0) >= 1 (so larger exponents weaken the bound monotonically)."""
-    _require_model(s)
     p = s.profile
+    p.require_model()
     r0, r = float(r0), float(r)
     fv = s.f.values
     if np.any(fv < xi.values - 1e-12) or np.any(fv > omega.values + 1e-12):
@@ -241,13 +231,12 @@ def f_parabolic_test(s: SolitonSpec, r_max: float) -> ParabolicVerdict:
     Partial integrals at T = r_max/4, r_max/2, r_max; LikelyParabolic when
     the last increment still carries more than 25% of the total (the
     integral has not settled, consistent with divergence)."""
-    _require_model(s)
     p = s.profile
+    p.require_model()
     r_max = float(r_max)
     if r_max / 4 < 2.0 or r_max > p.t1 + 1e-12:
         raise ValueError("need 8 <= r_max <= profile end")
-    g = p.warp_values[0]
-    dens = p.fiber_volume * g**p.d * np.exp(-s.f.values)
+    dens = sphere_volume_density(p, p.warp_values[0], s.f.values)
     with np.errstate(divide="ignore"):
         integrand = 1.0 / dens
     integrand = np.where(np.isfinite(integrand), integrand, 0.0)

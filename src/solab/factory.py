@@ -13,7 +13,7 @@ The verifier module re-checks this for every constructed spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
 from types import MappingProxyType
@@ -21,7 +21,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import InvalidCase, InvalidWarp
-from .geometry import SnCombination, WarpProfile, curvature_grids, f_laplacian
+from .geometry import SnCombination, WarpProfile, curvature_grids, radial_laplacian
 from .kernel import GridFn, cn, derivative, integrate_cumulative
 
 __all__ = [
@@ -78,11 +78,9 @@ class SolitonSpec:
     f: GridFn
     lam: GridFn
     family_tag: FamilyTag
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        probe = GridFn(self.profile.t0, self.profile.t1, np.zeros(self.profile.n_samples))
-        if not (self.f.same_grid(probe) and self.lam.same_grid(probe)):
+        if not (self.f.same_grid(self.profile) and self.lam.same_grid(self.profile)):
             raise ValueError("f and lambda must live on the profile grid")
         if not (np.isfinite(self.f.values).all() and np.isfinite(self.lam.values).all()):
             raise ValueError("potential and soliton function must be finite")
@@ -103,10 +101,10 @@ class SpecFields:
     """Derived radial fields of one spec, computed once and read-only.
 
     f', f'', lambda', lambda'' (stencils), the curvature grids of the
-    profile, and g'/g (NaN where undefined, i.e. at a pole).  The object
-    keeps the profile but not the spec: a spec -> fields -> spec cycle
-    would keep the arrays of a fine grid alive until the cyclic garbage
-    collector runs.
+    profile, and the profile's g'/g (NaN where undefined, i.e. at a pole).
+    The object keeps the profile but not the spec: a spec -> fields -> spec
+    cycle would keep the arrays of a fine grid alive until the cyclic
+    garbage collector runs.
     """
 
     def __init__(self, s: SolitonSpec):
@@ -117,11 +115,8 @@ class SpecFields:
         self.lamp = derivative(s.lam, 1).values
         self.lampp = derivative(s.lam, 2).values
         curv = curvature_grids(p)
-        g, gp, _ = p.warp_values
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gr = gp / g
-        self.g_ratio = np.where(np.isfinite(gr), gr, np.nan)
-        for arr in (self.g_ratio, *curv.values()):
+        self.g_ratio = p.g_ratio
+        for arr in curv.values():
             arr.setflags(write=False)
         self.curv = MappingProxyType(curv)
 
@@ -134,7 +129,7 @@ class SpecFields:
     @property
     def lap_lam(self) -> np.ndarray:
         """Plain Laplacian of lambda: lambda'' + d (g'/g) lambda'."""
-        return self.lampp + self.profile.d * self.g_ratio * self.lamp
+        return radial_laplacian(self.profile, self.lamp, self.lampp)
 
     @property
     def hess_lam_T(self) -> np.ndarray:
@@ -146,7 +141,8 @@ class SpecFields:
     def f_laplacian(self, u_values: np.ndarray) -> np.ndarray:
         """Weighted Laplacian Delta_f of the radial function with these samples."""
         p = self.profile
-        return f_laplacian(p, self.fp, GridFn(p.t0, p.t1, u_values)).values
+        u = GridFn(p.t0, p.t1, u_values)
+        return radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, self.fp)
 
 
 def _is_pole_start(interval, g0: float, gp0: float) -> bool:
@@ -163,7 +159,6 @@ def build_einstein_family(
     n: int,
     interval=DEFAULT_INTERVAL,
     resolution: int = DEFAULT_RESOLUTION,
-    family_tag: FamilyTag = FamilyTag.EINSTEIN_WARPED,
 ) -> SolitonSpec:
     """Einstein warped product g'' = c g carrying the soliton structure
 
@@ -194,13 +189,7 @@ def build_einstein_family(
     g_grid = GridFn(t0, t1, np.asarray(form.value(t), dtype=float))
     f = a * integrate_cumulative(g_grid) + b
     lam = GridFn(t0, t1, a * np.asarray(form.d1(t), dtype=float) - d * c)
-    return SolitonSpec(
-        profile=profile,
-        f=f,
-        lam=lam,
-        family_tag=family_tag,
-        params={"c": c, "g0": g0, "gp0": gp0, "a": a, "b": b, "n": n},
-    )
+    return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.EINSTEIN_WARPED)
 
 
 def build_general_family(
@@ -248,11 +237,7 @@ def build_general_family(
     f = B + integrate_cumulative(GridFn(t0, t1, gv * inner))
     lam_vals = -(d - 1) * (gp * gp + a) / gv**2 - gpp / gv + gp * inner
     return SolitonSpec(
-        profile=profile,
-        f=f,
-        lam=GridFn(t0, t1, lam_vals),
-        family_tag=FamilyTag.GENERAL_WARPED,
-        params={"rho_sigma": rho_sigma, "A": A, "B": B, "n": n},
+        profile=profile, f=f, lam=GridFn(t0, t1, lam_vals), family_tag=FamilyTag.GENERAL_WARPED
     )
 
 
@@ -270,10 +255,7 @@ def _build_flat(lambda0: float, n: int, r_max: float, resolution: int, tag: Fami
     t = profile.grid
     f = GridFn(0.0, float(r_max), 0.5 * lambda0 * t * t)
     lam = GridFn.constant(lambda0, 0.0, float(r_max), resolution)
-    return SolitonSpec(
-        profile=profile, f=f, lam=lam, family_tag=tag,
-        params={"lambda0": lambda0, "n": n},
-    )
+    return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=tag)
 
 
 def build_classified(
@@ -319,17 +301,13 @@ def build_classified(
         t = profile.grid
         lam = GridFn(0.0, r_max, a * cn(-c, t) - (n - 1) * c)
         f = GridFn(0.0, r_max, (a / c) * cn(-c, t) + b)
-        return SolitonSpec(
-            profile=profile, f=f, lam=lam,
-            family_tag=FamilyTag.CLASSIFIED_SPACE_FORM,
-            params={"c": c, "a": a, "b": b, "n": n},
-        )
+        return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.CLASSIFIED_SPACE_FORM)
 
     if case is ClassifiedCase.HYPERBOLIC_WARPED:
         c = float(params["c"])
         if c <= 0.0:
             raise InvalidCase("hyperbolic warped case requires c > 0")
-        return build_einstein_family(
+        spec = build_einstein_family(
             c=c,
             g0=float(params.get("g0", 1.0)),
             gp0=float(params.get("gp0", 0.0)),
@@ -338,8 +316,8 @@ def build_classified(
             n=n,
             interval=interval if interval is not None else DEFAULT_INTERVAL,
             resolution=resolution,
-            family_tag=FamilyTag.CLASSIFIED_HYPERBOLIC_WARPED,
         )
+        return replace(spec, family_tag=FamilyTag.CLASSIFIED_HYPERBOLIC_WARPED)
 
     raise InvalidCase(f"unknown classified case {case!r}")
 

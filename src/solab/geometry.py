@@ -36,7 +36,9 @@ __all__ = [
     "curvature_at",
     "curvature_grids",
     "radial_hessian",
+    "radial_laplacian",
     "f_laplacian",
+    "sphere_volume_density",
     "weighted_sphere_volume",
     "weighted_ball_volume",
 ]
@@ -118,7 +120,6 @@ class WarpProfile:
         fiber)
     fiber_constant_curvature : the fiber is declared a space form, which is
         exactly the conformal-flatness condition for the warped metric
-    fiber_volume : total Riemannian volume of the fiber
     """
 
     n: int
@@ -129,21 +130,14 @@ class WarpProfile:
     n_samples: int
     pole: bool = False
     fiber_constant_curvature: bool = False
-    fiber_volume: float | None = None
 
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("total dimension must be at least 2")
         if self.n == 2 and abs(self.rho_sigma) > 1e-14:
             raise ValueError("a one-dimensional fiber is Ricci flat: rho_sigma must be 0")
-        if isinstance(self.g, GridFn):
-            if not self.g.same_grid(GridFn(self.t0, self.t1, np.zeros(self.n_samples))):
-                raise ValueError("tabulated g must live on the profile grid")
-        if self.fiber_volume is None:
-            vol = unit_sphere_volume(self.d) if self._unit_sphere_fiber() else 1.0
-            object.__setattr__(self, "fiber_volume", vol)
-        if not self.fiber_volume > 0:
-            raise ValueError("fiber_volume must be positive")
+        if isinstance(self.g, GridFn) and not self.g.same_grid(self):
+            raise ValueError("tabulated g must live on the profile grid")
 
         gvals = self.warp_values[0]
         if np.min(gvals[1:-1]) <= 0 or (not self.pole and (gvals[0] <= 0 or gvals[-1] <= 0)):
@@ -162,9 +156,20 @@ class WarpProfile:
             and (self.fiber_constant_curvature or self.d == 1)
         )
 
+    def require_model(self) -> None:
+        """Raise NotAModel unless t0 is a model-manifold pole."""
+        if not self.pole:
+            raise NotAModel("operation requires a pole model profile")
+
     @property
     def d(self) -> int:
         return self.n - 1
+
+    @property
+    def fiber_volume(self) -> float:
+        """Total Riemannian volume of the fiber: the unit sphere's for a
+        unit-sphere fiber, 1 otherwise."""
+        return unit_sphere_volume(self.d) if self._unit_sphere_fiber() else 1.0
 
     @property
     def h(self) -> float:
@@ -185,6 +190,17 @@ class WarpProfile:
                 np.asarray(self.g.d2(t), dtype=float),
             )
         return self.g.values.copy(), derivative(self.g, 1).values, derivative(self.g, 2).values
+
+    @cached_property
+    def g_ratio(self) -> np.ndarray:
+        """g'/g sampled on the grid (read-only; NaN where undefined, i.e. at
+        a pole)."""
+        g, gp, _ = self.warp_values
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = gp / g
+        ratio = np.where(np.isfinite(ratio), ratio, np.nan)
+        ratio.setflags(write=False)
+        return ratio
 
     def g_at(self, t):
         if isinstance(self.g, (SnCombination, Polynomial)):
@@ -333,50 +349,45 @@ def radial_hessian(p: WarpProfile, u: GridFn, t: float):
     return fiber(t)["hessian_fiber"], float(upp.eval(t))
 
 
-def f_laplacian(p: WarpProfile, f: GridFn | np.ndarray | None, u: GridFn) -> GridFn:
-    """Weighted Laplacian of a radial function: u'' + d (g'/g) u' - f' u'.
-
-    f is the potential, or its sampled derivative f' for a caller that
-    already holds it; pass f = None (or a constant) for the plain
-    Laplacian.  At a pole the endpoint sample is NaN and excluded from
-    downstream sup-norms.
-    """
-    g, gp, _ = p.warp_values
-    up = derivative(u, 1).values
-    upp = derivative(u, 2).values
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = upp + p.d * (gp / g) * up
-    if f is not None:
-        fprime = derivative(f, 1).values if isinstance(f, GridFn) else f
-        out = out - fprime * up
-    out = np.where(np.isfinite(out), out, np.nan)
-    return GridFn(p.t0, p.t1, out)
+def radial_laplacian(
+    p: WarpProfile, up: np.ndarray, upp: np.ndarray, fp: np.ndarray | None = None
+) -> np.ndarray:
+    """Weighted Laplacian of a radial function from its sampled derivatives
+    u' and u'': u'' + d (g'/g) u' - f' u' (the plain Laplacian when fp is
+    None).  Non-finite samples, e.g. at a pole, become NaN and are excluded
+    from downstream sup-norms."""
+    with np.errstate(invalid="ignore"):
+        out = upp + p.d * p.g_ratio * up
+        if fp is not None:
+            out = out - fp * up
+    return np.where(np.isfinite(out), out, np.nan)
 
 
-def _require_model(p: WarpProfile):
-    if not p.pole:
-        raise NotAModel("operation requires a pole model profile")
+def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
+    """Weighted Laplacian Delta_f u of a radial function u with potential f
+    (None, or a constant, for the plain Laplacian)."""
+    fp = None if f is None else derivative(f, 1).values
+    return GridFn(p.t0, p.t1, radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, fp))
+
+
+def sphere_volume_density(p: WarpProfile, g, f=None):
+    """vol_f density of the geodesic sphere about the pole where the warp
+    takes the value g and the potential the value f (arrays or scalars):
+    fiber_volume * g^d * e^(-f), or fiber_volume * g^d for f = None."""
+    dens = p.fiber_volume * g**p.d
+    return dens if f is None else dens * np.exp(-f)
 
 
 def weighted_sphere_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
-    """vol_f of the geodesic sphere of radius r about the pole:
-    fiber_volume * g(r)^d * e^(-f(r))."""
-    _require_model(p)
+    """vol_f of the geodesic sphere of radius r about the pole."""
+    p.require_model()
     r = float(r)
-    weight = 1.0 if f is None else math.exp(-float(f.eval(r)))
-    return p.fiber_volume * float(p.g_at(r)) ** p.d * weight
-
-
-def _sphere_volume_gridfn(p: WarpProfile, f: GridFn | None) -> GridFn:
-    g = p.warp_values[0]
-    dens = p.fiber_volume * g**p.d
-    if f is not None:
-        dens = dens * np.exp(-f.values)
-    return GridFn(p.t0, p.t1, dens)
+    return float(sphere_volume_density(p, float(p.g_at(r)), None if f is None else float(f.eval(r))))
 
 
 def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
     """vol_f of the geodesic ball of radius r about the pole, by composite
     Simpson of the sphere-volume density."""
-    _require_model(p)
-    return float(integrate_cumulative(_sphere_volume_gridfn(p, f)).eval(float(r)))
+    p.require_model()
+    dens = sphere_volume_density(p, p.warp_values[0], None if f is None else f.values)
+    return float(integrate_cumulative(GridFn(p.t0, p.t1, dens)).eval(float(r)))

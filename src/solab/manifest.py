@@ -8,6 +8,7 @@ silently running defaults.  Version "1" only.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -119,7 +120,13 @@ def _require_keys(obj: dict, allowed, path: str):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"expected a number at {path}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"expected a finite number at {path}")
+    return number
 
 
 def _integer(value, path: str) -> int:

@@ -26,6 +26,7 @@ from .errors import (
     NotTraceFree,
 )
 from .factory import SolitonSpec
+from .geometry import radial_laplacian
 from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, nan_fill
 
 __all__ = [
@@ -213,8 +214,7 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
             + (n - 2) * fl.lamp * fl.fp
         )
     elif ident == "trace":
-        lap_f = fl.fpp + d * fl.g_ratio * fl.fp
-        per = c["S"] - n * lam + lap_f
+        per = c["S"] - n * lam + radial_laplacian(s.profile, fl.fp, fl.fpp)
     elif ident == "scalar_gradient":
         S_prime = derivative(GridFn(s.profile.t0, s.profile.t1, nan_fill(c["S"])), 1).values
         per = S_prime - 2 * (n - 1) * fl.lamp - 2 * fl.fp * c["rho_rad"]

@@ -172,11 +172,61 @@ def write_manifest(tmp_path, payload, name="m.json"):
     return str(path)
 
 
-def test_cli_pass_exit_zero(tmp_path, capsys):
-    path = write_manifest(tmp_path, GAUSSIAN_MANIFEST)
+# optional params are omitted, so parse_manifest fills in the schema defaults
+PASSING_MANIFESTS = {
+    "gaussian": GAUSSIAN_MANIFEST,
+    "classified_flat": dict(
+        GAUSSIAN_MANIFEST, family="classified_flat", grid={"interval": [0, 8], "resolution": 2001}
+    ),
+    "classified_space_form": dict(
+        GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "n": 3},
+        grid={"interval": [0, 4], "resolution": 2001},
+    ),
+    "classified_hyperbolic": dict(
+        GAUSSIAN_MANIFEST, family="classified_hyperbolic", params={"c": 1, "n": 4},
+        grid={"interval": [0, 2], "resolution": 2001},
+    ),
+}
+
+
+@pytest.mark.parametrize("family", list(PASSING_MANIFESTS))
+def test_cli_pass_exit_zero(tmp_path, capsys, family):
+    path = write_manifest(tmp_path, PASSING_MANIFESTS[family])
     code = main(["run", path, "--no-timings"])
     assert code == 0
     assert "overall: PASS" in capsys.readouterr().out
+
+
+def test_cli_two_dimensional_identities_skip_trace_free_balance(tmp_path):
+    payload = dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 2}, suites=["identities", "audits"])
+    out = tmp_path / "r.json"
+    code = main(["run", write_manifest(tmp_path, payload), "--format", "json", "--no-timings", "--out", str(out)])
+    assert code == 0
+    identities, audits = json.loads(out.read_text())["suite_results"]
+    assert identities["checks"][-1] == {
+        "identity_id": "trace_free_balance",
+        "skipped": "the |T|^2 balance needs a space-form fiber and n >= 3",
+    }
+    triviality = audits["checks"][0]
+    assert triviality["theorem_id"] == "triviality"
+    assert triviality["hypothesis_flags"]["sign_condition"] == {
+        "passed": True, "measured": "n = 2, condition waived",
+    }
+
+
+@pytest.mark.parametrize(
+    "payload, path",
+    [
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": float("nan"), "n": 3}), "$.params.lambda0"),
+        (dict(GAUSSIAN_MANIFEST, grid={"interval": [0, float("inf")], "resolution": 2001}),
+         "$.grid.interval[1]"),
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": 10**400, "n": 3}), "$.params.lambda0"),
+    ],
+    ids=["nan_param", "infinite_interval_end", "integer_beyond_float_range"],
+)
+def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
+    assert main(["run", write_manifest(tmp_path, payload)]) == 2
+    assert path in capsys.readouterr().err
 
 
 def test_cli_suite_failure_exit_one(tmp_path):

@@ -143,8 +143,9 @@ def test_cumulative_of_cos():
     assert F.values[-1] == pytest.approx(1.0, abs=1e-10)
 
 
-def test_cumulative_exact_on_cubic():
-    F = integrate_cumulative(GridFn.from_callable(lambda t: t**3, 0.0, 1.0, 101))
+@pytest.mark.parametrize("n", [101, 102])  # odd and even sample counts: both end rules
+def test_cumulative_exact_on_cubic(n):
+    F = integrate_cumulative(GridFn.from_callable(lambda t: t**3, 0.0, 1.0, n))
     assert F.values[-1] == pytest.approx(0.25, abs=1e-12)
     # every prefix is cubic-exact, odd indices included
     exact = F.grid**4 / 4.0
