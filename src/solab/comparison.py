@@ -99,25 +99,30 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
 
 
 class VolumeBound(NamedTuple):
+    """Ball volume, its bound and the verdict: floats and a bool for one
+    radius, arrays for an array of radii."""
+
     actual: float
     bound: float
     passed: bool
 
 
-def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float) -> VolumeBound:
+def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarray) -> VolumeBound:
     """Weighted ball volume against the comparison bound
 
         vol_f(B_r) <= D * integral_0^r h(t)^(n-1) e^(int_0^t theta) dt
 
     with D calibrated so the two densities agree at the pole
-    (D = fiber_volume * e^(-f(pole)), exact for models)."""
+    (D = fiber_volume * e^(-f(pole)), exact for models).  r is one radius
+    or an array of radii (as for GridFn.eval); the volume curves are
+    integrated once either way."""
     p = s.profile
     p.require_model()
-    r = float(r)
     actual = weighted_ball_volume(p, s.f, r)
     Theta = integrate_cumulative(cs.theta)
-    integrand = cs.h.values ** (p.n - 1) * np.exp(Theta.values)
-    bound = cs.D_calibration * float(integrate_cumulative(GridFn(p.t0, p.t1, integrand)).eval(r))
+    with np.errstate(over="ignore"):  # an overflow is left to GridFn's check
+        integrand = cs.h.values ** (p.n - 1) * np.exp(Theta.values)
+    bound = cs.D_calibration * integrate_cumulative(GridFn(p.t0, p.t1, integrand)).eval(r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 

@@ -5,6 +5,14 @@ class SolabError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidDimension(SolabError, ValueError):
+    """Dimension n below what a constructor supports."""
+
+
+class NonFiniteValues(SolabError, ValueError):
+    """Sampled data that must be finite overflowed or is undefined."""
+
+
 class OverflowDetected(SolabError):
     """ODE solution exceeded the representable range (|y| > 1e300)."""
 

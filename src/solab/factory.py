@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidCase, InvalidWarp
+from .errors import InvalidCase, InvalidDimension, InvalidWarp, NonFiniteValues
 from .geometry import SnCombination, WarpProfile, curvature_grids, radial_laplacian
 from .kernel import GridFn, cn, derivative, integrate_cumulative
 
@@ -83,7 +83,7 @@ class SolitonSpec:
         if not (self.f.same_grid(self.profile) and self.lam.same_grid(self.profile)):
             raise ValueError("f and lambda must live on the profile grid")
         if not (np.isfinite(self.f.values).all() and np.isfinite(self.lam.values).all()):
-            raise ValueError("potential and soliton function must be finite")
+            raise NonFiniteValues("potential and soliton function must be finite")
 
     @property
     def residual_tolerance(self) -> float:
@@ -169,7 +169,7 @@ def build_einstein_family(
     rho_sigma = (n-2) (gp0^2 - c g0^2) that makes the total space Einstein.
     """
     if n < 3:
-        raise ValueError("einstein family needs n >= 3")
+        raise InvalidDimension("einstein family needs n >= 3")
     t0, t1 = float(interval[0]), float(interval[1])
     d = n - 1
     form = SnCombination(k=-float(c), c1=float(gp0), c2=float(g0))
@@ -185,10 +185,9 @@ def build_einstein_family(
         pole=pole,
         fiber_constant_curvature=True,
     )
-    t = profile.grid
-    g_grid = GridFn(t0, t1, np.asarray(form.value(t), dtype=float))
-    f = a * integrate_cumulative(g_grid) + b
-    lam = GridFn(t0, t1, a * np.asarray(form.d1(t), dtype=float) - d * c)
+    g, gp, _ = profile.warp_values
+    f = a * integrate_cumulative(GridFn(t0, t1, g)) + b
+    lam = GridFn(t0, t1, a * gp - d * c)
     return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.EINSTEIN_WARPED)
 
 
@@ -214,7 +213,7 @@ def build_general_family(
     degenerates to the Einstein family with (A, B) = (a, b).
     """
     if n < 3:
-        raise ValueError("general family needs n >= 3")
+        raise InvalidDimension("general family needs n >= 3")
     t0, t1 = float(interval[0]), float(interval[1])
     d = n - 1
     profile = WarpProfile(
@@ -326,5 +325,5 @@ def build_gaussian(lambda0: float, n: int, r_max: float = 8.0, resolution: int =
     """Flat model with f = lambda0 r^2/2: shrinking for lambda0 > 0,
     steady (and trivial) for lambda0 = 0, expanding for lambda0 < 0."""
     if n < 2:
-        raise ValueError("gaussian needs n >= 2")
+        raise InvalidDimension("gaussian needs n >= 2")
     return _build_flat(float(lambda0), n, float(r_max), resolution, FamilyTag.GAUSSIAN)

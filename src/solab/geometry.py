@@ -24,7 +24,14 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidWarp, NoTrustedSamples, NotAModel, PoleSingularity
+from .errors import (
+    InvalidDimension,
+    InvalidWarp,
+    NonFiniteValues,
+    NoTrustedSamples,
+    NotAModel,
+    PoleSingularity,
+)
 from .kernel import GridFn, cn, derivative, integrate_cumulative, sn
 
 __all__ = [
@@ -50,7 +57,12 @@ POLE_EXCLUSION_STEPS = 10
 
 def unit_sphere_volume(d: int) -> float:
     """Riemannian volume of the unit round d-sphere."""
-    return 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    a = (d + 1) / 2.0
+    try:
+        return 2.0 * math.pi**a / math.gamma(a)
+    except OverflowError:
+        # large d: pi^a and Gamma(a) overflow where their ratio does not
+        return 2.0 * math.exp(a * math.log(math.pi) - math.lgamma(a))
 
 
 # ---------------------------------------------------------------------------
@@ -133,13 +145,18 @@ class WarpProfile:
 
     def __post_init__(self):
         if self.n < 2:
-            raise ValueError("total dimension must be at least 2")
+            raise InvalidDimension("total dimension must be at least 2")
         if self.n == 2 and abs(self.rho_sigma) > 1e-14:
             raise ValueError("a one-dimensional fiber is Ricci flat: rho_sigma must be 0")
         if isinstance(self.g, GridFn) and not self.g.same_grid(self):
             raise ValueError("tabulated g must live on the profile grid")
 
-        gvals = self.warp_values[0]
+        # an overflowing closed form shows up as a non-finite sample below
+        with np.errstate(over="ignore", invalid="ignore"):
+            warp = self.warp_values
+        if not all(np.isfinite(a).all() for a in warp):
+            raise NonFiniteValues("warping function g, g' and g'' must be finite on the interval")
+        gvals = warp[0]
         if np.min(gvals[1:-1]) <= 0 or (not self.pole and (gvals[0] <= 0 or gvals[-1] <= 0)):
             raise InvalidWarp("warping function must be positive on the interval")
         if self.pole:
@@ -178,6 +195,13 @@ class WarpProfile:
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_samples)
+
+    def grid_at(self, i: int) -> float:
+        """grid[i] without building the grid, by np.linspace's own formula
+        (i * step + t0, with t1 exactly at the last index)."""
+        if i == self.n_samples - 1:
+            return float(self.t1)
+        return float(i * self.h + self.t0)
 
     @cached_property
     def warp_values(self):
@@ -229,7 +253,7 @@ class WarpProfile:
         m[:edge] = False
         m[-edge:] = False
         if self.pole:
-            m &= self.grid > self.t0 + (POLE_EXCLUSION_STEPS - 0.5) * self.h
+            m[:POLE_EXCLUSION_STEPS] = False
         for a in arrays:
             m &= np.isfinite(a)
         return m
@@ -275,7 +299,9 @@ def _curvature_from_warp(n: int, rho_sigma: float, g, gp, gpp):
         "tau_f": tau_f,
         "tau_r": tau_r,
         "T_norm2": d * tau_f**2 + tau_r**2,
-        "trT3": d * tau_f**3 + tau_r**3,
+        # cubes by multiplication: numpy's pow drops to scalar libm calls
+        # for negative bases, and a trace-free pair always has one
+        "trT3": d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r,
     }
 
 
@@ -287,9 +313,8 @@ def curvature_grids(p: WarpProfile) -> dict:
     """
     g, gp, gpp = p.warp_values
     out = _curvature_from_warp(p.n, p.rho_sigma, g, gp, gpp)
-    for key, arr in out.items():
-        arr = np.where(np.isfinite(arr), arr, np.nan)
-        out[key] = arr
+    for arr in out.values():
+        arr[~np.isfinite(arr)] = np.nan
     return out
 
 
@@ -357,10 +382,13 @@ def radial_laplacian(
     None).  Non-finite samples, e.g. at a pole, become NaN and are excluded
     from downstream sup-norms."""
     with np.errstate(invalid="ignore"):
-        out = upp + p.d * p.g_ratio * up
+        out = p.d * p.g_ratio
+        out *= up
+        np.add(upp, out, out=out)
         if fp is not None:
-            out = out - fp * up
-    return np.where(np.isfinite(out), out, np.nan)
+            out -= fp * up
+    out[~np.isfinite(out)] = np.nan
+    return out
 
 
 def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
@@ -373,8 +401,10 @@ def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
 def sphere_volume_density(p: WarpProfile, g, f=None):
     """vol_f density of the geodesic sphere about the pole where the warp
     takes the value g and the potential the value f (arrays or scalars):
-    fiber_volume * g^d * e^(-f), or fiber_volume * g^d for f = None."""
-    dens = p.fiber_volume * g**p.d
+    fiber_volume * g^d * e^(-f), or fiber_volume * g^d for f = None.  An
+    overflow leaves infinite samples, which a GridFn rejects."""
+    with np.errstate(over="ignore"):
+        dens = p.fiber_volume * g**p.d
     return dens if f is None else dens * np.exp(-f)
 
 
@@ -385,9 +415,10 @@ def weighted_sphere_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
     return float(sphere_volume_density(p, float(p.g_at(r)), None if f is None else float(f.eval(r))))
 
 
-def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
+def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray):
     """vol_f of the geodesic ball of radius r about the pole, by composite
-    Simpson of the sphere-volume density."""
+    Simpson of the sphere-volume density.  r may be one radius (returns a
+    float) or an array of radii (returns an array), as for GridFn.eval."""
     p.require_model()
     dens = sphere_volume_density(p, p.warp_values[0], None if f is None else f.values)
-    return float(integrate_cumulative(GridFn(p.t0, p.t1, dens)).eval(float(r)))
+    return integrate_cumulative(GridFn(p.t0, p.t1, dens)).eval(r)

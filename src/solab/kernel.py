@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import OverflowDetected
+from .errors import NonFiniteValues, OverflowDetected
 
 __all__ = [
     "GridFn",
@@ -53,7 +53,19 @@ class GridFn:
     def __post_init__(self):
         # own a frozen copy: freezing a caller's array in place would be
         # a visible side effect
-        vals = np.array(self.values, dtype=float)
+        self._own(np.array(self.values, dtype=float))
+
+    @classmethod
+    def _wrap(cls, t0: float, t1: float, values: np.ndarray) -> "GridFn":
+        """A GridFn around a fresh float array that nothing else holds:
+        the same checks as the constructor, without its defensive copy."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "t0", t0)
+        object.__setattr__(out, "t1", t1)
+        out._own(values)
+        return out
+
+    def _own(self, vals: np.ndarray) -> None:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
@@ -63,7 +75,7 @@ class GridFn:
         if not self.t1 > self.t0:
             raise ValueError("GridFn requires t1 > t0")
         if np.isinf(vals).any():
-            raise ValueError("GridFn values must not contain infinities")
+            raise NonFiniteValues("GridFn values must not contain infinities")
 
     @property
     def n_samples(self) -> int:
@@ -167,6 +179,13 @@ class GridFn:
 _SERIES_CUTOFF = 1e-8
 
 
+def _near_zero(k: float, tq: np.ndarray) -> np.ndarray:
+    """Indices of the samples where the closed forms give way to the series."""
+    t2 = tq * tq
+    t2 *= abs(k)
+    return np.flatnonzero(t2 < _SERIES_CUTOFF)
+
+
 def sn(k: float, t):
     """Generalized sine: the solution of y'' + k y = 0, y(0)=0, y'(0)=1.
 
@@ -177,14 +196,16 @@ def sn(k: float, t):
     tq = np.asarray(t, dtype=float)
     scalar = tq.ndim == 0
     tq = np.atleast_1d(tq)
-    t2 = tq * tq
-    series = tq * (1.0 - k * t2 / 6.0 + k * k * t2 * t2 / 120.0)
     if k == 0.0:
-        out = series
+        out = tq.copy()
     else:
         r = np.sqrt(abs(k))
-        closed = np.sin(r * tq) / r if k > 0 else np.sinh(r * tq) / r
-        out = np.where(abs(k) * t2 < _SERIES_CUTOFF, series, closed)
+        out = np.sin(r * tq) if k > 0 else np.sinh(r * tq)
+        out /= r
+        near = _near_zero(k, tq)
+        ts = tq[near]
+        t2 = ts * ts
+        out[near] = ts * (1.0 - k * t2 / 6.0 + k * k * t2 * t2 / 120.0)
     return float(out[0]) if scalar else out
 
 
@@ -194,14 +215,14 @@ def cn(k: float, t):
     tq = np.asarray(t, dtype=float)
     scalar = tq.ndim == 0
     tq = np.atleast_1d(tq)
-    t2 = tq * tq
-    series = 1.0 - k * t2 / 2.0 + k * k * t2 * t2 / 24.0
     if k == 0.0:
         out = np.ones_like(tq)
     else:
         r = np.sqrt(abs(k))
-        closed = np.cos(r * tq) if k > 0 else np.cosh(r * tq)
-        out = np.where(abs(k) * t2 < _SERIES_CUTOFF, series, closed)
+        out = np.cos(r * tq) if k > 0 else np.cosh(r * tq)
+        near = _near_zero(k, tq)
+        t2 = tq[near] * tq[near]
+        out[near] = 1.0 - k * t2 / 2.0 + k * k * t2 * t2 / 24.0
     return float(out[0]) if scalar else out
 
 
@@ -272,12 +293,21 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
     out = np.empty(n)
 
     # integer-weight pairing so that constants cancel exactly before the
-    # 1/h**order amplification
+    # 1/h**order amplification; evaluated in place in the interior of out
+    mid = out[2 : n - 2]
     if order == 1:
-        acc = 8.0 * (v[3 : n - 1] - v[1 : n - 3]) + (v[0 : n - 4] - v[4:n])
+        # 8 (v[i+1] - v[i-1]) + (v[i-2] - v[i+2])
+        np.subtract(v[3 : n - 1], v[1 : n - 3], out=mid)
+        mid *= 8.0
+        mid += v[0 : n - 4] - v[4:n]
     else:
-        acc = 16.0 * (v[1 : n - 3] + v[3 : n - 1]) - (v[0 : n - 4] + v[4:n]) - 30.0 * v[2 : n - 2]
-    out[2 : n - 2] = acc / (12.0 * scale)
+        # 16 (v[i-1] + v[i+1]) - (v[i-2] + v[i+2]) - 30 v[i]
+        np.add(v[1 : n - 3], v[3 : n - 1], out=mid)
+        mid *= 16.0
+        pair = v[0 : n - 4] + v[4:n]
+        mid -= pair
+        mid -= np.multiply(v[2 : n - 2], 30.0, out=pair)
+    mid /= 12.0 * scale
 
     edge = _edge_weight_table(order)
     width = edge.shape[1]
@@ -286,7 +316,7 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
     # index n-1-i, with the axis flip negating odd derivative orders)
     sign = -1.0 if order % 2 else 1.0
     out[n - EDGE_WIDTH :] = (sign * (edge @ v[: n - width - 1 : -1]) / scale)[::-1]
-    return f.with_values(out)
+    return GridFn._wrap(f.t0, f.t1, out)
 
 
 def nan_fill(arr: np.ndarray) -> np.ndarray:
@@ -333,7 +363,7 @@ def integrate_cumulative(f: GridFn) -> GridFn:
     if n % 2 == 0:
         i = n - 1
         F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
-    return f.with_values(F)
+    return GridFn._wrap(f.t0, f.t1, F)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +468,7 @@ def _rk4_linear(Q: GridFn, y0: float, yp0: float):
     if big.any():
         i = int(np.argmax(big)) + 1
         raise OverflowDetected(f"solution exceeded 1e300 near t = {Q.t0 + i * Q.h:.6g}")
-    return Q.with_values(y), Q.with_values(v)
+    return GridFn._wrap(Q.t0, Q.t1, y), GridFn._wrap(Q.t0, Q.t1, v)
 
 
 def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> GridFn:

@@ -162,13 +162,15 @@ def residual_report(
     is at most tol.  argmax_t locates the worst sample either way.
     """
     mask = p.trusted_mask(ident, per_point, edge=edge)
-    vals = np.abs(per_point[mask]) if sign == 0 else -sign * per_point[mask]
+    vals = np.abs(per_point) if sign == 0 else -sign * per_point
+    # untrusted samples can never win: every trusted one is finite
+    vals[~mask] = -np.inf
     k = int(np.argmax(vals))
     worst = float(vals[k])
     return ResidualReport(
         identity_id=ident,
         sup_norm=worst if sign == 0 else max(0.0, worst),
-        argmax_t=float(p.grid[np.flatnonzero(mask)[k]]),
+        argmax_t=p.grid_at(k),
         per_point=GridFn(p.t0, p.t1, per_point),
         tolerance_used=tol,
         passed=worst < tol if sign == 0 else worst <= tol,
@@ -278,7 +280,7 @@ def okumura_check(eigenvalues) -> tuple[float, float, bool]:
         raise ValueError("need at least two eigenvalues")
     if abs(lam.sum()) > 1e-10:
         raise NotTraceFree(f"eigenvalues sum to {lam.sum():.3e}")
-    lhs = float(np.sum(lam**3))
+    lhs = float(np.sum(lam * lam * lam))
     norm2 = float(np.sum(lam**2))
     rhs = -(n - 2) / math.sqrt(n * (n - 1)) * norm2**1.5
     return lhs, rhs, lhs >= rhs - 1e-12
@@ -333,14 +335,15 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
     n = p.n
     lam = s.lam.values
     mask = p.trusted_mask("triviality", lam, fp)
-    r = p.grid - p.t0
+    t = p.grid
+    r = t - p.t0
 
     hyps = {}
     hyps["expanding"] = Flag(bool(np.all(lam < 0)), float(np.max(lam)))
 
     grad2 = fp**2
-    tail = p.grid >= p.t0 + 2.0 * (p.t1 - p.t0) / 3.0
-    exponent = _fit_growth_exponent(r[tail & mask], grad2[tail & mask])
+    fit = mask & (t >= p.t0 + 2.0 * (p.t1 - p.t0) / 3.0)
+    exponent = _fit_growth_exponent(r[fit], grad2[fit])
     if np.max(grad2[mask]) < 1e-20:
         growth_ok = True
     elif params.sigma == 0:

@@ -229,6 +229,28 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
     assert path in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 1}), "gaussian needs n >= 2"),
+        # the fiber volume takes the log-gamma form; then g^(n-1) overflows
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 400}, suites=["comparison"],
+              grid={"interval": [0, 8], "resolution": 201}), "GridFn values must not contain infinities"),
+        # the ball volume stays finite, e^Theta in its bound overflows
+        (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": -1, "b": 60, "n": 3},
+              suites=["comparison"], grid={"interval": [0, 7.3], "resolution": 201}),
+         "GridFn values must not contain infinities"),
+        # cosh(100 t) overflows on [0, 10]
+        (dict(GAUSSIAN_MANIFEST, family="einstein", params={"c": 1e4, "g0": 1, "gp0": 0, "a": 1, "b": 0, "n": 4},
+              grid={"interval": [0, 10], "resolution": 201}), "must be finite on the interval"),
+    ],
+    ids=["gaussian_n1", "gaussian_n400_comparison", "space_form_volume_bound_overflow", "einstein_overflowing_warp"],
+)
+def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
+    assert main(["run", write_manifest(tmp_path, payload)]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_cli_suite_failure_exit_one(tmp_path):
     bad = dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 3, "corrupt_lambda": 0.1})
     assert main(["run", write_manifest(tmp_path, bad)]) == 1
@@ -288,15 +310,28 @@ def test_cli_demo_manifests_all_pass_and_json_is_deterministic(tmp_path, monkeyp
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
+# golden file -> (demo manifest, grid resolution or None for the demo's own).
+# Chained stencils amplify a last-bit change by eps/h^k, so the fine grid
+# sees changes the default one hides.  At 20001 samples every demo fails
+# some check (the rounding floor of chained stencils) and exits 1.
+GOLDEN_RUNS = {fname: (fname, None) for fname in DEMO_MANIFESTS}
+GOLDEN_RUNS.update({fname.replace(".json", "-20001.json"): (fname, 20001) for fname in DEMO_MANIFESTS})
 
-@pytest.mark.parametrize("fname", sorted(DEMO_MANIFESTS))
+
+@pytest.mark.parametrize("fname", sorted(GOLDEN_RUNS))
 def test_cli_demo_json_matches_golden(tmp_path, monkeypatch, fname):
     # regression oracle: the checked-in --no-timings JSON of each demo
+    demo, resolution = GOLDEN_RUNS[fname]
     monkeypatch.chdir(tmp_path)
     main(["demo"])
+    if resolution is not None:
+        payload = json.loads(Path(demo).read_text(encoding="utf-8"))
+        payload["grid"]["resolution"] = resolution
+        Path(demo).write_text(json.dumps(payload), encoding="utf-8")
     out = tmp_path / "report.json"
-    assert main(["run", fname, "--format", "json", "--no-timings", "--out", str(out)]) == 0
+    code = main(["run", demo, "--format", "json", "--no-timings", "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / fname).read_bytes()
+    assert code == (0 if resolution is None else 1)
 
 
 def test_parse_rejects_bad_suite_and_tolerance_keys():

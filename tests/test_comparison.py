@@ -129,6 +129,19 @@ def test_volume_equality_euclidean(r):
     assert actual == pytest.approx(4 * math.pi * r**3 / 3, rel=1e-10)
 
 
+@pytest.mark.parametrize("model", [hyperbolic_model, gaussian_model])
+def test_volume_bound_check_takes_an_array_of_radii(model):
+    s = model()
+    cs = derive_setup(s)
+    p = s.profile
+    radii = [p.t0 + frac * (p.t1 - p.t0) for frac in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    vb = volume_bound_check(s, cs, np.array(radii))
+    for j, r in enumerate(radii):
+        one = volume_bound_check(s, cs, r)
+        assert (type(one.actual), type(one.bound), type(one.passed)) == (float, float, bool)
+        assert (vb.actual[j], vb.bound[j], vb.passed[j]) == one
+
+
 def test_volume_bound_strict_on_gaussian():
     s = gaussian_model()
     cs = derive_setup(s)

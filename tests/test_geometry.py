@@ -5,6 +5,7 @@ import pytest
 
 from solab.errors import InvalidWarp, NotAModel
 from solab.geometry import (
+    POLE_EXCLUSION_STEPS,
     Polynomial,
     SnCombination,
     WarpProfile,
@@ -327,3 +328,38 @@ def test_unit_sphere_volumes():
     assert unit_sphere_volume(1) == pytest.approx(2 * math.pi)
     assert unit_sphere_volume(2) == pytest.approx(4 * math.pi)
     assert unit_sphere_volume(3) == pytest.approx(2 * math.pi**2)
+
+
+def test_unit_sphere_volume_in_large_dimensions():
+    def log_gamma_form(d):
+        a = (d + 1) / 2.0
+        return 2.0 * math.exp(a * math.log(math.pi) - math.lgamma(a))
+
+    # Gamma((d+1)/2) is finite up to d = 342: the plain formula, bit for bit
+    for d in (1, 2, 3, 10, 100, 342):
+        assert unit_sphere_volume(d) == 2.0 * math.pi ** ((d + 1) / 2.0) / math.gamma((d + 1) / 2.0)
+    assert unit_sphere_volume(342) == pytest.approx(log_gamma_form(342), rel=1e-12)
+    for d in (343, 399):
+        assert 0.0 < unit_sphere_volume(d) == pytest.approx(log_gamma_form(d), rel=1e-12)
+
+
+def test_trace_free_cube_by_multiplication_matches_pow():
+    g = GridFn.from_callable(lambda t: 2.0 + np.sin(t), 0.0, 2 * np.pi, 2001)
+    p = WarpProfile(n=3, rho_sigma=1.0, g=g, t0=0.0, t1=2 * np.pi, n_samples=2001, fiber_constant_curvature=True)
+    c = curvature_grids(p)
+    assert (c["tau_f"] < 0).any()
+    np.testing.assert_allclose(c["trT3"], p.d * c["tau_f"] ** 3 + c["tau_r"] ** 3, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("t0, t1, res", [(0.0, 8.0, 2001), (0.3, 7.1, 20001), (-2.0, 1e-3, 9)])
+def test_grid_at_is_linspace(t0, t1, res):
+    p = WarpProfile(n=3, rho_sigma=0.0, g=Polynomial(coeffs=(1.0,)), t0=t0, t1=t1, n_samples=res)
+    assert np.array_equal([p.grid_at(i) for i in range(res)], p.grid)
+
+
+@pytest.mark.parametrize("res", [21, 2001, 20001])
+def test_pole_band_by_index_is_the_band_by_radius(res):
+    p = euclidean_profile(r_max=8.0, res=res)
+    expected = p.grid > p.t0 + (POLE_EXCLUSION_STEPS - 0.5) * p.h
+    expected[-4:] = False
+    assert np.array_equal(p.valid_mask(), expected)

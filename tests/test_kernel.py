@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from solab.errors import OverflowDetected
+from solab.errors import NonFiniteValues, OverflowDetected
 from solab.kernel import (
+    EDGE_WIDTH,
     GridFn,
     cn,
     derivative,
@@ -70,6 +71,22 @@ def test_sn_cn_continuous_in_k_at_zero():
             assert cn(k, tt) == pytest.approx(1 - k * tt**2 / 2, abs=1e-13)
 
 
+@pytest.mark.parametrize("k", [-2.5, 0.7])
+def test_sn_cn_equal_the_series_closed_form_selection(k):
+    # reference: both forms on every sample, then np.where on the cutoff
+    t = np.concatenate([np.linspace(-1e-3, 1e-3, 2001), np.linspace(-3.0, 3.0, 601)])
+    t2 = t * t
+    r = np.sqrt(abs(k))
+    near = abs(k) * t2 < 1e-8
+    assert near.any() and not near.all()
+    sn_closed = np.sin(r * t) / r if k > 0 else np.sinh(r * t) / r
+    cn_closed = np.cos(r * t) if k > 0 else np.cosh(r * t)
+    sn_series = t * (1.0 - k * t2 / 6.0 + k * k * t2 * t2 / 120.0)
+    cn_series = 1.0 - k * t2 / 2.0 + k * k * t2 * t2 / 24.0
+    assert np.array_equal(sn(k, t), np.where(near, sn_series, sn_closed))
+    assert np.array_equal(cn(k, t), np.where(near, cn_series, cn_closed))
+
+
 def test_pythagorean_identity_all_sign_cases():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -126,6 +143,29 @@ def test_derivative_fourth_order_convergence():
         f = GridFn.from_callable(np.exp, 0.0, 1.0, n)
         errs.append(np.max(np.abs(derivative(f, 1).values - np.exp(f.grid))))
     assert errs[0] / errs[1] > 12.0  # ~2^4
+
+
+def _interior_by_expression(v, h, order):
+    """The centered stencil as one numpy expression per order: the
+    reference for the operation order derivative keeps in place."""
+    n = v.size
+    if order == 1:
+        acc = 8.0 * (v[3 : n - 1] - v[1 : n - 3]) + (v[0 : n - 4] - v[4:n])
+    else:
+        acc = 16.0 * (v[1 : n - 3] + v[3 : n - 1]) - (v[0 : n - 4] + v[4:n]) - 30.0 * v[2 : n - 2]
+    return acc / (12.0 * h**order)
+
+
+@pytest.mark.parametrize("n", [9, 10, 2001])
+@pytest.mark.parametrize("order", [1, 2])
+def test_derivative_interior_is_bitwise_the_stencil_expression(n, order):
+    rng = np.random.default_rng(n)
+    v = np.exp(rng.normal(scale=3.0, size=n)) * rng.choice([-1.0, 1.0], size=n)
+    f = GridFn(0.3, 7.1, v)
+    interior = slice(EDGE_WIDTH, n - EDGE_WIDTH)  # the edge rows overwrite the rest
+    expected = np.empty(n)
+    expected[2 : n - 2] = _interior_by_expression(v, f.h, order)
+    assert np.array_equal(derivative(f, order).values[interior], expected[interior])
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +286,19 @@ def test_gridfn_rejects_infinities():
     v[3] = np.inf
     with pytest.raises(ValueError):
         GridFn(0.0, 1.0, v)
+
+
+def test_gridfn_owns_a_copy_and_kernel_outputs_keep_the_checks():
+    v = np.linspace(0.0, 1.0, 11)
+    f = GridFn(0.0, 1.0, v)
+    v[3] = 99.0
+    assert f.values[3] != 99.0 and v.flags.writeable and not f.values.flags.writeable
+    outputs = (derivative(f, 1), derivative(f, 2), integrate_cumulative(f), solve_linear_ode2(f, 0.0, 1.0))
+    assert not any(out.values.flags.writeable for out in outputs)
+    # h^2 underflows to 0, and the second-derivative stencil divides by it
+    tiny = GridFn(0.0, 1e-300, v * v)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteValues):
+        derivative(tiny, 2)
 
 
 def test_gridfn_interpolation_accuracy():

@@ -11,7 +11,8 @@ from solab.factory import (
     build_gaussian,
     build_general_family,
 )
-from solab.kernel import GridFn, derivative
+from solab.geometry import POLE_EXCLUSION_STEPS, Polynomial, WarpProfile
+from solab.kernel import EDGE_WIDTH, GridFn, derivative
 from solab.verify import (
     TrivialityAuditParams,
     Classification,
@@ -22,6 +23,7 @@ from solab.verify import (
     grad_T_norm2,
     identity_residual,
     okumura_check,
+    residual_report,
     soliton_residual,
 )
 
@@ -77,6 +79,21 @@ def test_residual_report_fields():
     assert rep.passed and rep.sup_norm < rep.tolerance_used
     assert 0.0 <= rep.argmax_t <= 2.0
     assert rep.per_point.n_samples == 2001
+
+
+@pytest.mark.parametrize("sign", [0, 1, -1])
+def test_residual_report_argmax_t_is_the_grid_value(sign):
+    flat = WarpProfile(n=3, rho_sigma=0.0, g=Polynomial(coeffs=(1.0,)), t0=0.3, t1=7.1, n_samples=2001)
+    pole = gaussian_spec().profile
+    # the last trusted sample, the first one past the pole band, one inside
+    for p, i in ((flat, flat.n_samples - 1 - EDGE_WIDTH), (pole, POLE_EXCLUSION_STEPS), (pole, 1234)):
+        bad = 1.0 if sign == -1 else -1.0  # a violation for every sign
+        per = np.zeros(p.n_samples)
+        per[i] = bad
+        per[[0, -1]] = 100.0 * bad  # untrusted samples never win
+        rep = residual_report("probe", p, per, 0.5, sign=sign)
+        assert rep.sup_norm == 1.0
+        assert rep.argmax_t == p.grid[i]
 
 
 # ---------------------------------------------------------------------------
