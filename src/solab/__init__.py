@@ -29,13 +29,10 @@ from .factory import (
     build_general_family,
 )
 from .geometry import (
-    CurvatureSample,
     Polynomial,
     SnCombination,
     WarpProfile,
-    curvature_at,
     f_laplacian,
-    radial_hessian,
     unit_sphere_volume,
     weighted_ball_volume,
     weighted_sphere_volume,

@@ -17,10 +17,6 @@ class OverflowDetected(SolabError):
     """ODE solution exceeded the representable range (|y| > 1e300)."""
 
 
-class PoleSingularity(SolabError):
-    """Limit extrapolation at a model pole failed to converge."""
-
-
 class NotAModel(SolabError):
     """Operation requires a pole model (geodesic spheres are fiber copies)."""
 

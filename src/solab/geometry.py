@@ -30,7 +30,6 @@ from .errors import (
     NonFiniteValues,
     NoTrustedSamples,
     NotAModel,
-    PoleSingularity,
 )
 from .kernel import GridFn, cn, derivative, integrate_cumulative, sn
 
@@ -38,11 +37,8 @@ __all__ = [
     "SnCombination",
     "Polynomial",
     "WarpProfile",
-    "CurvatureSample",
     "unit_sphere_volume",
-    "curvature_at",
     "curvature_grids",
-    "radial_hessian",
     "radial_laplacian",
     "f_laplacian",
     "sphere_volume_density",
@@ -55,6 +51,12 @@ __all__ = [
 POLE_EXCLUSION_STEPS = 10
 
 
+def _log_unit_sphere_volume(d: int) -> float:
+    """log unit_sphere_volume(d) by log-gamma, finite where the volume underflows."""
+    a = (d + 1) / 2.0
+    return math.log(2.0) + a * math.log(math.pi) - math.lgamma(a)
+
+
 def unit_sphere_volume(d: int) -> float:
     """Riemannian volume of the unit round d-sphere."""
     a = (d + 1) / 2.0
@@ -62,7 +64,7 @@ def unit_sphere_volume(d: int) -> float:
         return 2.0 * math.pi**a / math.gamma(a)
     except OverflowError:
         # large d: pi^a and Gamma(a) overflow where their ratio does not
-        return 2.0 * math.exp(a * math.log(math.pi) - math.lgamma(a))
+        return math.exp(_log_unit_sphere_volume(d))
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +162,8 @@ class WarpProfile:
         if np.min(gvals[1:-1]) <= 0 or (not self.pole and (gvals[0] <= 0 or gvals[-1] <= 0)):
             raise InvalidWarp("warping function must be positive on the interval")
         if self.pole:
-            g0 = float(self.g_at(self.t0))
-            gp0 = float(self.g_prime_at(self.t0))
-            if abs(g0) > 1e-10 or abs(gp0 - 1.0) > 1e-10:
+            # grid[0] == t0, so the first samples are g(t0) and g'(t0)
+            if abs(warp[0][0]) > 1e-10 or abs(warp[1][0] - 1.0) > 1e-10:
                 raise ValueError("pole requires g(t0) = 0 and g'(t0) = 1")
             if not self._unit_sphere_fiber():
                 raise ValueError("pole requires the unit round sphere fiber")
@@ -231,16 +232,6 @@ class WarpProfile:
             return self.g.value(t)
         return self.g.eval(t)
 
-    def g_prime_at(self, t):
-        if isinstance(self.g, (SnCombination, Polynomial)):
-            return self.g.d1(t)
-        return GridFn(self.t0, self.t1, self.warp_values[1]).eval(t)
-
-    def g_second_at(self, t):
-        if isinstance(self.g, (SnCombination, Polynomial)):
-            return self.g.d2(t)
-        return GridFn(self.t0, self.t1, self.warp_values[2]).eval(t)
-
     def valid_mask(self, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
         """Samples trusted for sup-norms: stencil-interior, away from a
         pole, and finite in every supplied array.
@@ -251,7 +242,7 @@ class WarpProfile:
         """
         m = np.ones(self.n_samples, dtype=bool)
         m[:edge] = False
-        m[-edge:] = False
+        m[self.n_samples - edge:] = False
         if self.pole:
             m[:POLE_EXCLUSION_STEPS] = False
         for a in arrays:
@@ -267,31 +258,23 @@ class WarpProfile:
         return m
 
 
-@dataclass(frozen=True)
-class CurvatureSample:
-    """All pointwise curvature scalars at one parameter value."""
+def curvature_grids(p: WarpProfile) -> dict:
+    """All curvature scalars sampled on the grid: the Ricci eigenvalues,
+    S, |Ric|^2, the trace-free eigenvalues tau, |T|^2 and tr T^3.
 
-    t: float
-    rho_fib: float
-    rho_rad: float
-    S: float
-    ric_norm2: float
-    tau_f: float
-    tau_r: float
-    T_norm2: float
-    trT3: float
-
-
-def _curvature_from_warp(n: int, rho_sigma: float, g, gp, gpp):
-    d = n - 1
+    At a pole the formulas are 0/0; those samples are NaN, and valid_mask
+    excludes them (with the rest of the pole band) from every sup-norm.
+    """
+    g, gp, gpp = p.warp_values
+    d = p.d
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = gp / g
-        rho_fib = -(d - 1) * ratio * ratio - gpp / g + rho_sigma / (g * g)
+        rho_fib = -(d - 1) * ratio * ratio - gpp / g + p.rho_sigma / (g * g)
         rho_rad = -d * gpp / g
     S = d * rho_fib + rho_rad
-    tau_f = rho_fib - S / n
-    tau_r = rho_rad - S / n
-    return {
+    tau_f = rho_fib - S / p.n
+    tau_r = rho_rad - S / p.n
+    out = {
         "rho_fib": rho_fib,
         "rho_rad": rho_rad,
         "S": S,
@@ -303,75 +286,9 @@ def _curvature_from_warp(n: int, rho_sigma: float, g, gp, gpp):
         # for negative bases, and a trace-free pair always has one
         "trT3": d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r,
     }
-
-
-def curvature_grids(p: WarpProfile) -> dict:
-    """All curvature scalars sampled on the grid.
-
-    At a pole the formulas are 0/0; those samples are NaN (the pointwise
-    curvature_at performs the limit instead).
-    """
-    g, gp, gpp = p.warp_values
-    out = _curvature_from_warp(p.n, p.rho_sigma, g, gp, gpp)
     for arr in out.values():
         arr[~np.isfinite(arr)] = np.nan
     return out
-
-
-def _sample_from_scalars(t, scal) -> CurvatureSample:
-    return CurvatureSample(t=float(t), **{k: float(v) for k, v in scal.items()})
-
-
-def _at_pole(p: WarpProfile, t: float) -> bool:
-    return p.pole and t <= p.t0 + 1e-14 * max(1.0, abs(p.t0))
-
-
-def _pole_limit(p: WarpProfile, sample) -> dict:
-    """t -> t0+ limit of each scalar in the dict sample(t) returns,
-    Richardson extrapolated from t0 + 5h and t0 + 10h (even expansion)."""
-    near = sample(p.t0 + 5 * p.h)
-    far = sample(p.t0 + 10 * p.h)
-    vals = {}
-    for key, a in near.items():
-        b = far[key]
-        if not (np.isfinite(a) and np.isfinite(b)) or abs(a - b) > 1e3 * (1.0 + abs(a)):
-            raise PoleSingularity(f"limit at the pole diverges in {key}")
-        vals[key] = (4.0 * a - b) / 3.0
-    return vals
-
-
-def curvature_at(p: WarpProfile, t: float) -> CurvatureSample:
-    """Pointwise curvature; at a pole the t -> t0+ limit is Richardson
-    extrapolated from samples at t0 + 5h and t0 + 10h (even expansion)."""
-    t = float(t)
-    if _at_pole(p, t):
-        return _sample_from_scalars(p.t0, _pole_limit(p, lambda tt: _scalar_curvature_dict(p, tt)))
-    if not (p.t0 - 1e-12 <= t <= p.t1 + 1e-12):
-        raise ValueError("t outside the profile interval")
-    return _sample_from_scalars(t, _scalar_curvature_dict(p, t))
-
-
-def _scalar_curvature_dict(p: WarpProfile, t: float) -> dict:
-    g = float(p.g_at(t))
-    gp = float(p.g_prime_at(t))
-    gpp = float(p.g_second_at(t))
-    out = _curvature_from_warp(p.n, p.rho_sigma, np.float64(g), np.float64(gp), np.float64(gpp))
-    return {k: float(v) for k, v in out.items()}
-
-
-def radial_hessian(p: WarpProfile, u: GridFn, t: float):
-    """Eigenvalues (fiber, radial) = (u' g'/g, u'') of the Hessian of a
-    radial function u at parameter t."""
-    up = derivative(u, 1)
-    upp = derivative(u, 2)
-    t = float(t)
-
-    def fiber(tt):
-        return {"hessian_fiber": float(up.eval(tt)) * float(p.g_prime_at(tt)) / float(p.g_at(tt))}
-
-    if _at_pole(p, t):
-        return _pole_limit(p, fiber)["hessian_fiber"], float(upp.eval(p.t0))
-    return fiber(t)["hessian_fiber"], float(upp.eval(t))
 
 
 def radial_laplacian(
@@ -401,18 +318,30 @@ def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
 def sphere_volume_density(p: WarpProfile, g, f=None):
     """vol_f density of the geodesic sphere about the pole where the warp
     takes the value g and the potential the value f (arrays or scalars):
-    fiber_volume * g^d * e^(-f), or fiber_volume * g^d for f = None.  An
-    overflow leaves infinite samples, which a GridFn rejects."""
-    with np.errstate(over="ignore"):
-        dens = p.fiber_volume * g**p.d
-    return dens if f is None else dens * np.exp(-f)
+    fiber_volume * g^d * e^(-f), or fiber_volume * g^d for f = None.  A
+    density beyond the float range leaves infinite samples, which a GridFn
+    rejects."""
+    fv = p.fiber_volume
+    with np.errstate(over="ignore", invalid="ignore"):
+        dens = fv * g**p.d
+        if f is not None:
+            dens = dens * np.exp(-f)
+    redo = ~np.isfinite(dens) | (fv == 0.0)
+    if not np.any(redo):
+        return dens
+    # large d: fiber_volume underflows to 0 and g^d overflows where their
+    # product need not, so those samples are computed in logs
+    log_fv = math.log(fv) if fv > 0.0 else _log_unit_sphere_volume(p.d)
+    with np.errstate(divide="ignore", over="ignore"):
+        log_dens = log_fv + p.d * np.log(g) - (0.0 if f is None else f)
+        return np.where(redo, np.exp(log_dens), dens)
 
 
 def weighted_sphere_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
     """vol_f of the geodesic sphere of radius r about the pole."""
     p.require_model()
     r = float(r)
-    return float(sphere_volume_density(p, float(p.g_at(r)), None if f is None else float(f.eval(r))))
+    return float(sphere_volume_density(p, np.float64(p.g_at(r)), None if f is None else float(f.eval(r))))
 
 
 def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray):

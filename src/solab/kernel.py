@@ -121,25 +121,10 @@ class GridFn:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self.with_values(self.values - self._coerce(other))
-
-    def __rsub__(self, other):
-        return self.with_values(self._coerce(other) - self.values)
-
     def __mul__(self, other):
         return self.with_values(self.values * self._coerce(other))
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self.with_values(self.values / self._coerce(other))
-
-    def __neg__(self):
-        return self.with_values(-self.values)
-
-    def __pow__(self, exponent):
-        return self.with_values(self.values ** float(exponent))
 
     def eval(self, t):
         """Evaluate at arbitrary points by 4-point (cubic) Lagrange interpolation.
@@ -164,9 +149,6 @@ class GridFn:
         w_2 = (u + 1.0) * u * (u - 1.0) / 6.0
         out = w_m1 * v[i - 1] + w_0 * v[i] + w_1 * v[i + 1] + w_2 * v[i + 2]
         return float(out[0]) if scalar else out
-
-    def __call__(self, t):
-        return self.eval(t)
 
 
 # ---------------------------------------------------------------------------

@@ -236,9 +236,11 @@ def parse_manifest(text) -> Manifest:
     suites_raw = raw.get("suites")
     if not isinstance(suites_raw, list) or not suites_raw:
         raise SchemaError("expected a non-empty list at $.suites")
-    for s in suites_raw:
+    for i, s in enumerate(suites_raw):
         if s not in SUITES:
             raise SchemaError(f"unknown suite at $.suites: {s!r}")
+        if s in suites_raw[:i]:
+            raise SchemaError(f"duplicate suite at $.suites: {s!r}")
 
     tolerances = raw.get("tolerances", {})
     if not isinstance(tolerances, dict):

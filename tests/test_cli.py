@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -233,7 +234,8 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
     "payload, message",
     [
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 1}), "gaussian needs n >= 2"),
-        # the fiber volume takes the log-gamma form; then g^(n-1) overflows
+        # the fiber volume takes the log-gamma form and g^(n-1) overflows; the
+        # density is then computed in logs, and h^(n-1) in the bound overflows
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 400}, suites=["comparison"],
               grid={"interval": [0, 8], "resolution": 201}), "GridFn values must not contain infinities"),
         # the ball volume stays finite, e^Theta in its bound overflows
@@ -249,6 +251,18 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
     assert main(["run", write_manifest(tmp_path, payload)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_large_dimension_density_exit_two_without_warning(tmp_path, capsys):
+    # n = 500: fiber_volume underflows to 0 and g^499 overflows, which must not
+    # turn the sphere-volume density into 0 * inf = NaN
+    payload = dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 500}, suites=["comparison"],
+                   grid={"interval": [0, 8], "resolution": 201})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_manifest(tmp_path, payload)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "suite 'comparison'" in capsys.readouterr().err
 
 
 def test_cli_suite_failure_exit_one(tmp_path):
@@ -337,6 +351,9 @@ def test_cli_demo_json_matches_golden(tmp_path, monkeypatch, fname):
 def test_parse_rejects_bad_suite_and_tolerance_keys():
     bad = dict(GAUSSIAN_MANIFEST, suites=["residual", "plotting"])
     with pytest.raises(SchemaError, match="plotting"):
+        parse_manifest(manifest_bytes(bad))
+    bad = dict(GAUSSIAN_MANIFEST, suites=["residual", "identities", "residual"])
+    with pytest.raises(SchemaError, match=r"duplicate suite at \$\.suites: 'residual'"):
         parse_manifest(manifest_bytes(bad))
     bad = dict(GAUSSIAN_MANIFEST, tolerances={"volume": 1e-3})
     with pytest.raises(SchemaError, match=r"tolerances\.volume"):

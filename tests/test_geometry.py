@@ -9,10 +9,9 @@ from solab.geometry import (
     Polynomial,
     SnCombination,
     WarpProfile,
-    curvature_at,
     curvature_grids,
     f_laplacian,
-    radial_hessian,
+    sphere_volume_density,
     unit_sphere_volume,
     weighted_ball_volume,
     weighted_sphere_volume,
@@ -64,21 +63,28 @@ def cylinder_profile(n=3, length=4.0, res=2001):
 # curvature
 # ---------------------------------------------------------------------------
 
+def curvature_at(p, t):
+    """The curvature grids read at the grid sample of parameter t."""
+    i = round((t - p.t0) / p.h)
+    assert p.grid[i] == pytest.approx(t, abs=1e-12)
+    return {key: arr[i] for key, arr in curvature_grids(p).items()}
+
+
 def test_euclidean_model_is_flat():
     p = euclidean_profile()
     for t in (0.5, 1.0, 3.0):
         c = curvature_at(p, t)
-        assert abs(c.rho_fib) < 1e-12
-        assert abs(c.rho_rad) < 1e-12
-        assert abs(c.S) < 1e-12
+        assert abs(c["rho_fib"]) < 1e-12
+        assert abs(c["rho_rad"]) < 1e-12
+        assert abs(c["S"]) < 1e-12
 
 
 def test_hyperbolic_model_constant_curvature():
     # Ricci eigenvalues of H^3 are -(n-1) = -2, so S = -6
     c = curvature_at(hyperbolic_profile(), 1.0)
-    assert c.rho_fib == pytest.approx(-2.0, abs=1e-10)
-    assert c.rho_rad == pytest.approx(-2.0, abs=1e-10)
-    assert c.S == pytest.approx(-6.0, abs=1e-10)
+    assert c["rho_fib"] == pytest.approx(-2.0, abs=1e-10)
+    assert c["rho_rad"] == pytest.approx(-2.0, abs=1e-10)
+    assert c["S"] == pytest.approx(-6.0, abs=1e-10)
 
 
 def test_cylinder_is_ricci_flat():
@@ -87,10 +93,14 @@ def test_cylinder_is_ricci_flat():
         assert np.nanmax(np.abs(grids[key])) < 1e-12
 
 
-def test_pole_limit_by_richardson():
-    c = curvature_at(hyperbolic_profile(), 0.0)
-    assert c.rho_fib == pytest.approx(-2.0, abs=1e-8)
-    assert c.rho_rad == pytest.approx(-2.0, abs=1e-8)
+def test_pole_sample_is_nan_and_excluded():
+    # the curvature formulas are 0/0 at the pole: no value, no sup-norm
+    p = hyperbolic_profile()
+    grids = curvature_grids(p)
+    assert all(np.isnan(arr[0]) for arr in grids.values())
+    assert not np.isnan(grids["rho_fib"][1])
+    for edge in (0, 4, 8):
+        assert not p.valid_mask(*grids.values(), edge=edge)[0]
 
 
 def test_sphere_model_positive_curvature():
@@ -99,8 +109,8 @@ def test_sphere_model_positive_curvature():
         t0=0.0, t1=3.0, n_samples=2001, pole=True, fiber_constant_curvature=True,
     )
     c = curvature_at(p, 1.2)
-    assert c.rho_fib == pytest.approx(2.0, abs=1e-10)
-    assert c.rho_rad == pytest.approx(2.0, abs=1e-10)
+    assert c["rho_fib"] == pytest.approx(2.0, abs=1e-10)
+    assert c["rho_rad"] == pytest.approx(2.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("cc", [-1.0, 0.0, 1.0])
@@ -159,36 +169,6 @@ def test_einstein_criterion_separates_profiles():
 # Hessian and weighted Laplacian
 # ---------------------------------------------------------------------------
 
-def test_radial_hessian_of_distance_squared_is_identity():
-    p = euclidean_profile()
-    u = GridFn.from_callable(lambda t: t**2 / 2.0, 0.0, 4.0, 2001)
-    fib, rad = radial_hessian(p, u, 2.0)
-    assert fib == pytest.approx(1.0, abs=1e-9)
-    assert rad == pytest.approx(1.0, abs=1e-9)
-
-
-def test_radial_hessian_cosh_profile():
-    p = WarpProfile(
-        n=3, rho_sigma=-1.0, g=SnCombination(k=-1.0, c1=0.0, c2=1.0),
-        t0=-2.0, t1=2.0, n_samples=2001, fiber_constant_curvature=True,
-    )
-    u = GridFn.from_callable(np.sinh, -2.0, 2.0, 2001)
-    fib, rad = radial_hessian(p, u, 0.0)
-    assert fib == pytest.approx(0.0, abs=1e-9)
-    assert rad == pytest.approx(0.0, abs=1e-9)
-    # away from zero: u' g'/g = cosh tanh = sinh, u'' = sinh
-    fib, rad = radial_hessian(p, u, 1.0)
-    assert fib == pytest.approx(math.sinh(1.0), abs=1e-9)
-    assert rad == pytest.approx(math.sinh(1.0), abs=1e-9)
-
-
-def test_radial_hessian_of_constant_vanishes():
-    p = hyperbolic_profile()
-    u = GridFn.constant(4.2, 0.0, 4.0, 2001)
-    fib, rad = radial_hessian(p, u, 1.3)
-    assert abs(fib) < 1e-12 and abs(rad) < 1e-12
-
-
 def test_laplacian_of_distance_squared_flat():
     # u = t^2 on R^3: Delta u = 2n = 6
     p = euclidean_profile()
@@ -217,13 +197,15 @@ def test_weighted_laplacian_gaussian():
     assert np.max(np.abs(lap.values[mask] - (3.0 - t**2))) < 1e-8
 
 
-def test_hessian_trace_matches_plain_laplacian():
+def test_laplacian_on_hyperbolic_model():
+    # u = cos t + 0.1 t^3 on H^3 (g = sinh t, d = 2): Delta u = u'' + 2 coth(t) u'
     p = hyperbolic_profile()
     u = GridFn.from_callable(lambda t: np.cos(t) + 0.1 * t**3, 0.0, 4.0, 2001)
     lap = f_laplacian(p, None, u)
-    for t in (0.5, 1.0, 2.5):
-        fib, rad = radial_hessian(p, u, t)
-        assert p.d * fib + rad == pytest.approx(float(lap.eval(t)), abs=1e-7)
+    mask = p.valid_mask(lap.values)
+    t = lap.grid[mask]
+    exact = -np.cos(t) + 0.6 * t + 2.0 / np.tanh(t) * (-np.sin(t) + 0.3 * t * t)
+    assert np.max(np.abs(lap.values[mask] - exact)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +303,34 @@ def test_custom_form_matches_tabulated():
         fiber_constant_curvature=True,
     )
     assert p.g_at(1.0) == pytest.approx(2.0 + math.sin(1.0), abs=1e-10)
-    assert p.g_prime_at(1.0) == pytest.approx(math.cos(1.0), abs=1e-9)
+    assert np.max(np.abs(p.warp_values[1] - np.cos(t))) < 1e-9
+
+
+def test_sphere_volume_density_in_large_dimensions():
+    # d = 499: fiber_volume underflows to 0 and 8^499 overflows, while the
+    # density is representable at every g
+    p = WarpProfile(
+        n=500, rho_sigma=498.0, g=SnCombination(k=0.0, c1=1.0, c2=0.0),
+        t0=0.0, t1=8.0, n_samples=201, pole=True, fiber_constant_curvature=True,
+    )
+    assert p.fiber_volume == 0.0
+
+    def oracle(g):
+        # omega_d = omega_{d-2} 2 pi / (d - 1) from omega_1 = 2 pi, with the
+        # factors of g^d interleaved so every partial product stays in range
+        v = 2.0 * math.pi * g
+        for k in range(3, 500, 2):
+            v *= 2.0 * math.pi / (k - 1) * g * g
+        return v
+
+    dens = sphere_volume_density(p, np.array([0.0, 3.0, 8.0]))
+    assert dens[0] == 0.0
+    assert dens[1] == pytest.approx(3.63e-128, rel=1e-3)
+    assert dens[1] == pytest.approx(oracle(3.0), rel=1e-12)
+    assert dens[2] == pytest.approx(oracle(8.0), rel=1e-12)
+    weighted = sphere_volume_density(p, np.array([3.0, 8.0]), np.array([4.5, 32.0]))
+    np.testing.assert_allclose(weighted, [oracle(3.0) * math.exp(-4.5), oracle(8.0) * math.exp(-32.0)], rtol=1e-12)
+    assert weighted_sphere_volume(p, None, 8.0) == pytest.approx(oracle(8.0), rel=1e-12)
 
 
 def test_unit_sphere_volumes():
@@ -363,3 +372,11 @@ def test_pole_band_by_index_is_the_band_by_radius(res):
     expected = p.grid > p.t0 + (POLE_EXCLUSION_STEPS - 0.5) * p.h
     expected[-4:] = False
     assert np.array_equal(p.valid_mask(), expected)
+
+
+@pytest.mark.parametrize("edge", [0, 1, 4])
+def test_valid_mask_drops_edge_samples_at_each_end(edge):
+    p = cylinder_profile()
+    mask = p.valid_mask(edge=edge)
+    assert mask.sum() == p.n_samples - 2 * edge
+    assert mask[edge] and mask[p.n_samples - 1 - edge]

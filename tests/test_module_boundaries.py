@@ -1,6 +1,8 @@
-"""Modules of the solab package import only public names from each other."""
+"""Modules of the solab package import only public names from each other,
+and every exported name exists."""
 
 import ast
+import importlib
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "solab"
@@ -27,3 +29,23 @@ def test_no_module_imports_a_private_name_from_another():
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     assert [hit for path in sources for hit in private_imports(path)] == []
+
+
+def test_every_name_in_all_is_defined():
+    stale = []
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"solab.{path.stem}")
+        stale += [f"{path.name}: {name}" for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+    assert stale == []
+
+
+def test_package_reexports_only_public_names():
+    """Every name solab/__init__.py imports is in its home module's __all__."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    unlisted = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            home = importlib.import_module(f"solab.{node.module}")
+            public = getattr(home, "__all__", ())
+            unlisted += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in public]
+    assert unlisted == []

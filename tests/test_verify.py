@@ -172,7 +172,7 @@ def brute_force_grad_T_norm2(spec, t_eval):
     th = 1.1  # arbitrary latitude away from the coordinate axis
     sin, cos = math.sin(th), math.cos(th)
     g = float(p.g_at(t_eval))
-    gp = float(p.g_prime_at(t_eval))
+    gp = float(GridFn(p.t0, p.t1, p.warp_values[1]).eval(t_eval))
     tf, tr = float(tau_f.eval(t_eval)), float(tau_r.eval(t_eval))
     tfp, trp = float(dtau_f.eval(t_eval)), float(dtau_r.eval(t_eval))
 
