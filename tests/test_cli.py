@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -346,6 +347,28 @@ def test_cli_demo_json_matches_golden(tmp_path, monkeypatch, fname):
     code = main(["run", demo, "--format", "json", "--no-timings", "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / fname).read_bytes()
     assert code == (0 if resolution is None else 1)
+
+
+def demo_output_digests(workdir: Path) -> dict:
+    """SHA-256 of `solab run <demo> --format csv|text --no-timings` for every
+    demo at its own resolution, keyed "<demo>.<format>"."""
+    main(["demo"])
+    digests = {}
+    for demo in sorted(DEMO_MANIFESTS):
+        for fmt in ("csv", "text"):
+            out = workdir / f"report.{fmt}"
+            assert main(["run", demo, "--format", fmt, "--no-timings", "--out", str(out)]) == 0
+            digests[f"{demo.replace('.json', '')}.{fmt}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+def test_cli_demo_csv_and_text_match_golden_digests(tmp_path, monkeypatch):
+    # the csv and text renderings are pinned by digest, the json by file
+    monkeypatch.chdir(tmp_path)
+    expected = json.loads((GOLDEN_DIR / "digests.json").read_text(encoding="utf-8"))
+    got = demo_output_digests(tmp_path)
+    assert sorted(got) == sorted(expected)
+    assert [name for name in sorted(got) if got[name] != expected[name]] == []
 
 
 def test_parse_rejects_bad_suite_and_tolerance_keys():
