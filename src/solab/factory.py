@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidCase, InvalidDimension, InvalidWarp, NonFiniteValues
 from .geometry import SnCombination, WarpProfile, curvature_grids, radial_laplacian
-from .kernel import GridFn, cn, derivative, integrate_cumulative
+from .kernel import GridFn, derivative, integrate_cumulative
 
 __all__ = [
     "FamilyTag",
@@ -145,11 +145,6 @@ class SpecFields:
         return radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, self.fp)
 
 
-def _is_pole_start(interval, g0: float, gp0: float) -> bool:
-    # the sn/cn combination vanishes at t = 0, so the grid must start there
-    return interval[0] == 0.0 and abs(g0) < 1e-14 and abs(gp0 - 1.0) < 1e-14
-
-
 def build_einstein_family(
     c: float,
     g0: float,
@@ -174,7 +169,6 @@ def build_einstein_family(
     d = n - 1
     form = SnCombination(k=-float(c), c1=float(gp0), c2=float(g0))
     rho_sigma = (d - 1) * (gp0 * gp0 - c * g0 * g0)
-    pole = _is_pole_start(interval, g0, gp0)
     profile = WarpProfile(
         n=n,
         rho_sigma=rho_sigma,
@@ -182,7 +176,6 @@ def build_einstein_family(
         t0=t0,
         t1=t1,
         n_samples=resolution,
-        pole=pole,
         fiber_constant_curvature=True,
     )
     g, gp, _ = profile.warp_values
@@ -223,7 +216,6 @@ def build_general_family(
         t0=t0,
         t1=t1,
         n_samples=resolution,
-        pole=False,
         fiber_constant_curvature=True,
     )
     gv, gp, gpp = profile.warp_values
@@ -248,7 +240,6 @@ def _build_flat(lambda0: float, n: int, r_max: float, resolution: int, tag: Fami
         t0=0.0,
         t1=float(r_max),
         n_samples=resolution,
-        pole=True,
         fiber_constant_curvature=True,
     )
     t = profile.grid
@@ -275,8 +266,8 @@ def build_classified(
     defining equation forces).
     """
     case = ClassifiedCase(case)
+    r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
     if case is ClassifiedCase.FLAT:
-        r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
         return _build_flat(float(params.get("lambda0", 1.0)), n, r_max, resolution,
                            FamilyTag.CLASSIFIED_FLAT)
 
@@ -286,7 +277,6 @@ def build_classified(
             raise InvalidCase("space-form case requires c != 0")
         a = float(params.get("a", 0.0))
         b = float(params.get("b", 0.0))
-        r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
         profile = WarpProfile(
             n=n,
             rho_sigma=float(n - 2),
@@ -294,12 +284,11 @@ def build_classified(
             t0=0.0,
             t1=r_max,
             n_samples=resolution,
-            pole=True,
             fiber_constant_curvature=True,
         )
-        t = profile.grid
-        lam = GridFn(0.0, r_max, a * cn(-c, t) - (n - 1) * c)
-        f = GridFn(0.0, r_max, (a / c) * cn(-c, t) + b)
+        cn_c = profile.warp_values[1]  # g = sn_{-c}, so g' = cn_{-c}
+        lam = GridFn(0.0, r_max, a * cn_c - (n - 1) * c)
+        f = GridFn(0.0, r_max, (a / c) * cn_c + b)
         return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.CLASSIFIED_SPACE_FORM)
 
     if case is ClassifiedCase.HYPERBOLIC_WARPED:

@@ -79,15 +79,11 @@ class SnCombination:
     c1: float
     c2: float
 
-    def value(self, t):
-        return self.c1 * sn(self.k, t) + self.c2 * cn(self.k, t)
-
-    def d1(self, t):
-        # cn' = -k sn
-        return self.c1 * cn(self.k, t) - self.c2 * self.k * sn(self.k, t)
-
-    def d2(self, t):
-        return -self.k * self.value(t)
+    def derivatives(self, t):
+        """(g, g', g'') at t from one sn and one cn evaluation (cn' = -k sn)."""
+        s, c = sn(self.k, t), cn(self.k, t)
+        g = self.c1 * s + self.c2 * c
+        return g, self.c1 * c - self.c2 * self.k * s, -self.k * g
 
 
 @dataclass(frozen=True)
@@ -102,14 +98,11 @@ class Polynomial:
             out = out * t + a
         return out if np.ndim(t) else float(out)
 
-    def value(self, t):
-        return self._poly(self.coeffs, t)
-
-    def d1(self, t):
-        return self._poly(tuple(j * a for j, a in enumerate(self.coeffs))[1:] or (0.0,), t)
-
-    def d2(self, t):
-        return self._poly(tuple(j * (j - 1) * a for j, a in enumerate(self.coeffs))[2:] or (0.0,), t)
+    def derivatives(self, t):
+        """(g, g', g'') at t."""
+        c1 = tuple(j * a for j, a in enumerate(self.coeffs))[1:] or (0.0,)
+        c2 = tuple(j * (j - 1) * a for j, a in enumerate(self.coeffs))[2:] or (0.0,)
+        return self._poly(self.coeffs, t), self._poly(c1, t), self._poly(c2, t)
 
 
 ClosedForm = SnCombination | Polynomial
@@ -130,10 +123,10 @@ class WarpProfile:
     rho_sigma : fiber Ricci eigenvalue
     g : warping function, closed form or tabulated GridFn on [t0, t1]
     t0, t1, n_samples : working grid
-    pole : t0 is a model-manifold pole (g(t0) = 0, g'(t0) = 1, unit-sphere
-        fiber)
     fiber_constant_curvature : the fiber is declared a space form, which is
         exactly the conformal-flatness condition for the warped metric
+
+    Whether t0 is a pole is worked out from the warp and fiber (`pole`).
     """
 
     n: int
@@ -142,7 +135,6 @@ class WarpProfile:
     t0: float
     t1: float
     n_samples: int
-    pole: bool = False
     fiber_constant_curvature: bool = False
 
     def __post_init__(self):
@@ -161,12 +153,14 @@ class WarpProfile:
         gvals = warp[0]
         if np.min(gvals[1:-1]) <= 0 or (not self.pole and (gvals[0] <= 0 or gvals[-1] <= 0)):
             raise InvalidWarp("warping function must be positive on the interval")
-        if self.pole:
-            # grid[0] == t0, so the first samples are g(t0) and g'(t0)
-            if abs(warp[0][0]) > 1e-10 or abs(warp[1][0] - 1.0) > 1e-10:
-                raise ValueError("pole requires g(t0) = 0 and g'(t0) = 1")
-            if not self._unit_sphere_fiber():
-                raise ValueError("pole requires the unit round sphere fiber")
+
+    @cached_property
+    def pole(self) -> bool:
+        """t0 is a model-manifold pole: t0 = 0, g(t0) = 0 and g'(t0) = 1
+        within 1e-14, and a unit round sphere fiber."""
+        g, gp, _ = self.warp_values  # grid[0] == t0: g(t0) and g'(t0) come first
+        at_pole = self.t0 == 0.0 and abs(g[0]) < 1e-14 and abs(gp[0] - 1.0) < 1e-14
+        return bool(at_pole and self._unit_sphere_fiber())
 
     def _unit_sphere_fiber(self) -> bool:
         return (
@@ -207,14 +201,9 @@ class WarpProfile:
     @cached_property
     def warp_values(self):
         """(g, g', g'') sampled on the grid; analytic where the form allows."""
-        t = self.grid
-        if isinstance(self.g, (SnCombination, Polynomial)):
-            return (
-                np.asarray(self.g.value(t), dtype=float),
-                np.asarray(self.g.d1(t), dtype=float),
-                np.asarray(self.g.d2(t), dtype=float),
-            )
-        return self.g.values.copy(), derivative(self.g, 1).values, derivative(self.g, 2).values
+        if isinstance(self.g, GridFn):
+            return self.g.values.copy(), derivative(self.g, 1).values, derivative(self.g, 2).values
+        return tuple(np.asarray(a, dtype=float) for a in self.g.derivatives(self.grid))
 
     @cached_property
     def g_ratio(self) -> np.ndarray:
@@ -228,9 +217,9 @@ class WarpProfile:
         return ratio
 
     def g_at(self, t):
-        if isinstance(self.g, (SnCombination, Polynomial)):
-            return self.g.value(t)
-        return self.g.eval(t)
+        if isinstance(self.g, GridFn):
+            return self.g.eval(t)
+        return self.g.derivatives(t)[0]
 
     def valid_mask(self, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
         """Samples trusted for sup-norms: stencil-interior, away from a

@@ -333,18 +333,19 @@ def integrate_cumulative(f: GridFn) -> GridFn:
     n = v.size
     h = f.h
     F = np.zeros(n)
-    pairs = (h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-    F[2::2] = np.cumsum(pairs)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to GridFn's check
+        pairs = (h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
+        F[2::2] = np.cumsum(pairs)
 
-    # odd k = 3, 5, ... with a node past k: the 4-point rule over
-    # [k-1, k]; an odd last index uses the left-sided end rule below
-    m = (n - 3) // 2
-    last = (h / 24.0) * (-v[1 : 1 + 2 * m : 2] + 13.0 * v[2 : 2 + 2 * m : 2] + 13.0 * v[3 : 3 + 2 * m : 2] - v[4 : 4 + 2 * m : 2])
-    F[3 : 3 + 2 * m : 2] = F[2 : 2 + 2 * m : 2] + last
-    F[1] = (h / 24.0) * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
-    if n % 2 == 0:
-        i = n - 1
-        F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
+        # odd k = 3, 5, ... with a node past k: the 4-point rule over
+        # [k-1, k]; an odd last index uses the left-sided end rule below
+        m = (n - 3) // 2
+        last = (h / 24.0) * (-v[1 : 1 + 2 * m : 2] + 13.0 * v[2 : 2 + 2 * m : 2] + 13.0 * v[3 : 3 + 2 * m : 2] - v[4 : 4 + 2 * m : 2])
+        F[3 : 3 + 2 * m : 2] = F[2 : 2 + 2 * m : 2] + last
+        F[1] = (h / 24.0) * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
+        if n % 2 == 0:
+            i = n - 1
+            F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
     return GridFn._wrap(f.t0, f.t1, F)
 
 

@@ -132,7 +132,7 @@ def run_suite(m: Manifest) -> RunReport:
         try:
             if name == "residual":
                 rep = soliton_residual(spec, tol=m.tolerances.get("residual"))
-                residual_points = rep.per_point.values
+                residual_points = rep.per_point
                 result = {"suite": "residual", "passed": bool(rep.passed), "checks": [_residual_dict(rep)]}
             elif name == "identities":
                 checks = []

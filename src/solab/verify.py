@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import (
     MissingParams,
+    NonFiniteValues,
     NonPositiveG,
     NotConformallyFlat,
     NotTraceFree,
@@ -82,7 +83,7 @@ class ResidualReport:
     identity_id: str
     sup_norm: float
     argmax_t: float
-    per_point: GridFn
+    per_point: np.ndarray
     tolerance_used: float
     passed: bool
     one_sided: bool = False
@@ -154,13 +155,17 @@ class TrivialityAuditParams:
 def residual_report(
     ident: str, p, per_point: np.ndarray, tol: float, *, sign: int = 0, edge: int = EDGE_WIDTH
 ) -> ResidualReport:
-    """Sup-norm report of per_point over the trusted samples of profile p.
+    """Sup-norm report of per_point over the trusted samples of profile p;
+    the report keeps per_point itself, set read-only.
 
     sign = 0: two-sided, passes when max |per_point| < tol.  sign = +1
     (-1): one-sided, per_point must stay >= 0 (<= 0); sup_norm is the
     worst violation (0 when there is none) and the check passes when it
     is at most tol.  argmax_t locates the worst sample either way.
     """
+    if np.isinf(per_point).any():
+        raise NonFiniteValues(f"{ident}: residual values must not contain infinities")
+    per_point.setflags(write=False)
     mask = p.trusted_mask(ident, per_point, edge=edge)
     vals = np.abs(per_point) if sign == 0 else -sign * per_point
     # untrusted samples can never win: every trusted one is finite
@@ -171,7 +176,7 @@ def residual_report(
         identity_id=ident,
         sup_norm=worst if sign == 0 else max(0.0, worst),
         argmax_t=p.grid_at(k),
-        per_point=GridFn(p.t0, p.t1, per_point),
+        per_point=per_point,
         tolerance_used=tol,
         passed=worst < tol if sign == 0 else worst <= tol,
         one_sided=sign != 0,

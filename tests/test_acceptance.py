@@ -104,8 +104,8 @@ def test_criterion_2_identity_suite():
             # the one-sided defect is |grad T|^2 (formula validated against
             # a brute-force frame computation in test_verify)
             gt = grad_T_norm2(spec)
-            mask = spec.profile.valid_mask(rep.per_point.values, gt.values)
-            defect = np.max(np.abs(rep.per_point.values[mask] - gt.values[mask]))
+            mask = spec.profile.valid_mask(rep.per_point, gt.values)
+            defect = np.max(np.abs(rep.per_point[mask] - gt.values[mask]))
             assert defect < 2e-5, f"trace-free balance defect mismatch on {name}: {defect:.3e}"
 
 
@@ -133,8 +133,9 @@ def test_criterion_4_comparison_sharpness():
             cs = derive_setup(spec)
             rep = laplacian_comparison_check(spec, cs)
             assert rep.passed
+            per = GridFn(spec.profile.t0, spec.profile.t1, rep.per_point)
             for r in (0.5, 1.0, 2.0):
-                gap = float(rep.per_point.eval(r))
+                gap = float(per.eval(r))
                 assert abs(gap) <= 1e-6 * abs(actual_lap(r)), f"laplacian bound gap at r={r}: {gap:.3e}"
                 actual, bound, ok = volume_bound_check(spec, cs, r)
                 assert ok and abs(actual - bound) <= 1e-6 * bound, f"volume bound mismatch at r={r}"

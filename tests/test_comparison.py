@@ -83,16 +83,16 @@ def test_laplacian_equality_on_hyperbolic():
     s = hyperbolic_model()
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
-    mask = s.profile.valid_mask(rep.per_point.values)
-    assert np.max(np.abs(rep.per_point.values[mask])) < 1e-6  # equality case
+    mask = s.profile.valid_mask(rep.per_point)
+    assert np.max(np.abs(rep.per_point[mask])) < 1e-6  # equality case
 
 
 def test_laplacian_equality_on_euclidean():
     s = euclidean_model()
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
-    mask = s.profile.valid_mask(rep.per_point.values)
-    assert np.max(np.abs(rep.per_point.values[mask])) < 1e-7
+    mask = s.profile.valid_mask(rep.per_point)
+    assert np.max(np.abs(rep.per_point[mask])) < 1e-7
 
 
 def test_laplacian_strict_on_gaussian():
@@ -100,9 +100,9 @@ def test_laplacian_strict_on_gaussian():
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
     # actual = d/r - r stays strictly below the bound d/r by exactly r
-    t = rep.per_point.grid
-    mask = s.profile.valid_mask(rep.per_point.values)
-    np.testing.assert_allclose(rep.per_point.values[mask], -t[mask], atol=1e-7)
+    t = s.profile.grid
+    mask = s.profile.valid_mask(rep.per_point)
+    np.testing.assert_allclose(rep.per_point[mask], -t[mask], atol=1e-7)
 
 
 # ---------------------------------------------------------------------------

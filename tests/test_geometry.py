@@ -29,7 +29,6 @@ def euclidean_profile(n=3, r_max=4.0, res=2001):
         t0=0.0,
         t1=r_max,
         n_samples=res,
-        pole=True,
         fiber_constant_curvature=True,
     )
 
@@ -42,7 +41,6 @@ def hyperbolic_profile(n=3, r_max=4.0, res=2001):
         t0=0.0,
         t1=r_max,
         n_samples=res,
-        pole=True,
         fiber_constant_curvature=True,
     )
 
@@ -106,7 +104,7 @@ def test_pole_sample_is_nan_and_excluded():
 def test_sphere_model_positive_curvature():
     p = WarpProfile(
         n=3, rho_sigma=1.0, g=SnCombination(k=1.0, c1=1.0, c2=0.0),
-        t0=0.0, t1=3.0, n_samples=2001, pole=True, fiber_constant_curvature=True,
+        t0=0.0, t1=3.0, n_samples=2001, fiber_constant_curvature=True,
     )
     c = curvature_at(p, 1.2)
     assert c["rho_fib"] == pytest.approx(2.0, abs=1e-10)
@@ -120,7 +118,7 @@ def test_constant_curvature_models_across_grid(cc):
     r_max = 2.0 if cc <= 0 else 2.8
     p = WarpProfile(
         n=n, rho_sigma=n - 2, g=SnCombination(k=-cc, c1=1.0, c2=0.0),
-        t0=0.0, t1=r_max, n_samples=2001, pole=True, fiber_constant_curvature=True,
+        t0=0.0, t1=r_max, n_samples=2001, fiber_constant_curvature=True,
     )
     grids = curvature_grids(p)
     mask = p.valid_mask(grids["rho_fib"], grids["rho_rad"])
@@ -275,24 +273,78 @@ def test_nonpositive_warp_rejected():
     with pytest.raises(InvalidWarp):
         WarpProfile(
             n=3, rho_sigma=1.0, g=SnCombination(k=1.0, c1=1.0, c2=0.0),
-            t0=0.0, t1=4.0, n_samples=2001, pole=True, fiber_constant_curvature=True,
+            t0=0.0, t1=4.0, n_samples=2001, fiber_constant_curvature=True,
         )  # sin t vanishes at pi < 4
+    with pytest.raises(InvalidWarp):
+        WarpProfile(
+            n=3, rho_sigma=1.0, g=Polynomial(coeffs=(-1.0, 1.0)),
+            t0=1.0, t1=3.0, n_samples=201, fiber_constant_curvature=True,
+        )  # g(1) = 0 and g'(1) = 1, but a pole sits at t = 0
 
 
 def test_pole_requires_unit_sphere_fiber():
-    with pytest.raises(ValueError):
+    # g = t vanishes at t0, but over a non-unit fiber t0 is no pole, so the
+    # warp is not positive on the interval
+    with pytest.raises(InvalidWarp):
         WarpProfile(
             n=3, rho_sigma=0.5, g=SnCombination(k=0.0, c1=1.0, c2=0.0),
-            t0=0.0, t1=4.0, n_samples=2001, pole=True, fiber_constant_curvature=True,
+            t0=0.0, t1=4.0, n_samples=2001, fiber_constant_curvature=True,
         )
 
 
 def test_pole_requires_vanishing_warp():
-    with pytest.raises(ValueError):
-        WarpProfile(
-            n=3, rho_sigma=1.0, g=SnCombination(k=0.0, c1=1.0, c2=1.0),
-            t0=0.0, t1=4.0, n_samples=2001, pole=True, fiber_constant_curvature=True,
-        )
+    p = WarpProfile(
+        n=3, rho_sigma=1.0, g=SnCombination(k=0.0, c1=1.0, c2=1.0),
+        t0=0.0, t1=4.0, n_samples=2001, fiber_constant_curvature=True,
+    )  # g = 1 + t
+    assert not p.pole
+    with pytest.raises(NotAModel):
+        p.require_model()
+
+
+@pytest.mark.parametrize(
+    "k, c1, c2, t0, t1, pole",
+    [
+        (0.0, 1.0, 0.0, 0.0, 3.0, True),  # sn_0 = t
+        (1.0, 1.0, 0.0, 0.0, 3.0, True),  # sn_1 = sin t
+        (-1.0, 1.0, 0.0, 0.0, 3.0, True),  # sn_{-1} = sinh t
+        (-1.0, 0.0, 1.0, 0.0, 3.0, False),  # cn_{-1} = cosh t
+        (-1.0, 1.0, 0.0, 1.0, 3.0, False),  # sinh t away from t = 0
+    ],
+)
+def test_pole_is_worked_out_from_the_warp(k, c1, c2, t0, t1, pole):
+    p = WarpProfile(
+        n=3, rho_sigma=1.0, g=SnCombination(k=k, c1=c1, c2=c2),
+        t0=t0, t1=t1, n_samples=201, fiber_constant_curvature=True,
+    )
+    assert p.pole is pole
+
+
+@pytest.mark.parametrize(
+    "form, exact",
+    [
+        (SnCombination(k=-2.0, c1=0.7, c2=1.3),
+         lambda t: (0.7 * np.sinh(math.sqrt(2) * t) / math.sqrt(2) + 1.3 * np.cosh(math.sqrt(2) * t),
+                    0.7 * np.cosh(math.sqrt(2) * t) + 1.3 * math.sqrt(2) * np.sinh(math.sqrt(2) * t),
+                    2.0 * (0.7 * np.sinh(math.sqrt(2) * t) / math.sqrt(2) + 1.3 * np.cosh(math.sqrt(2) * t)))),
+        (SnCombination(k=0.0, c1=0.7, c2=1.3),
+         lambda t: (0.7 * t + 1.3, 0.7 + 0.0 * t, 0.0 * t)),
+        (SnCombination(k=3.0, c1=0.7, c2=1.3),
+         lambda t: (0.7 * np.sin(math.sqrt(3) * t) / math.sqrt(3) + 1.3 * np.cos(math.sqrt(3) * t),
+                    0.7 * np.cos(math.sqrt(3) * t) - 1.3 * math.sqrt(3) * np.sin(math.sqrt(3) * t),
+                    -3.0 * (0.7 * np.sin(math.sqrt(3) * t) / math.sqrt(3) + 1.3 * np.cos(math.sqrt(3) * t)))),
+        (Polynomial(coeffs=(1.0, -0.5, 0.25, 0.125)),
+         lambda t: (1.0 - 0.5 * t + 0.25 * t**2 + 0.125 * t**3,
+                    -0.5 + 0.5 * t + 0.375 * t**2,
+                    0.5 + 0.75 * t)),
+    ],
+)
+def test_derivatives_match_the_analytic_jet(form, exact):
+    t = np.linspace(0.0, 1.5, 301)
+    for got, want in zip(form.derivatives(t), exact(t)):
+        assert np.max(np.abs(got - want)) < 1e-12
+    # a scalar t gives floats
+    assert all(isinstance(v, float) for v in form.derivatives(0.4))
 
 
 def test_custom_form_matches_tabulated():
@@ -311,7 +363,7 @@ def test_sphere_volume_density_in_large_dimensions():
     # density is representable at every g
     p = WarpProfile(
         n=500, rho_sigma=498.0, g=SnCombination(k=0.0, c1=1.0, c2=0.0),
-        t0=0.0, t1=8.0, n_samples=201, pole=True, fiber_constant_curvature=True,
+        t0=0.0, t1=8.0, n_samples=201, fiber_constant_curvature=True,
     )
     assert p.fiber_volume == 0.0
 

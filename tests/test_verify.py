@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from solab.errors import MissingParams, NonPositiveG, NotConformallyFlat, NotTraceFree
+from solab.errors import MissingParams, NonFiniteValues, NonPositiveG, NotConformallyFlat, NotTraceFree
 from solab.factory import (
     ClassifiedCase,
     build_classified,
@@ -78,7 +78,8 @@ def test_residual_report_fields():
     assert rep.identity_id == "soliton"
     assert rep.passed and rep.sup_norm < rep.tolerance_used
     assert 0.0 <= rep.argmax_t <= 2.0
-    assert rep.per_point.n_samples == 2001
+    assert rep.per_point.shape == (2001,)
+    assert not rep.per_point.flags.writeable
 
 
 @pytest.mark.parametrize("sign", [0, 1, -1])
@@ -94,6 +95,15 @@ def test_residual_report_argmax_t_is_the_grid_value(sign):
         rep = residual_report("probe", p, per, 0.5, sign=sign)
         assert rep.sup_norm == 1.0
         assert rep.argmax_t == p.grid[i]
+
+
+def test_residual_report_rejects_infinite_residuals():
+    # an infinite sample is a failure to report, not an untrusted sample to skip
+    p = gaussian_spec().profile
+    per = np.zeros(p.n_samples)
+    per[1000] = np.inf
+    with pytest.raises(NonFiniteValues, match="probe"):
+        residual_report("probe", p, per, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +150,7 @@ def test_i2_26r_requires_space_form_fiber():
     p = s.profile
     bare = WarpProfile(
         n=p.n, rho_sigma=p.rho_sigma, g=p.g, t0=p.t0, t1=p.t1, n_samples=p.n_samples,
-        pole=p.pole, fiber_constant_curvature=False,
+        fiber_constant_curvature=False,
     )
     with pytest.raises(NotConformallyFlat):
         identity_residual(replace(s, profile=bare), "trace_free_balance")
@@ -234,8 +244,8 @@ def test_trace_free_balance_defect_equals_grad_T(name):
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
     gt = grad_T_norm2(s)
-    mask = s.profile.valid_mask(rep.per_point.values, gt.values)
-    assert np.max(np.abs(rep.per_point.values[mask] - gt.values[mask])) < 2e-5
+    mask = s.profile.valid_mask(rep.per_point, gt.values)
+    assert np.max(np.abs(rep.per_point[mask] - gt.values[mask])) < 2e-5
 
 
 # ---------------------------------------------------------------------------
