@@ -22,7 +22,6 @@ from .factory import (
     ClassifiedCase,
     FamilyTag,
     SolitonSpec,
-    SpecFields,
     build_classified,
     build_einstein_family,
     build_gaussian,
@@ -32,7 +31,6 @@ from .geometry import (
     Polynomial,
     SnCombination,
     WarpProfile,
-    f_laplacian,
     unit_sphere_volume,
     weighted_ball_volume,
     weighted_sphere_volume,

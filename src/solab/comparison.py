@@ -69,9 +69,9 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     """
     p = s.profile
     p.require_model()
-    min_eig = nan_fill(np.minimum(*s.fields.bakry_emery))
+    min_eig = nan_fill(np.minimum(*s.bakry_emery))
     G_vals = np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1)))
-    theta_vals = np.maximum.accumulate(np.maximum(0.0, -s.fields.fp))
+    theta_vals = np.maximum.accumulate(np.maximum(0.0, -s.fp))
     G = GridFn(p.t0, p.t1, G_vals)
     h = solve_linear_ode2(G, 0.0, 1.0)
     with np.errstate(over="ignore"):  # an overflow is left to GridFn's check
@@ -90,7 +90,7 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     """
     p = s.profile
     p.require_model()
-    actual = p.d * s.fields.g_ratio - s.fields.fp
+    actual = p.d * p.g_ratio - s.fp
     with np.errstate(divide="ignore", invalid="ignore"):
         hp = derivative(cs.h, 1).values
         bound = (p.n - 1) * hp / cs.h.values + cs.theta.values
@@ -121,7 +121,7 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     p.require_model()
     actual = weighted_ball_volume(p, s.f, r)
     Theta = integrate_cumulative(cs.theta)
-    with np.errstate(over="ignore"):  # an overflow is left to GridFn's check
+    with np.errstate(over="ignore", invalid="ignore"):  # left to the finiteness test below
         integrand = cs.h.values ** (p.n - 1) * np.exp(Theta.values)
     D = cs.D_calibration
     if not (np.isfinite(integrand).all() and 0.0 < D < math.inf):

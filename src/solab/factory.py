@@ -16,19 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
 from .errors import InvalidCase, InvalidDimension, InvalidWarp, NonFiniteValues
-from .geometry import SnCombination, WarpProfile, curvature_grids, radial_laplacian
+from .geometry import SnCombination, WarpProfile, radial_laplacian
 from .kernel import GridFn, derivative, integrate_cumulative
 
 __all__ = [
     "FamilyTag",
     "ClassifiedCase",
     "SolitonSpec",
-    "SpecFields",
     "build_einstein_family",
     "build_general_family",
     "build_classified",
@@ -92,39 +90,22 @@ class SolitonSpec:
         return CLOSED_FORM_TOL
 
     @cached_property
-    def fields(self) -> "SpecFields":
-        """The derived radial fields every check reads, built on first use."""
-        return SpecFields(self)
+    def _derivatives(self) -> tuple:
+        """f', f'', lambda', lambda'' by stencil, computed together on first use."""
+        return tuple(derivative(u, order).values for u in (self.f, self.lam) for order in (1, 2))
 
-
-class SpecFields:
-    """Derived radial fields of one spec, computed once and read-only.
-
-    f', f'', lambda', lambda'' (stencils), the curvature grids of the
-    profile, and the profile's g'/g (NaN where undefined, i.e. at a pole).
-    The object keeps the profile but not the spec: a spec -> fields -> spec
-    cycle would keep the arrays of a fine grid alive until the cyclic
-    garbage collector runs.
-    """
-
-    def __init__(self, s: SolitonSpec):
-        p = s.profile
-        self.profile = p
-        self.fp = derivative(s.f, 1).values
-        self.fpp = derivative(s.f, 2).values
-        self.lamp = derivative(s.lam, 1).values
-        self.lampp = derivative(s.lam, 2).values
-        curv = curvature_grids(p)
-        self.g_ratio = p.g_ratio
-        for arr in curv.values():
-            arr.setflags(write=False)
-        self.curv = MappingProxyType(curv)
+    fp = property(lambda self: self._derivatives[0])
+    fpp = property(lambda self: self._derivatives[1])
+    lamp = property(lambda self: self._derivatives[2])
+    lampp = property(lambda self: self._derivatives[3])
 
     @property
     def bakry_emery(self) -> tuple:
         """Eigenvalues (fiber, radial) of Ric + Hess f: rho_fib + f' g'/g and
         rho_rad + f''; both equal lambda on a true soliton."""
-        return self.curv["rho_fib"] + self.fp * self.g_ratio, self.curv["rho_rad"] + self.fpp
+        c = self.profile.curvature
+        with np.errstate(over="ignore"):  # left to the checks' finiteness tests
+            return c["rho_fib"] + self.fp * self.profile.g_ratio, c["rho_rad"] + self.fpp
 
     @property
     def lap_lam(self) -> np.ndarray:
@@ -135,8 +116,10 @@ class SpecFields:
     def hess_lam_T(self) -> np.ndarray:
         """Hess lambda contracted with the trace-free Ricci tensor T:
         d (lambda' g'/g) tau_f + lambda'' tau_r."""
-        c = self.curv
-        return self.profile.d * (self.lamp * self.g_ratio) * c["tau_f"] + self.lampp * c["tau_r"]
+        p = self.profile
+        c = p.curvature
+        with np.errstate(over="ignore", invalid="ignore"):  # left to the checks' finiteness tests
+            return p.d * (self.lamp * p.g_ratio) * c["tau_f"] + self.lampp * c["tau_r"]
 
     def f_laplacian(self, u_values: np.ndarray) -> np.ndarray:
         """Weighted Laplacian Delta_f of the radial function with these samples."""
@@ -179,7 +162,8 @@ def build_einstein_family(
         fiber_constant_curvature=True,
     )
     g, gp, _ = profile.warp_values
-    f = a * integrate_cumulative(GridFn(t0, t1, g)) + b
+    F = integrate_cumulative(GridFn(t0, t1, g))
+    f = F.with_values(a * F.values + b)
     lam = GridFn(t0, t1, a * gp - d * c)
     return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.EINSTEIN_WARPED)
 
@@ -225,7 +209,8 @@ def build_general_family(
     h = (gpp * gv - gp * gp - a) / gv**3
     H = integrate_cumulative(GridFn(t0, t1, h))
     inner = A + (d - 1) * H.values
-    f = B + integrate_cumulative(GridFn(t0, t1, gv * inner))
+    F = integrate_cumulative(GridFn(t0, t1, gv * inner))
+    f = F.with_values(F.values + B)
     lam_vals = -(d - 1) * (gp * gp + a) / gv**2 - gpp / gv + gp * inner
     return SolitonSpec(
         profile=profile, f=f, lam=GridFn(t0, t1, lam_vals), family_tag=FamilyTag.GENERAL_WARPED

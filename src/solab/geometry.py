@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "unit_sphere_volume",
     "curvature_grids",
     "radial_laplacian",
-    "f_laplacian",
     "sphere_volume_density",
     "weighted_sphere_volume",
     "weighted_ball_volume",
@@ -200,21 +200,30 @@ class WarpProfile:
 
     @cached_property
     def warp_values(self):
-        """(g, g', g'') sampled on the grid; analytic where the form allows."""
+        """(g, g', g'') sampled on the grid (read-only); analytic where the
+        form allows."""
         if isinstance(self.g, GridFn):
-            return self.g.values.copy(), derivative(self.g, 1).values, derivative(self.g, 2).values
-        return tuple(np.asarray(a, dtype=float) for a in self.g.derivatives(self.grid))
+            return self.g.values, derivative(self.g, 1).values, derivative(self.g, 2).values
+        warp = tuple(np.asarray(a, dtype=float) for a in self.g.derivatives(self.grid))
+        for a in warp:
+            a.setflags(write=False)
+        return warp
 
     @cached_property
     def g_ratio(self) -> np.ndarray:
         """g'/g sampled on the grid (read-only; NaN where undefined, i.e. at
         a pole)."""
         g, gp, _ = self.warp_values
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = gp / g
         ratio = np.where(np.isfinite(ratio), ratio, np.nan)
         ratio.setflags(write=False)
         return ratio
+
+    @cached_property
+    def curvature(self):
+        """curvature_grids of this profile as a read-only mapping, built on first use."""
+        return MappingProxyType(curvature_grids(self))
 
     def g_at(self, t):
         if isinstance(self.g, GridFn):
@@ -248,35 +257,36 @@ class WarpProfile:
 
 
 def curvature_grids(p: WarpProfile) -> dict:
-    """All curvature scalars sampled on the grid: the Ricci eigenvalues,
+    """Read-only grids of every curvature scalar: the Ricci eigenvalues,
     S, |Ric|^2, the trace-free eigenvalues tau, |T|^2 and tr T^3.
 
-    At a pole the formulas are 0/0; those samples are NaN, and valid_mask
-    excludes them (with the rest of the pole band) from every sup-norm.
+    At a pole the formulas are 0/0.  Those samples, and any that leave the
+    float range, are NaN; valid_mask excludes them from every sup-norm.
     """
-    g, gp, gpp = p.warp_values
+    g, _, gpp = p.warp_values
     d = p.d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = gp / g
+    ratio = p.g_ratio
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         rho_fib = -(d - 1) * ratio * ratio - gpp / g + p.rho_sigma / (g * g)
         rho_rad = -d * gpp / g
-    S = d * rho_fib + rho_rad
-    tau_f = rho_fib - S / p.n
-    tau_r = rho_rad - S / p.n
-    out = {
-        "rho_fib": rho_fib,
-        "rho_rad": rho_rad,
-        "S": S,
-        "ric_norm2": d * rho_fib**2 + rho_rad**2,
-        "tau_f": tau_f,
-        "tau_r": tau_r,
-        "T_norm2": d * tau_f**2 + tau_r**2,
-        # cubes by multiplication: numpy's pow drops to scalar libm calls
-        # for negative bases, and a trace-free pair always has one
-        "trT3": d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r,
-    }
+        S = d * rho_fib + rho_rad
+        tau_f = rho_fib - S / p.n
+        tau_r = rho_rad - S / p.n
+        out = {
+            "rho_fib": rho_fib,
+            "rho_rad": rho_rad,
+            "S": S,
+            "ric_norm2": d * rho_fib**2 + rho_rad**2,
+            "tau_f": tau_f,
+            "tau_r": tau_r,
+            "T_norm2": d * tau_f**2 + tau_r**2,
+            # cubes by multiplication: numpy's pow drops to scalar libm calls
+            # for negative bases, and a trace-free pair always has one
+            "trT3": d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r,
+        }
     for arr in out.values():
         arr[~np.isfinite(arr)] = np.nan
+        arr.setflags(write=False)
     return out
 
 
@@ -287,7 +297,7 @@ def radial_laplacian(
     u' and u'': u'' + d (g'/g) u' - f' u' (the plain Laplacian when fp is
     None).  Non-finite samples, e.g. at a pole, become NaN and are excluded
     from downstream sup-norms."""
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         out = p.d * p.g_ratio
         out *= up
         np.add(upp, out, out=out)
@@ -295,13 +305,6 @@ def radial_laplacian(
             out -= fp * up
     out[~np.isfinite(out)] = np.nan
     return out
-
-
-def f_laplacian(p: WarpProfile, f: GridFn | None, u: GridFn) -> GridFn:
-    """Weighted Laplacian Delta_f u of a radial function u with potential f
-    (None, or a constant, for the plain Laplacian)."""
-    fp = None if f is None else derivative(f, 1).values
-    return GridFn(p.t0, p.t1, radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, fp))
 
 
 def sphere_volume_density(p: WarpProfile, g, f=None):
@@ -321,7 +324,7 @@ def sphere_volume_density(p: WarpProfile, g, f=None):
     # large d: fiber_volume underflows to 0 and g^d overflows where their
     # product need not, so those samples are computed in logs
     log_fv = math.log(fv) if fv > 0.0 else _log_unit_sphere_volume(p.d)
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         log_dens = log_fv + p.d * np.log(g) - (0.0 if f is None else f)
         return np.where(redo, np.exp(log_dens), dens)
 

@@ -109,23 +109,6 @@ class GridFn:
             and abs(self.t1 - other.t1) <= 1e-12 * (1 + abs(self.t1))
         )
 
-    def _coerce(self, other):
-        if isinstance(other, GridFn):
-            if not self.same_grid(other):
-                raise ValueError("GridFn operands live on different grids")
-            return other.values
-        return float(other)
-
-    def __add__(self, other):
-        return self.with_values(self.values + self._coerce(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return self.with_values(self.values * self._coerce(other))
-
-    __rmul__ = __mul__
-
     def eval(self, t):
         """Evaluate at arbitrary points by 4-point (cubic) Lagrange interpolation.
 
@@ -262,10 +245,11 @@ def _edge_weight_table(order: int) -> np.ndarray:
     return np.vstack(rows)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def derivative(f: GridFn, order: int = 1) -> GridFn:
     """Differentiate on the grid: 4th-order centered stencils in the
     interior, one-sided 4th-order stencils at the 4 boundary points of
-    each side."""
+    each side; an overflow (a tiny h) is left to GridFn's check."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     v = f.values
@@ -310,7 +294,7 @@ def nan_fill(arr: np.ndarray) -> np.ndarray:
     out = arr.copy()
     finite = np.flatnonzero(np.isfinite(out))
     if finite.size == 0:
-        raise ValueError("array has no finite samples")
+        raise NonFiniteValues("array has no finite samples")
     out[: finite[0]] = out[finite[0]]
     out[finite[-1] + 1 :] = out[finite[-1]]
     return out
@@ -333,6 +317,9 @@ def integrate_cumulative(f: GridFn) -> GridFn:
     n = v.size
     h = f.h
     F = np.zeros(n)
+    # near the float limit, sum scaled by an exact power of two: 4 v must not overflow
+    shift = max(0, math.frexp(max(abs(float(v.max())), abs(float(v.min()))))[1] - 1000)
+    v = v * 2.0**-shift if shift else v
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to GridFn's check
         pairs = (h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
         F[2::2] = np.cumsum(pairs)
@@ -346,6 +333,8 @@ def integrate_cumulative(f: GridFn) -> GridFn:
         if n % 2 == 0:
             i = n - 1
             F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
+        if shift:
+            F *= 2.0**shift
     return GridFn._wrap(f.t0, f.t1, F)
 
 

@@ -274,6 +274,8 @@ def _materialize_form(spec: dict, interval, resolution: int):
     return GridFn(interval[0], interval[1], vals)
 
 
+# an array that leaves the float range fails a finiteness check of GridFn, WarpProfile or SolitonSpec
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def build_spec(m: Manifest) -> SolitonSpec:
     """Construct the SolitonSpec a manifest describes.
 
@@ -281,6 +283,8 @@ def build_spec(m: Manifest) -> SolitonSpec:
     the requested interval start, since ball volumes integrate from the
     pole; the interval end is honoured.
     """
+    if m.family in ("gaussian", "classified_flat", "classified_space_form") and not m.interval[1] > 0:
+        raise SchemaError("$.grid.interval must end past the pole, t = 0, for a pole family")
     p = dict(m.params)
     corrupt = p.pop("corrupt_lambda", None)
     if m.family == "gaussian":
@@ -318,5 +322,5 @@ def build_spec(m: Manifest) -> SolitonSpec:
     if corrupt is not None:
         from dataclasses import replace
 
-        spec = replace(spec, lam=spec.lam + corrupt)
+        spec = replace(spec, lam=spec.lam.with_values(spec.lam.values + corrupt))
     return spec

@@ -76,7 +76,7 @@ class RunReport:
 
 def _spec_summary(spec: SolitonSpec) -> dict:
     p = spec.profile
-    curv = spec.fields.curv
+    curv = p.curvature
     mask = p.trusted_mask("spec summary", curv["S"], curv["T_norm2"])
     return {
         "family": spec.family_tag.value,
@@ -182,7 +182,7 @@ def run_suite(m: Manifest) -> RunReport:
         overall = overall and result["passed"]
         results.append(result)
 
-    curv = spec.fields.curv
+    curv = p.curvature
     table = {
         "t": p.grid,
         "g": p.warp_values[0],

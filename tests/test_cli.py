@@ -5,10 +5,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from solab.cli import DEMO_MANIFESTS, main
 from solab.errors import NotAModel, ParseError, SchemaError
-from solab.manifest import build_spec, parse_manifest
+from solab.manifest import FAMILIES, SUITES, build_spec, parse_manifest
 from solab.report import render_report, run_suite
 
 GAUSSIAN_MANIFEST = {
@@ -264,16 +266,72 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 0, "b": -800, "n": 3},
               suites=["comparison"], grid={"interval": [0, 4], "resolution": 201}),
          "suite 'comparison': GridFn values must not contain infinities"),
-        # the Simpson partial sums of the ball volume overflow
-        (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 0, "b": -700, "n": 3},
-              suites=["comparison"], grid={"interval": [0, 4], "resolution": 201}),
+        # no sample in the mid tenth of [1, 4] for condition (iv)
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": 0, "n": 3}, suites=["oy"],
+              grid={"interval": [0, 4], "resolution": 11}),
+         "suite 'oy': omori_yau: no samples in the mid and last tenths of [1, 4]"),
+        # [1, t_max] is empty
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": 0, "n": 3}, suites=["oy"],
+              grid={"interval": [0, 1], "resolution": 11}),
+         "suite 'oy': omori_yau: no samples in the mid and last tenths of [1, 1]"),
+        # g^2 and g^3 underflow to 0
+        (dict(GAUSSIAN_MANIFEST, family="general",
+              params={"g": {"kind": "sn", "k": 0, "c1": 0, "c2": 3.1213423401088904e-219},
+                      "rho_sigma": 0, "A": 0, "B": 0, "n": 3},
+              suites=["residual"], grid={"interval": [0, 1], "resolution": 9}),
+         "potential and soliton function must be finite"),
+        # f' is about 4e238, and its square overflows
+        (dict(GAUSSIAN_MANIFEST, family="classified_space_form",
+              params={"c": 2.5025091253077462e-239, "a": 1, "b": 0, "n": 2},
+              suites=["identities"], grid={"interval": [0, 1], "resolution": 9}),
+         "suite 'identities': GridFn values must not contain infinities"),
+        # h ~ 7e-249: the stencils' 1/h^2 overflows
+        (dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic", params={"c": 1.1823376650284692e+70, "n": 11},
+              suites=["residual"], grid={"interval": [-6.746121076280463e-248, 0], "resolution": 9}),
+         "suite 'residual': GridFn values must not contain infinities"),
+        # (g'/g)^2 ~ 1e432 in the curvature
+        (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 3.9370655731229626e-240, "n": 6},
+              suites=["residual"], grid={"interval": [0, 7.1007136801990635e-217], "resolution": 9}),
+         "suite 'residual': GridFn values must not contain infinities"),
+        # |grad f|^2 overflows in the triviality audit
+        (dict(GAUSSIAN_MANIFEST, family="classified_flat",
+              params={"lambda0": 2.1338780901317334e+217, "n": 7, "corrupt_lambda": -3.384182484740786e+16},
+              suites=["audits"], grid={"interval": [1.5, 6.871177016932034], "resolution": 44}),
+         "suite 'audits': triviality: |grad f|^2 leaves the float range"),
+        # no finite Bakry-Emery eigenvalue for G on a subnormal interval
+        (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 2.2250738585e-313, "n": 11},
+              suites=["comparison"], grid={"interval": [0, 2.2250738585e-313], "resolution": 11}),
+         "suite 'comparison': array has no finite samples"),
+        # a pole family's grid starts at t = 0, past this interval's end
+        (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 2, "n": 6},
+              suites=["audits"], grid={"interval": [-19, -14.9], "resolution": 9}),
+         "$.grid.interval must end past the pole, t = 0, for a pole family"),
+        # h^(n-1) e^Theta is 0 * inf in the volume bound
+        (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 5.910216486567447e+185, "n": 9},
+              suites=["comparison"], grid={"interval": [-4.4e-249, 3.0775457320025937e-55], "resolution": 258}),
          "suite 'comparison': GridFn values must not contain infinities"),
+        # inf - inf in the grad_f_bochner residual
+        (dict(GAUSSIAN_MANIFEST, family="gaussian",
+              params={"lambda0": 1.2892651523764015e+95, "n": 10, "corrupt_lambda": 1.1204822209439632e+249},
+              suites=["identities"], grid={"interval": [0, 15.653879711884684], "resolution": 72}),
+         "grad_f_bochner: residual values must not contain infinities"),
+        # G holds NaN samples, which are not positive
+        (dict(GAUSSIAN_MANIFEST, family="classified_space_form",
+              params={"c": 1.192092896e-07, "a": 1e+300, "b": 6.819194701598045e+16, "n": 5},
+              suites=["oy"], grid={"interval": [0, 18.153409896102268], "resolution": 185}),
+         "suite 'oy': G must be strictly positive"),
     ],
     ids=["gaussian_n1", "space_form_volume_bound_overflow", "einstein_overflowing_warp",
-         "space_form_calibration_overflow", "space_form_quadrature_overflow"],
+         "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
+         "general_warp_powers_underflow", "space_form_grad_f_square_overflow", "tiny_grid_stencil_overflow",
+         "tiny_grid_curvature_overflow", "triviality_gradient_overflow", "subnormal_grid_no_finite_eigenvalue",
+         "pole_family_interval_before_pole", "volume_bound_zero_times_infinity", "bochner_infinity_minus_infinity",
+         "oy_profile_with_nan"],
 )
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
-    assert main(["run", write_manifest(tmp_path, payload)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", write_manifest(tmp_path, payload)]) == 2
     assert message in capsys.readouterr().err
 
 
@@ -288,6 +346,75 @@ def test_cli_large_dimension_comparison_passes_without_warning(tmp_path, n):
         warnings.simplefilter("always")
         assert main(["run", write_manifest(tmp_path, payload)]) == 0
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_ball_volume_near_the_float_limit_passes_without_warning(tmp_path, capsys):
+    # ball volumes up to 6.2e306, whose Simpson terms 4 v would overflow
+    # unless the quadrature scales them
+    payload = dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 0, "b": -700, "n": 3},
+                   suites=["comparison"], grid={"interval": [0, 4], "resolution": 201})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run", write_manifest(tmp_path, payload)]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "comparison: PASS" in capsys.readouterr().out
+
+
+def test_cli_overflowing_weighted_laplacian_fails_without_warning(tmp_path):
+    # d (g'/g) u' overflows in radial_laplacian: those samples become NaN,
+    # untrusted like a pole sample, and the run ends in failed checks
+    payload = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
+                   params={"c": 5e-324, "g0": 2.3111355340550108e+16, "gp0": 5.479446372782705e+137,
+                           "b": 5e-324, "n": 10},
+                   suites=["identities", "audits"],
+                   grid={"interval": [3.558949814430625e-282, 3.390614269195102e-27], "resolution": 52})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", write_manifest(tmp_path, payload)]) == 1
+
+
+def _param_value(kind):
+    if kind == "float":
+        return st.floats(allow_nan=False, allow_infinity=False)
+    if kind == "int":
+        return st.integers(min_value=0, max_value=12)
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    return st.one_of(
+        st.fixed_dictionaries({"kind": st.just("sn"), "k": number, "c1": number, "c2": number}),
+        st.fixed_dictionaries({"kind": st.just("poly"), "coeffs": st.lists(number, min_size=1, max_size=4)}),
+        st.fixed_dictionaries({"kind": st.just("sin"), "offset": number, "amplitude": number, "frequency": number}),
+    )
+
+
+@st.composite
+def manifests(draw):
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    params = {}
+    for name, (kind, required, _) in FAMILIES[family][1].items():
+        if required or draw(st.booleans()):
+            params[name] = draw(_param_value(kind))
+    if draw(st.booleans()):
+        params["corrupt_lambda"] = draw(st.floats(allow_nan=False, allow_infinity=False))
+    start, end = sorted(draw(st.lists(st.floats(-20, 20), min_size=2, max_size=2, unique=True)))
+    return {
+        "version": "1",
+        "family": family,
+        "params": params,
+        "grid": {"interval": [start, end], "resolution": draw(st.integers(9, 401))},
+        "suites": draw(st.lists(st.sampled_from(SUITES), min_size=1, unique=True)),
+    }
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(payload=manifests())
+def test_cli_manifest_fuzz_exits_cleanly(tmp_path_factory, payload):
+    # any manifest the schema admits ends in 0, 1 or 2, never in a
+    # traceback, and leaves no numpy RuntimeWarning behind
+    path = write_manifest(tmp_path_factory.getbasetemp(), payload, name="fuzz.json")
+    out = str(tmp_path_factory.getbasetemp() / "fuzz.out")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", path, "--format", "json", "--out", out]) in (0, 1, 2)
 
 
 def test_cli_suite_failure_exit_one(tmp_path):

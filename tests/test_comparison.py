@@ -197,7 +197,7 @@ def test_omega_bound_weakens_with_wider_envelope():
     s = gaussian_model()
     cs = derive_setup(s)
     _, tight, _ = volume_bound_omega(s, cs, s.f, s.f, r0=1.0, r=3.0)
-    _, wide, ok = volume_bound_omega(s, cs, s.f, s.f + 1.0, r0=1.0, r=3.0)
+    _, wide, ok = volume_bound_omega(s, cs, s.f, s.f.with_values(s.f.values + 1.0), r0=1.0, r=3.0)
     assert ok
     assert wide >= tight
 

@@ -203,26 +203,49 @@ def test_einstein_shifted_interval_is_not_a_pole_model():
     assert soliton_residual(s).sup_norm < 1e-8
 
 
-def test_spec_fields_are_cached_read_only_and_free_with_the_spec():
+def test_derived_fields_are_cached_read_only_and_free_with_the_spec(monkeypatch):
     import gc
     import weakref
+    from dataclasses import replace
 
+    from solab import factory, geometry
+
+    calls = {"derivative": 0, "curvature_grids": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(factory, "derivative", counting("derivative", derivative))
+    monkeypatch.setattr(geometry, "curvature_grids", counting("curvature_grids", curvature_grids))
     s = build_gaussian(1.0, 3, resolution=101)
-    fields = s.fields
-    assert s.fields is fields
-    np.testing.assert_array_equal(fields.fp, derivative(s.f, 1).values)
-    np.testing.assert_array_equal(fields.curv["S"], curvature_grids(s.profile)["S"])
-    for arr in (fields.fp, fields.lampp, fields.g_ratio, fields.curv["T_norm2"]):
+    for _ in range(2):
+        s.bakry_emery, s.lap_lam, s.hess_lam_T, s.lampp
+    # f', f'', lambda', lambda'' together, once; the curvature once
+    assert calls == {"derivative": 4, "curvature_grids": 1}
+    np.testing.assert_array_equal(s.fp, derivative(s.f, 1).values)
+    p = s.profile
+    assert p.curvature is p.curvature
+    for arr in (s.fp, s.fpp, s.lamp, s.lampp, p.g_ratio, p.curvature["T_norm2"]):
         with pytest.raises(ValueError):
             arr[5] = 0.0
     with pytest.raises(TypeError):
-        fields.curv["S"] = fields.curv["T_norm2"]
-    # no spec -> fields -> spec cycle: dropping the spec frees the fields
-    # without waiting for the cyclic collector
-    ref = weakref.ref(fields)
+        p.curvature["S"] = p.curvature["T_norm2"]
+
+    # the curvature belongs to the profile, the derivatives to the spec
+    shifted = replace(s, lam=s.lam.with_values(s.lam.values + 1.0))
+    assert shifted.profile.curvature is p.curvature
+    assert shifted.lamp is not s.lamp
+    assert calls == {"derivative": 8, "curvature_grids": 1}
+
+    # the arrays live in the spec's and the profile's own caches, so
+    # dropping the spec frees them without waiting for the cyclic collector
+    refs = [weakref.ref(s.fp), weakref.ref(p.curvature["S"])]
     gc.disable()
     try:
-        del s, fields
-        assert ref() is None
+        del s, p, shifted
+        assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()

@@ -10,13 +10,13 @@ from solab.geometry import (
     SnCombination,
     WarpProfile,
     curvature_grids,
-    f_laplacian,
+    radial_laplacian,
     sphere_volume_density,
     unit_sphere_volume,
     weighted_ball_volume,
     weighted_sphere_volume,
 )
-from solab.kernel import GridFn
+from solab.kernel import GridFn, derivative
 
 from .oracles import quad_trapz
 
@@ -171,39 +171,40 @@ def test_laplacian_of_distance_squared_flat():
     # u = t^2 on R^3: Delta u = 2n = 6
     p = euclidean_profile()
     u = GridFn.from_callable(lambda t: t**2, 0.0, 4.0, 2001)
-    lap = f_laplacian(p, None, u)
-    mask = p.valid_mask(lap.values)
-    assert np.max(np.abs(lap.values[mask] - 6.0)) < 1e-8
+    lap = radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values)
+    mask = p.valid_mask(lap)
+    assert np.max(np.abs(lap[mask] - 6.0)) < 1e-8
 
 
 def test_laplacian_of_one_vanishes():
     p = hyperbolic_profile()
     one = GridFn.constant(1.0, 0.0, 4.0, 2001)
     f = GridFn.from_callable(lambda t: 0.3 * t**2, 0.0, 4.0, 2001)
-    lap = f_laplacian(p, f, one)
-    mask = p.valid_mask(lap.values)
-    assert np.max(np.abs(lap.values[mask])) < 1e-12
+    lap = radial_laplacian(p, derivative(one, 1).values, derivative(one, 2).values, derivative(f, 1).values)
+    mask = p.valid_mask(lap)
+    assert np.max(np.abs(lap[mask])) < 1e-12
 
 
 def test_weighted_laplacian_gaussian():
     # g = t, f = t^2/2, u = t^2/2, n = 3: Delta_f u = 3 - t^2
     p = euclidean_profile()
     half_sq = GridFn.from_callable(lambda t: t**2 / 2.0, 0.0, 4.0, 2001)
-    lap = f_laplacian(p, half_sq, half_sq)
-    mask = p.valid_mask(lap.values)
-    t = lap.grid[mask]
-    assert np.max(np.abs(lap.values[mask] - (3.0 - t**2))) < 1e-8
+    up = derivative(half_sq, 1).values
+    lap = radial_laplacian(p, up, derivative(half_sq, 2).values, up)
+    mask = p.valid_mask(lap)
+    t = p.grid[mask]
+    assert np.max(np.abs(lap[mask] - (3.0 - t**2))) < 1e-8
 
 
 def test_laplacian_on_hyperbolic_model():
     # u = cos t + 0.1 t^3 on H^3 (g = sinh t, d = 2): Delta u = u'' + 2 coth(t) u'
     p = hyperbolic_profile()
     u = GridFn.from_callable(lambda t: np.cos(t) + 0.1 * t**3, 0.0, 4.0, 2001)
-    lap = f_laplacian(p, None, u)
-    mask = p.valid_mask(lap.values)
-    t = lap.grid[mask]
+    lap = radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values)
+    mask = p.valid_mask(lap)
+    t = p.grid[mask]
     exact = -np.cos(t) + 0.6 * t + 2.0 / np.tanh(t) * (-np.sin(t) + 0.3 * t * t)
-    assert np.max(np.abs(lap.values[mask] - exact)) < 1e-7
+    assert np.max(np.abs(lap[mask] - exact)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +357,20 @@ def test_custom_form_matches_tabulated():
     )
     assert p.g_at(1.0) == pytest.approx(2.0 + math.sin(1.0), abs=1e-10)
     assert np.max(np.abs(p.warp_values[1] - np.cos(t))) < 1e-9
+
+
+def test_warp_values_are_read_only():
+    t = np.linspace(0.0, 2 * np.pi, 101)
+    tabulated = WarpProfile(
+        n=3, rho_sigma=1.0, g=GridFn(0.0, 2 * np.pi, 2.0 + np.sin(t)), t0=0.0, t1=2 * np.pi,
+        n_samples=101, fiber_constant_curvature=True,
+    )
+    # a tabulated g is served as is: its samples are already read-only
+    assert tabulated.warp_values[0] is tabulated.g.values
+    for p in (hyperbolic_profile(res=101), tabulated):
+        for arr in p.warp_values:
+            with pytest.raises(ValueError):
+                arr[1] = 0.0
 
 
 def test_sphere_volume_density_in_large_dimensions():

@@ -306,12 +306,3 @@ def test_gridfn_interpolation_accuracy():
     t = np.linspace(0.1, 3.0, 77)
     assert np.max(np.abs(f.eval(t) - np.sin(t))) < 1e-11
     assert f.eval(0.5) == pytest.approx(np.sin(0.5), abs=1e-11)
-
-
-def test_gridfn_arithmetic():
-    f = GridFn.from_callable(np.sin, 0.0, 1.0, 51)
-    g = GridFn.from_callable(np.cos, 0.0, 1.0, 51)
-    np.testing.assert_allclose((f * g).values, np.sin(f.grid) * np.cos(f.grid))
-    np.testing.assert_allclose((f + 2.0).values, np.sin(f.grid) + 2.0)
-    with pytest.raises(ValueError):
-        f + GridFn.from_callable(np.cos, 0.0, 2.0, 51)

@@ -67,7 +67,7 @@ def test_corrupted_lambda_is_detected():
     s = gaussian_spec()
     from dataclasses import replace
 
-    bad = replace(s, lam=s.lam + 0.1)
+    bad = replace(s, lam=s.lam.with_values(s.lam.values + 0.1))
     rep = soliton_residual(bad)
     assert not rep.passed
     assert rep.sup_norm == pytest.approx(0.1, rel=1e-6)
@@ -131,7 +131,7 @@ def test_identity_suite_catches_corruption():
     from dataclasses import replace
 
     s = einstein_cosh()
-    bad = replace(s, lam=s.lam * 1.02)
+    bad = replace(s, lam=s.lam.with_values(s.lam.values * 1.02))
     assert not identity_residual(bad, "trace").passed
 
 
@@ -457,5 +457,5 @@ def test_residual_detects_corrupted_potential():
     from dataclasses import replace
 
     s = gaussian_spec()
-    bad = replace(s, f=s.f + s.f.with_values(0.05 * np.sin(s.f.grid)))
+    bad = replace(s, f=s.f.with_values(s.f.values + 0.05 * np.sin(s.f.grid)))
     assert not soliton_residual(bad).passed
