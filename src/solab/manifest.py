@@ -172,12 +172,14 @@ def default_resolution() -> int:
 
 def parse_manifest(text) -> Manifest:
     """Parse and validate manifest JSON (bytes or str)."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     try:
-        raw = json.loads(text)
+        raw = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"manifest is not UTF-8: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError("malformed JSON: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise SchemaError("manifest root must be an object")
 

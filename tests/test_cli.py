@@ -1,5 +1,9 @@
+import ctypes
 import hashlib
 import json
+import platform
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solab import cli
 from solab.cli import DEMO_MANIFESTS, main
 from solab.errors import NotAModel, ParseError, SchemaError
 from solab.manifest import FAMILIES, SUITES, build_spec, parse_manifest
@@ -422,11 +427,19 @@ def test_cli_suite_failure_exit_one(tmp_path):
     assert main(["run", write_manifest(tmp_path, bad)]) == 1
 
 
-def test_cli_malformed_manifest_exit_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param(b"{", "malformed JSON", id="truncated"),
+        pytest.param(b'\xff\xfe{"version": "1"}', "not UTF-8", id="not_utf8"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, "nested too deeply", id="nested_too_deeply"),
+    ],
+)
+def test_cli_malformed_manifest_exit_two(tmp_path, capsys, payload, message):
     path = tmp_path / "broken.json"
-    path.write_text("{", encoding="utf-8")
+    path.write_bytes(payload)
     assert main(["run", str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_two(tmp_path):
@@ -461,6 +474,13 @@ def test_cli_demo_writes_manifests(tmp_path, monkeypatch, capsys):
     for fname in DEMO_MANIFESTS:
         assert (tmp_path / fname).exists()
         parse_manifest((tmp_path / fname).read_bytes())
+
+
+def test_cli_demo_unwritable_manifest_exit_two(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gaussian.json").mkdir()
+    assert main(["demo"]) == 2
+    assert "cannot write" in capsys.readouterr().err
 
 
 def test_cli_demo_manifests_all_pass_and_json_is_deterministic(tmp_path, monkeypatch):
@@ -606,3 +626,52 @@ def test_cli_unwritable_output_exit_two(tmp_path, capsys):
     dest = tmp_path / "missing" / "dir" / "report.json"
     assert main(["run", path, "--format", "json", "--out", str(dest)]) == 2
     assert "cannot write" in capsys.readouterr().err
+
+
+# fine enough for `solab run` to keep freed heap pages mapped
+FINE_CYLINDER = dict(DEMO_MANIFESTS["cylinder.json"], grid={"interval": [0.0, 4.0], "resolution": 20001})
+
+# runs one job twice in a fresh process and prints the minor page faults
+# of the second
+REPEATED_JOB = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from solab.cli import main
+argv = ["run", sys.argv[2], "--format", "json", "--out", sys.argv[3]]
+main(argv)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+main(argv)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or platform.libc_ver()[0] != "glibc",
+    reason="the allocator setting applies to glibc only",
+)
+def test_cli_repeated_job_reuses_heap_pages(tmp_path):
+    # with heap trimming on, the second job faults in every page of its
+    # full-grid temporaries again (about 1,500 faults at 20001 samples)
+    src = Path(__file__).resolve().parents[1] / "src"
+    argv = [str(src), write_manifest(tmp_path, FINE_CYLINDER), str(tmp_path / "report.json")]
+    done = subprocess.run([sys.executable, "-c", REPEATED_JOB, *argv], capture_output=True, text=True, check=True)
+    assert int(done.stdout) < 200
+
+
+def test_cli_sets_the_allocator_for_fine_grids_only_and_runs_without_mallopt(tmp_path, monkeypatch):
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        return object()  # a C library without mallopt
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    cli._keep_heap_pages.cache_clear()
+    try:
+        assert main(["run", write_manifest(tmp_path, GAUSSIAN_MANIFEST)]) == 0
+        assert opened == []
+        fine = dict(FINE_CYLINDER, suites=["audits"])
+        assert main(["run", write_manifest(tmp_path, fine), "--out", str(tmp_path / "report.txt")]) == 0
+    finally:
+        cli._keep_heap_pages.cache_clear()
+    assert opened == [None]
