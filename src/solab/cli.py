@@ -1,13 +1,13 @@
 """Command-line front end.
 
-    solab run <manifest.json> [--format json|csv|text] [--out PATH]
-              [--tol KEY=VAL ...] [--seed N] [--no-timings]
+    solab run <manifest.json> [--format json|csv|text] [--out PATH] [--no-timings]
     solab families
     solab demo
 
-Exit codes: 0 when every requested suite passes, 1 when a suite fails,
-2 on manifest, precondition, or I/O errors.  SOLAB_RESOLUTION overrides
-the default grid resolution for manifests that omit one.
+The manifest file alone sets what a run computes: family, grid,
+suites, tolerances and seed.  Exit codes: 0 when every requested suite
+passes, 1 when a suite fails, 2 on bad arguments and on manifest,
+precondition, or I/O errors.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ import ctypes
 import functools
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .errors import SolabError
-from .manifest import FAMILIES, TOLERANCE_KEYS, parse_manifest
+from .manifest import FAMILIES, parse_manifest
 from .report import emit_report, run_suite
 
 DEMO_MANIFESTS = {
@@ -94,19 +93,6 @@ def _keep_heap_pages() -> None:
     mallopt(-1, _TRIM_THRESHOLD)  # M_TRIM_THRESHOLD
 
 
-def _parse_tol(items):
-    out = {}
-    for item in items or ():
-        key, sep, value = item.partition("=")
-        if not sep or key not in TOLERANCE_KEYS:
-            raise SolabError(f"--tol expects KEY=VAL with KEY in {TOLERANCE_KEYS}, got {item!r}")
-        try:
-            out[key] = float(value)
-        except ValueError as exc:
-            raise SolabError(f"--tol {key}: {value!r} is not a number") from exc
-    return out
-
-
 def cmd_run(args) -> int:
     try:
         text = Path(args.manifest).read_bytes()
@@ -117,11 +103,6 @@ def cmd_run(args) -> int:
         manifest = parse_manifest(text)
         if manifest.resolution >= _HEAP_GRID_SAMPLES:
             _keep_heap_pages()
-        overrides = _parse_tol(args.tol)
-        if overrides:
-            manifest = replace(manifest, tolerances={**manifest.tolerances, **overrides})
-        if args.seed is not None:
-            manifest = replace(manifest, seed=args.seed)
         report = run_suite(manifest)
     except SolabError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -165,8 +146,6 @@ def main(argv=None) -> int:
     run_p.add_argument("manifest", help="path to a manifest JSON file")
     run_p.add_argument("--format", choices=("json", "csv", "text"), default="text")
     run_p.add_argument("--out", default=None, help="output path (default stdout)")
-    run_p.add_argument("--tol", action="append", metavar="KEY=VAL", help="tolerance override")
-    run_p.add_argument("--seed", type=int, default=None)
     run_p.add_argument("--no-timings", action="store_true", help="strip timings for byte-stable output")
     run_p.set_defaults(func=cmd_run)
 

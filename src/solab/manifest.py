@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +24,7 @@ from .factory import (
     build_general_family,
 )
 from .geometry import Polynomial, SnCombination
-from .kernel import GridFn
+from .kernel import MIN_SAMPLES, GridFn
 
 __all__ = ["Manifest", "parse_manifest", "build_spec", "FAMILIES", "SUITES", "DEFAULT_SEED"]
 
@@ -96,8 +95,8 @@ class Manifest:
     interval: tuple
     resolution: int
     suites: tuple
-    tolerances: dict = field(default_factory=dict)
-    seed: int = DEFAULT_SEED
+    tolerances: dict
+    seed: int
 
     def echo(self) -> dict:
         return {
@@ -159,17 +158,6 @@ def _closed_form(value, path: str) -> dict:
     raise SchemaError(f"unknown closed-form kind at {path}.kind")
 
 
-def default_resolution() -> int:
-    env = os.environ.get("SOLAB_RESOLUTION")
-    if env is None:
-        return DEFAULT_RESOLUTION
-    try:
-        value = int(env)
-    except ValueError as exc:
-        raise SchemaError("SOLAB_RESOLUTION must be an integer") from exc
-    return value
-
-
 def parse_manifest(text) -> Manifest:
     """Parse and validate manifest JSON (bytes or str)."""
     try:
@@ -227,13 +215,12 @@ def parse_manifest(text) -> Manifest:
     b = _number(interval[1], "$.grid.interval[1]")
     if not b > a:
         raise SchemaError("$.grid.interval must satisfy start < end")
-    resolution = grid.get("resolution")
-    if resolution is None:
-        resolution = default_resolution()
-    else:
-        resolution = _integer(resolution, "$.grid.resolution")
-    if resolution < 9:
-        raise SchemaError("$.grid.resolution must be at least 9")
+    # pole families anchor their grid at the pole, t = 0 (see build_spec)
+    if family in ("gaussian", "classified_flat", "classified_space_form") and not b > 0:
+        raise SchemaError("$.grid.interval must end past the pole, t = 0, for a pole family")
+    resolution = _integer(grid.get("resolution", DEFAULT_RESOLUTION), "$.grid.resolution")
+    if resolution < MIN_SAMPLES:
+        raise SchemaError(f"$.grid.resolution must be at least {MIN_SAMPLES}")
 
     suites_raw = raw.get("suites")
     if not isinstance(suites_raw, list) or not suites_raw:
@@ -249,9 +236,13 @@ def parse_manifest(text) -> Manifest:
         raise SchemaError("expected an object at $.tolerances")
     _require_keys(tolerances, set(TOLERANCE_KEYS), "$.tolerances")
     tolerances = {k: _number(v, f"$.tolerances.{k}") for k, v in tolerances.items()}
+    for key, tol in tolerances.items():
+        if not tol > 0:
+            raise SchemaError(f"expected a positive number at $.tolerances.{key}")
 
-    seed = raw.get("seed", DEFAULT_SEED)
-    seed = _integer(seed, "$.seed")
+    seed = _integer(raw.get("seed", DEFAULT_SEED), "$.seed")
+    if seed < 0:  # numpy's generators take no negative seed
+        raise SchemaError("expected a non-negative integer at $.seed")
 
     return Manifest(
         version=version,
@@ -285,8 +276,6 @@ def build_spec(m: Manifest) -> SolitonSpec:
     the requested interval start, since ball volumes integrate from the
     pole; the interval end is honoured.
     """
-    if m.family in ("gaussian", "classified_flat", "classified_space_form") and not m.interval[1] > 0:
-        raise SchemaError("$.grid.interval must end past the pole, t = 0, for a pole family")
     p = dict(m.params)
     corrupt = p.pop("corrupt_lambda", None)
     if m.family == "gaussian":

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from solab import cli
 from solab.cli import DEMO_MANIFESTS, main
 from solab.errors import NotAModel, ParseError, SchemaError
-from solab.manifest import FAMILIES, SUITES, build_spec, parse_manifest
+from solab.manifest import FAMILIES, SUITES, TOLERANCE_KEYS, build_spec, parse_manifest
 from solab.report import render_report, run_suite
 
 GAUSSIAN_MANIFEST = {
@@ -87,14 +87,6 @@ def test_parse_einstein_manifest_builds_cosh_example():
     spec = build_spec(parse_manifest(manifest_bytes(payload)))
     t = spec.profile.grid
     np.testing.assert_allclose(spec.lam.values, np.sinh(t) - 3.0, atol=1e-12)
-
-
-def test_resolution_env_default(monkeypatch):
-    payload = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8]})
-    monkeypatch.setenv("SOLAB_RESOLUTION", "1201")
-    assert parse_manifest(manifest_bytes(payload)).resolution == 1201
-    monkeypatch.delenv("SOLAB_RESOLUTION")
-    assert parse_manifest(manifest_bytes(payload)).resolution == 2001
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +399,9 @@ def manifests(draw):
         "params": params,
         "grid": {"interval": [start, end], "resolution": draw(st.integers(9, 401))},
         "suites": draw(st.lists(st.sampled_from(SUITES), min_size=1, unique=True)),
+        "tolerances": draw(st.dictionaries(
+            st.sampled_from(TOLERANCE_KEYS), st.floats(allow_nan=False, allow_infinity=False))),
+        "seed": draw(st.integers()),
     }
 
 
@@ -455,10 +450,14 @@ def test_cli_no_trusted_samples_exit_two(tmp_path, capsys, suite):
 
 
 def test_cli_tol_override(tmp_path):
-    # an absurdly tight residual tolerance turns the pass into a failure
-    path = write_manifest(tmp_path, GAUSSIAN_MANIFEST)
-    assert main(["run", path, "--tol", "residual=1e-15"]) == 1
-    assert main(["run", path, "--tol", "bogus=1"]) == 2
+    # an absurdly tight residual tolerance in the manifest turns the pass into a failure
+    path = write_manifest(tmp_path, dict(GAUSSIAN_MANIFEST, tolerances={"residual": 1e-15}))
+    assert main(["run", path]) == 1
+    # the manifest is the only place a tolerance or seed is set
+    for flag in (["--tol", "residual=1e-15"], ["--seed", "7"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", path, *flag])
+        assert exc.value.code == 2
 
 
 def test_cli_families(capsys):
@@ -552,6 +551,12 @@ def test_parse_rejects_bad_suite_and_tolerance_keys():
     bad = dict(GAUSSIAN_MANIFEST, tolerances={"volume": 1e-3})
     with pytest.raises(SchemaError, match=r"tolerances\.volume"):
         parse_manifest(manifest_bytes(bad))
+    # no check can pass a tolerance of zero or less
+    for key in TOLERANCE_KEYS:
+        for tol in (0.0, -1e-8):
+            bad = dict(GAUSSIAN_MANIFEST, tolerances={key: tol})
+            with pytest.raises(SchemaError, match=rf"positive number at \$\.tolerances\.{key}"):
+                parse_manifest(manifest_bytes(bad))
 
 
 def test_parse_rejects_bad_grid():
@@ -559,8 +564,13 @@ def test_parse_rejects_bad_grid():
     with pytest.raises(SchemaError, match="interval"):
         parse_manifest(manifest_bytes(bad))
     bad = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8], "resolution": 5})
-    with pytest.raises(SchemaError, match="resolution"):
+    with pytest.raises(SchemaError, match="resolution must be at least 9"):
         parse_manifest(manifest_bytes(bad))
+    bad = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8], "resolution": None})
+    with pytest.raises(SchemaError, match=r"integer at \$\.grid\.resolution"):
+        parse_manifest(manifest_bytes(bad))
+    # a manifest without a resolution gets the default
+    assert parse_manifest(manifest_bytes(dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8]}))).resolution == 2001
 
 
 def test_parse_rejects_bad_closed_form():
@@ -579,16 +589,19 @@ def test_parse_rejects_non_integer_seed_and_bool_number():
     bad = dict(GAUSSIAN_MANIFEST, seed=1.5)
     with pytest.raises(SchemaError, match="seed"):
         parse_manifest(manifest_bytes(bad))
+    bad = dict(GAUSSIAN_MANIFEST, seed=-1)
+    with pytest.raises(SchemaError, match=r"non-negative integer at \$\.seed"):
+        parse_manifest(manifest_bytes(bad))
     bad = dict(GAUSSIAN_MANIFEST, params={"lambda0": True, "n": 3})
     with pytest.raises(SchemaError, match="lambda0"):
         parse_manifest(manifest_bytes(bad))
 
 
 def test_cli_seed_override_recorded(tmp_path):
-    payload = dict(GAUSSIAN_MANIFEST, suites=["okumura"])
+    payload = dict(GAUSSIAN_MANIFEST, suites=["okumura"], seed=7)
     path = write_manifest(tmp_path, payload)
     out = tmp_path / "r.json"
-    assert main(["run", path, "--format", "json", "--no-timings", "--seed", "7", "--out", str(out)]) == 0
+    assert main(["run", path, "--format", "json", "--no-timings", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["seed"] == 7
     assert rep["suite_results"][0]["seed"] == 7
