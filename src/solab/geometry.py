@@ -32,7 +32,7 @@ from .errors import (
     NoTrustedSamples,
     NotAModel,
 )
-from .kernel import GridFn, cn, derivative, integrate_cumulative, sn
+from .kernel import GridFn, cn, integrate_cumulative, sn
 
 __all__ = [
     "SnCombination",
@@ -73,17 +73,18 @@ def unit_sphere_volume(d: int) -> float:
 
 @dataclass(frozen=True)
 class SnCombination:
-    """t -> c1 * sn_k(t) + c2 * cn_k(t); derivatives are analytic."""
+    """t -> c0 + c1 * sn_k(t) + c2 * cn_k(t); derivatives are analytic."""
 
     k: float
     c1: float
     c2: float
+    c0: float = 0.0
 
     def derivatives(self, t):
         """(g, g', g'') at t from one sn and one cn evaluation (cn' = -k sn)."""
         s, c = sn(self.k, t), cn(self.k, t)
-        g = self.c1 * s + self.c2 * c
-        return g, self.c1 * c - self.c2 * self.k * s, -self.k * g
+        u = self.c1 * s + self.c2 * c
+        return u + self.c0, self.c1 * c - self.c2 * self.k * s, -self.k * u
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class WarpProfile:
     n : total dimension (>= 2; the d = 1 fiber case only arises for the
         flat plane used by the parabolicity checks and forces rho_sigma = 0)
     rho_sigma : fiber Ricci eigenvalue
-    g : warping function, closed form or tabulated GridFn on [t0, t1]
+    g : warping function, a closed form
     t0, t1, n_samples : working grid
     fiber_constant_curvature : the fiber is declared a space form, which is
         exactly the conformal-flatness condition for the warped metric
@@ -131,7 +132,7 @@ class WarpProfile:
 
     n: int
     rho_sigma: float
-    g: ClosedForm | GridFn
+    g: ClosedForm
     t0: float
     t1: float
     n_samples: int
@@ -142,8 +143,6 @@ class WarpProfile:
             raise InvalidDimension("total dimension must be at least 2")
         if self.n == 2 and abs(self.rho_sigma) > 1e-14:
             raise ValueError("a one-dimensional fiber is Ricci flat: rho_sigma must be 0")
-        if isinstance(self.g, GridFn) and not self.g.same_grid(self):
-            raise ValueError("tabulated g must live on the profile grid")
 
         # an overflowing closed form shows up as a non-finite sample below
         with np.errstate(over="ignore", invalid="ignore"):
@@ -200,10 +199,7 @@ class WarpProfile:
 
     @cached_property
     def warp_values(self):
-        """(g, g', g'') sampled on the grid (read-only); analytic where the
-        form allows."""
-        if isinstance(self.g, GridFn):
-            return self.g.values, derivative(self.g, 1).values, derivative(self.g, 2).values
+        """(g, g', g'') sampled on the grid (read-only), from the closed form."""
         warp = tuple(np.asarray(a, dtype=float) for a in self.g.derivatives(self.grid))
         for a in warp:
             a.setflags(write=False)
@@ -224,11 +220,6 @@ class WarpProfile:
     def curvature(self):
         """curvature_grids of this profile as a read-only mapping, built on first use."""
         return MappingProxyType(curvature_grids(self))
-
-    def g_at(self, t):
-        if isinstance(self.g, GridFn):
-            return self.g.eval(t)
-        return self.g.derivatives(t)[0]
 
     def valid_mask(self, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
         """Samples trusted for sup-norms: stencil-interior, away from a
@@ -332,8 +323,8 @@ def sphere_volume_density(p: WarpProfile, g, f=None):
 def weighted_sphere_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
     """vol_f of the geodesic sphere of radius r about the pole."""
     p.require_model()
-    r = float(r)
-    return float(sphere_volume_density(p, np.float64(p.g_at(r)), None if f is None else float(f.eval(r))))
+    g = np.float64(p.g.derivatives(float(r))[0])
+    return float(sphere_volume_density(p, g, None if f is None else float(f.eval(r))))
 
 
 def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray):

@@ -169,8 +169,8 @@ def sn(k: float, t):
         out /= r
         near = _near_zero(k, tq)
         ts = tq[near]
-        t2 = ts * ts
-        out[near] = ts * (1.0 - k * t2 / 6.0 + k * k * t2 * t2 / 120.0)
+        kt2 = k * (ts * ts)  # k * k would overflow for |k| above about 1e154
+        out[near] = ts * (1.0 - kt2 / 6.0 + kt2 * kt2 / 120.0)
     return float(out[0]) if scalar else out
 
 
@@ -186,8 +186,8 @@ def cn(k: float, t):
         r = np.sqrt(abs(k))
         out = np.cos(r * tq) if k > 0 else np.cosh(r * tq)
         near = _near_zero(k, tq)
-        t2 = tq[near] * tq[near]
-        out[near] = 1.0 - k * t2 / 2.0 + k * k * t2 * t2 / 24.0
+        kt2 = k * (tq[near] * tq[near])
+        out[near] = 1.0 - kt2 / 2.0 + kt2 * kt2 / 24.0
     return float(out[0]) if scalar else out
 
 

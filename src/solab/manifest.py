@@ -24,7 +24,7 @@ from .factory import (
     build_general_family,
 )
 from .geometry import Polynomial, SnCombination
-from .kernel import MIN_SAMPLES, GridFn
+from .kernel import MIN_SAMPLES
 
 __all__ = ["Manifest", "parse_manifest", "build_spec", "FAMILIES", "SUITES", "DEFAULT_SEED"]
 
@@ -256,18 +256,17 @@ def parse_manifest(text) -> Manifest:
     )
 
 
-def _materialize_form(spec: dict, interval, resolution: int):
+def _materialize_form(spec: dict):
     if spec["kind"] == "sn":
         return SnCombination(k=spec["k"], c1=spec["c1"], c2=spec["c2"])
     if spec["kind"] == "poly":
         return Polynomial(coeffs=tuple(spec["coeffs"]))
-    # "sin": tabulated offset + amplitude * sin(frequency t)
-    t = np.linspace(interval[0], interval[1], resolution)
-    vals = spec["offset"] + spec["amplitude"] * np.sin(spec["frequency"] * t)
-    return GridFn(interval[0], interval[1], vals)
+    # "sin": offset + amplitude * sin(w t) = offset + amplitude * w * sn_{w^2}(t)
+    w = spec["frequency"]
+    return SnCombination(k=w * w, c1=spec["amplitude"] * w, c2=0.0, c0=spec["offset"])
 
 
-# an array that leaves the float range fails a finiteness check of GridFn, WarpProfile or SolitonSpec
+# an array that leaves the float range fails a finiteness check of WarpProfile, SolitonSpec or their grids
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def build_spec(m: Manifest) -> SolitonSpec:
     """Construct the SolitonSpec a manifest describes.
@@ -302,7 +301,7 @@ def build_spec(m: Manifest) -> SolitonSpec:
             p["n"], interval=m.interval, resolution=m.resolution,
         )
     elif m.family == "general":
-        form = _materialize_form(p["g"], m.interval, m.resolution)
+        form = _materialize_form(p["g"])
         spec = build_general_family(
             form, rho_sigma=p["rho_sigma"], A=p["A"], B=p["B"], n=p["n"],
             interval=m.interval, resolution=m.resolution,

@@ -94,9 +94,8 @@ def _run_okumura(n: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(10_000, n))
     v -= v.mean(axis=1, keepdims=True)
-    norm2 = np.sum(v**2, axis=1)
-    gap = np.sum(v * v * v, axis=1) + (n - 2) / math.sqrt(n * (n - 1)) * norm2**1.5
-    min_gap = float(np.min(gap))
+    lhs, rhs, _ = okumura_check(v)
+    min_gap = float(np.min(lhs - rhs))
     pattern_ok = True
     for s in (0.5, 1.0, 2.0):
         lhs, rhs, _ = okumura_check([-(n - 1) * s] + [s] * (n - 1))

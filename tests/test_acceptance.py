@@ -28,7 +28,7 @@ from solab.factory import (
     build_gaussian,
     build_general_family,
 )
-from solab.geometry import weighted_ball_volume, weighted_sphere_volume
+from solab.geometry import SnCombination, weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import GridFn
 from solab.verify import (
     Verdict,
@@ -73,7 +73,7 @@ def closed_form_specs():
 
 
 def general_spec():
-    g = GridFn.from_callable(lambda t: 2.0 + np.sin(t), 0.0, 2 * np.pi, 2001)
+    g = SnCombination(k=1.0, c1=1.0, c2=0.0, c0=2.0)  # 2 + sin t
     return build_general_family(g, rho_sigma=1.0, A=0.5, B=0.0, n=3, interval=(0.0, 2 * np.pi))
 
 

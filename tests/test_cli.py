@@ -317,13 +317,19 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
               params={"c": 1.192092896e-07, "a": 1e+300, "b": 6.819194701598045e+16, "n": 5},
               suites=["oy"], grid={"interval": [0, 18.153409896102268], "resolution": 185}),
          "suite 'oy': G must be strictly positive"),
+        # sin(1e60 t) is exact on every sample, but no stencil on the grid resolves it
+        (dict(GAUSSIAN_MANIFEST, family="general",
+              params={"g": {"kind": "sin", "offset": 2, "amplitude": 1, "frequency": 1e60},
+                      "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3},
+              suites=["identities"], grid={"interval": [0, 6], "resolution": 201}),
+         "suite 'identities': grad_f_bochner: no trusted samples on a 201-sample grid"),
     ],
     ids=["gaussian_n1", "space_form_volume_bound_overflow", "einstein_overflowing_warp",
          "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
          "general_warp_powers_underflow", "space_form_grad_f_square_overflow", "tiny_grid_stencil_overflow",
          "tiny_grid_curvature_overflow", "triviality_gradient_overflow", "subnormal_grid_no_finite_eigenvalue",
          "pole_family_interval_before_pole", "volume_bound_zero_times_infinity", "bochner_infinity_minus_infinity",
-         "oy_profile_with_nan"],
+         "oy_profile_with_nan", "unresolved_sin_frequency"],
 )
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
     with warnings.catch_warnings():
@@ -517,6 +523,16 @@ def test_cli_demo_json_matches_golden(tmp_path, monkeypatch, fname):
     code = main(["run", demo, "--format", "json", "--no-timings", "--out", str(out)])
     assert out.read_bytes() == (GOLDEN_DIR / fname).read_bytes()
     assert code == (0 if resolution is None else 1)
+
+
+def test_general_sine_identities_hold_at_200001_samples():
+    # the sin warp is a closed form: refining the grid adds no stencil error to g' and g''
+    payload = dict(DEMO_MANIFESTS["general-sine.json"], suites=["identities"])
+    payload["grid"] = dict(payload["grid"], resolution=200_001)
+    report = run_suite(parse_manifest(manifest_bytes(payload)))
+    checks = {c["identity_id"]: c for c in report.suite_results[0]["checks"]}
+    for ident in ("scalar_gradient", "scalar_laplacian", "trace_free_balance"):
+        assert checks[ident]["passed"], (ident, checks[ident]["sup_norm"])
 
 
 def demo_output_digests(workdir: Path) -> dict:

@@ -11,8 +11,8 @@ from solab.factory import (
     build_gaussian,
     build_general_family,
 )
-from solab.geometry import curvature_grids, weighted_ball_volume
-from solab.kernel import GridFn, derivative
+from solab.geometry import Polynomial, SnCombination, curvature_grids, weighted_ball_volume
+from solab.kernel import derivative
 from solab.verify import Classification, classify_soliton, soliton_residual
 
 # frozen via the exponential-series oracle (tests/oracles.py)
@@ -83,7 +83,7 @@ def test_einstein_detects_pole_start():
 
 def general_sine_spec(res=2001):
     t0, t1 = 0.0, 2.0 * np.pi
-    g = GridFn.from_callable(lambda t: 2.0 + np.sin(t), t0, t1, res)
+    g = SnCombination(k=1.0, c1=1.0, c2=0.0, c0=2.0)  # 2 + sin t
     return build_general_family(g, rho_sigma=1.0, A=0.5, B=0.0, n=3, interval=(t0, t1), resolution=res)
 
 
@@ -97,7 +97,7 @@ def test_general_family_degenerates_to_einstein():
     c, n = 1.0, 4
     t0, t1, res = 0.0, 2.0, 2001
     ein = build_einstein_family(c=c, g0=1.0, gp0=0.0, a=0.8, b=0.3, n=n, interval=(t0, t1))
-    g = GridFn.from_callable(np.cosh, t0, t1, res)
+    g = SnCombination(k=-1.0, c1=0.0, c2=1.0)  # cosh t
     gen = build_general_family(
         g, rho_sigma=ein.profile.rho_sigma, A=0.8, B=0.3, n=n, interval=(t0, t1), resolution=res
     )
@@ -107,17 +107,13 @@ def test_general_family_degenerates_to_einstein():
 
 def test_general_cylinder_degenerates_to_linear_potential():
     a0, b0 = 1.3, -0.4
-    g = GridFn.constant(1.0, 0.0, 4.0, 2001)
-    s = build_general_family(g, rho_sigma=0.0, A=a0, B=b0, n=3)
+    s = build_general_family(Polynomial((1.0,)), rho_sigma=0.0, A=a0, B=b0, n=3)
     np.testing.assert_allclose(s.f.values, a0 * s.profile.grid + b0, atol=1e-10)
-    # edge samples carry ~1e-10 of stencil rounding from g'' of the
-    # tabulated constant; the interior is clean
-    np.testing.assert_allclose(s.lam.values, 0.0, atol=1e-9)
-    assert np.max(np.abs(s.lam.values[4:-4])) < 1e-12
+    assert np.all(s.lam.values == 0.0)
 
 
 def test_general_rejects_nonpositive_warp():
-    g = GridFn.from_callable(lambda t: np.sin(t), 0.0, 4.0, 2001)
+    g = SnCombination(k=1.0, c1=1.0, c2=0.0)  # sin t
     with pytest.raises(InvalidWarp):
         build_general_family(g, rho_sigma=1.0, A=0.0, B=0.0, n=3)
 

@@ -87,6 +87,13 @@ def test_sn_cn_equal_the_series_closed_form_selection(k):
     assert np.array_equal(cn(k, t), np.where(near, cn_series, cn_closed))
 
 
+@pytest.mark.filterwarnings("error")
+def test_sn_cn_series_finite_for_huge_k():
+    # the series terms go through k t^2: k * k alone overflows above |k| ~ 1.3e154
+    assert sn(1e200, 0.0) == 0.0
+    np.testing.assert_allclose(cn(-1e200, [0.0, 1e-105]), [1.0, 1.0 + 5e-11], rtol=1e-15, atol=0)
+
+
 def test_pythagorean_identity_all_sign_cases():
     rng = np.random.default_rng(7)
     for _ in range(200):

@@ -11,7 +11,7 @@ from solab.factory import (
     build_gaussian,
     build_general_family,
 )
-from solab.geometry import POLE_EXCLUSION_STEPS, Polynomial, WarpProfile
+from solab.geometry import POLE_EXCLUSION_STEPS, Polynomial, SnCombination, WarpProfile
 from solab.kernel import EDGE_WIDTH, GridFn, derivative
 from solab.verify import (
     TrivialityAuditParams,
@@ -37,7 +37,7 @@ def einstein_cosh(n=4, a=1.0):
 
 
 def general_sine(n=3):
-    g = GridFn.from_callable(lambda t: 2.0 + np.sin(t), 0.0, 2 * np.pi, 2001)
+    g = SnCombination(k=1.0, c1=1.0, c2=0.0, c0=2.0)  # 2 + sin t
     return build_general_family(g, rho_sigma=1.0, A=0.5, B=0.0, n=n, interval=(0.0, 2 * np.pi))
 
 
@@ -181,8 +181,7 @@ def brute_force_grad_T_norm2(spec, t_eval):
 
     th = 1.1  # arbitrary latitude away from the coordinate axis
     sin, cos = math.sin(th), math.cos(th)
-    g = float(p.g_at(t_eval))
-    gp = float(GridFn(p.t0, p.t1, p.warp_values[1]).eval(t_eval))
+    g, gp, _ = p.g.derivatives(t_eval)
     tf, tr = float(tau_f.eval(t_eval)), float(tau_r.eval(t_eval))
     tfp, trp = float(dtau_f.eval(t_eval)), float(dtau_r.eval(t_eval))
 
@@ -293,6 +292,20 @@ def test_okumura_random_tuples_and_equality_classifier():
         for row in v[tight]:
             unit = np.sort(row) / np.linalg.norm(row)
             assert np.max(np.abs(unit - pattern)) < 1e-4
+
+
+def test_okumura_check_takes_tuples_along_the_last_axis():
+    rng = np.random.default_rng(3)
+    v = rng.normal(size=(2, 25, 4))
+    v -= v.mean(axis=-1, keepdims=True)
+    lhs, rhs, ok = okumura_check(v)
+    assert lhs.shape == rhs.shape == ok.shape == (2, 25)
+    # numpy's vector pow may round the last bit differently from the scalar one
+    for row, l1, r1, ok1 in zip(v.reshape(-1, 4), lhs.ravel(), rhs.ravel(), ok.ravel()):
+        assert okumura_check(row) == (pytest.approx(l1, rel=1e-15), pytest.approx(r1, rel=1e-15), ok1)
+    v[1, 7, 0] += 1e-3  # one tuple off the trace-free subspace rejects the stack
+    with pytest.raises(NotTraceFree):
+        okumura_check(v)
 
 
 def test_okumura_equality_for_scaled_patterns():
