@@ -2,12 +2,12 @@
 
 From a soliton spec on a pole model the engine derives the smallest
 admissible nondecreasing bound data: G (Ricci lower-bound profile), theta
-(radial-derivative bound), and the comparison solution h of h'' = G h,
-h(0) = 0, h'(0) = 1.  The comparison statements are sharp exactly on
-space-form models with constant potential, which is what the equality
-tests exploit.  The multiplicative constants the existence statements
-leave free are calibrated at the pole (or at a stated calibration radius)
-so the equality cases are testable rather than vacuous.
+(bound on -f'), and the comparison solution h of h'' = G h, h(0) = 0,
+h'(0) = 1, with h' from the same RK4 scan.  The comparison statements are
+sharp exactly on space-form models with constant potential, which is what
+the equality tests exploit.  The multiplicative constants the existence
+statements leave free are calibrated at the pole (or at a stated
+calibration radius) so the equality cases are testable rather than vacuous.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand
 from .factory import SolitonSpec
 from .geometry import sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
-from .kernel import GridFn, derivative, integrate_cumulative, nan_fill, solve_linear_ode2
+from .kernel import GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
 from .verify import ResidualReport, residual_report
 
 __all__ = [
@@ -44,12 +44,13 @@ VOLUME_BOUND_SLACK = 1e-6
 @dataclass(frozen=True)
 class ComparisonSetup:
     """Bound data derived from a spec: G and theta (both forced
-    nondecreasing by a running max), the comparison solution h, and the
-    pole-calibrated volume constant."""
+    nondecreasing by a running max), the comparison solution h and its
+    slope hp = h', and the pole-calibrated volume constant."""
 
     G: GridFn
     theta: GridFn
     h: GridFn
+    hp: GridFn
     D_calibration: float
 
     def __post_init__(self):
@@ -60,7 +61,7 @@ class ComparisonSetup:
 
 
 def derive_setup(s: SolitonSpec) -> ComparisonSetup:
-    """Extract (G, theta, h) from a spec.
+    """Extract (G, theta, h, h') from a spec.
 
     The Bakry-Emery eigenvalues are rho_fib + f' g'/g and rho_rad + f''
     (both equal lambda on a true soliton); G is the running max of
@@ -73,10 +74,10 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     G_vals = np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1)))
     theta_vals = np.maximum.accumulate(np.maximum(0.0, -s.fp))
     G = GridFn(p.t0, p.t1, G_vals)
-    h = solve_linear_ode2(G, 0.0, 1.0)
+    h, hp = solve_linear_ode2_with_derivative(G, 0.0, 1.0)
     with np.errstate(over="ignore"):  # an overflow is left to GridFn's check
         D = p.fiber_volume * float(np.exp(-s.f.values[0]))
-    return ComparisonSetup(G=G, theta=GridFn(p.t0, p.t1, theta_vals), h=h, D_calibration=D)
+    return ComparisonSetup(G=G, theta=GridFn(p.t0, p.t1, theta_vals), h=h, hp=hp, D_calibration=D)
 
 
 def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualReport:
@@ -92,11 +93,10 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     p.require_model()
     actual = p.d * p.g_ratio - s.fp
     with np.errstate(divide="ignore", invalid="ignore"):
-        hp = derivative(cs.h, 1).values
-        bound = (p.n - 1) * hp / cs.h.values + cs.theta.values
+        bound = (p.n - 1) * cs.hp.values / cs.h.values + cs.theta.values
     per = actual - bound
     per = np.where(np.isfinite(per), per, np.nan)
-    return residual_report("laplacian_comparison", p, per, LAPLACIAN_COMPARISON_TOL, sign=-1)
+    return residual_report("laplacian_comparison", p, per, LAPLACIAN_COMPARISON_TOL, one_sided=True)
 
 
 class VolumeBound(NamedTuple):
@@ -140,7 +140,7 @@ def volume_bound_omega(
     r: float,
 ) -> VolumeBound:
     """Volume bound driven by an envelope xi <= f <= omega instead of a
-    radial-derivative bound:
+    bound on -f':
 
         vol_f(B_r) <= C + B_cal * integral_{r0}^r h(t)^((n-1) + 2 (omega - xi)(t)) dt
 
@@ -155,7 +155,7 @@ def volume_bound_omega(
         raise EnvelopeViolation("potential leaves the envelope xi <= f <= omega")
     if np.any(np.diff(omega.values) < -1e-12):
         raise ValueError("omega must be nondecreasing")
-    if np.any(derivative(xi, 1).values > derivative(omega, 1).values + 1e-9):
+    if np.min(np.diff(omega.values - xi.values)) / omega.h < -1e-9:
         raise ValueError("need xi' <= omega'")
     h_r0 = float(cs.h.eval(r0))
     if h_r0 < 1.0:

@@ -135,8 +135,8 @@ def run_suite(m: Manifest) -> RunReport:
                 result = {"suite": "residual", "passed": bool(rep.passed), "checks": [_residual_dict(rep)]}
             elif name == "identities":
                 checks = []
+                tol = m.tolerances.get("identities")
                 for ident in IDENTITY_IDS:
-                    tol = m.tolerances.get("identities") if ident != "trace_free_balance" else None
                     try:
                         checks.append(_residual_dict(identity_residual(spec, ident, tol=tol)))
                     except NotConformallyFlat as exc:

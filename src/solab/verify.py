@@ -4,9 +4,10 @@ the hypothesis/conclusion audits for the triviality, scalar-curvature and
 gap theorems plus the Omori-Yau condition set.
 
 All identity checks are radial transcriptions evaluated on the working
-grid.  Sup-norms run over trusted samples only: 4 stencil points at each
-end are dropped (8 for identity residuals), and on pole models the band
-within 10 grid spacings of the pole, where 1/g amplifies stencil noise.
+grid, and each is an equality checked two-sided.  Sup-norms run over
+trusted samples only: 4 stencil points at each end are dropped (8 for
+identity residuals), and on pole models the band within 10 grid
+spacings of the pole, where 1/g amplifies stencil noise.
 Grid extrema (S_*, lambda_*, ...) are finite-domain approximations of
 the global quantities, so audits report "consistent with", not "proved".
 """
@@ -48,11 +49,9 @@ __all__ = [
     "audit_theorem",
     "check_OY_hypotheses",
     "IDENTITY_TOL",
-    "ONE_SIDED_SLACK",
 ]
 
 IDENTITY_TOL = 1e-5       # second-order identity residuals
-ONE_SIDED_SLACK = 1e-5    # slack for one-sided (nonnegativity) checks
 
 IDENTITY_IDS = ("grad_f_bochner", "trace", "scalar_gradient", "scalar_laplacian", "trace_free_balance")
 
@@ -75,9 +74,9 @@ class Classification(Enum):
 class ResidualReport:
     """Outcome of one sup-norm (or one-sided) residual check.
 
-    For two-sided checks sup_norm is max |per_point| over trusted samples.
-    For one-sided checks (the trace-free balance, the Laplacian
-    comparison) per_point must stay on one side of zero and sup_norm
+    For two-sided checks (the defining equation and every identity)
+    sup_norm is max |per_point| over trusted samples.  For the one-sided
+    check (the Laplacian comparison) per_point must stay <= 0 and sup_norm
     records the worst violation (0 when the check holds everywhere).
     """
 
@@ -154,33 +153,33 @@ class TrivialityAuditParams:
 # ---------------------------------------------------------------------------
 
 def residual_report(
-    ident: str, p, per_point: np.ndarray, tol: float, *, sign: int = 0, edge: int = EDGE_WIDTH
+    ident: str, p, per_point: np.ndarray, tol: float, *, one_sided: bool = False, edge: int = EDGE_WIDTH
 ) -> ResidualReport:
     """Sup-norm report of per_point over the trusted samples of profile p;
     the report keeps per_point itself, set read-only.
 
-    sign = 0: two-sided, passes when max |per_point| < tol.  sign = +1
-    (-1): one-sided, per_point must stay >= 0 (<= 0); sup_norm is the
-    worst violation (0 when there is none) and the check passes when it
-    is at most tol.  argmax_t locates the worst sample either way.
+    Two-sided: passes when max |per_point| < tol.  one_sided: per_point
+    must stay <= 0; sup_norm is the worst violation (0 when there is
+    none) and the check passes when it is at most tol.  argmax_t locates
+    the worst sample either way.
     """
     if np.isinf(per_point).any():
         raise NonFiniteValues(f"{ident}: residual values must not contain infinities")
     per_point.setflags(write=False)
     mask = p.trusted_mask(ident, per_point, edge=edge)
-    vals = np.abs(per_point) if sign == 0 else -sign * per_point
+    vals = per_point.copy() if one_sided else np.abs(per_point)
     # untrusted samples can never win: every trusted one is finite
     vals[~mask] = -np.inf
     k = int(np.argmax(vals))
     worst = float(vals[k])
     return ResidualReport(
         identity_id=ident,
-        sup_norm=worst if sign == 0 else max(0.0, worst),
+        sup_norm=max(0.0, worst) if one_sided else worst,
         argmax_t=p.grid_at(k),
         per_point=per_point,
         tolerance_used=tol,
-        passed=worst < tol if sign == 0 else worst <= tol,
-        one_sided=sign != 0,
+        passed=worst <= tol if one_sided else worst < tol,
+        one_sided=one_sided,
     )
 
 
@@ -202,8 +201,8 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     trace               trace of the defining equation, S - n lambda + Delta f
     scalar_gradient     S' = 2(n-1) lambda' + 2 f' Ric(radial)
     scalar_laplacian    half Delta_f S against lambda S - |Ric|^2
-    trace_free_balance  one-sided: the |T|^2 balance whose defect is
-                        |grad T|^2 >= 0 (needs a declared space-form fiber)
+    trace_free_balance  the |T|^2 balance against |grad T|^2 (needs a
+                        declared space-form fiber)
     """
     if ident not in IDENTITY_IDS:
         raise ValueError(f"unknown identity {ident!r}")
@@ -211,7 +210,6 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     n, d = p.n, p.d
     c = p.curvature
     lam = s.lam.values
-    sign = 0
 
     if ident == "grad_f_bochner":
         with np.errstate(over="ignore", invalid="ignore"):  # left to GridFn's and residual_report's checks
@@ -237,17 +235,15 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     else:  # trace_free_balance
         if not (p.fiber_constant_curvature and n >= 3):
             raise NotConformallyFlat("the |T|^2 balance needs a space-form fiber and n >= 3")
-        sign = 1
         per = (
             0.5 * s.f_laplacian(nan_fill(c["T_norm2"]))
             - 2.0 * (lam - c["S"] * (n - 2) / (n * (n - 1))) * c["T_norm2"]
             - (n - 2) * s.hess_lam_T
             - 4.0 / (n - 2) * c["trT3"]
+            - grad_T_norm2(s).values
         )
-    if tol is None:
-        tol = ONE_SIDED_SLACK if sign else IDENTITY_TOL
     # composed stencils pollute twice the band
-    return residual_report(ident, p, per, tol, sign=sign, edge=2 * EDGE_WIDTH)
+    return residual_report(ident, p, per, IDENTITY_TOL if tol is None else tol, edge=2 * EDGE_WIDTH)
 
 
 def grad_T_norm2(s: SolitonSpec) -> GridFn:
@@ -264,7 +260,8 @@ def grad_T_norm2(s: SolitonSpec) -> GridFn:
     tr = nan_fill(p.curvature["tau_r"])
     tfp = derivative(GridFn(p.t0, p.t1, tf), 1).values
     trp = derivative(GridFn(p.t0, p.t1, tr), 1).values
-    vals = p.d * tfp**2 + trp**2 + 2.0 * p.d * p.g_ratio**2 * (tf - tr) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow becomes NaN below
+        vals = p.d * tfp**2 + trp**2 + 2.0 * p.d * p.g_ratio**2 * (tf - tr) ** 2
     return GridFn(p.t0, p.t1, np.where(np.isfinite(vals), vals, np.nan))
 
 

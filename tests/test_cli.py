@@ -364,16 +364,24 @@ def test_cli_ball_volume_near_the_float_limit_passes_without_warning(tmp_path, c
 
 
 def test_cli_overflowing_weighted_laplacian_fails_without_warning(tmp_path):
-    # d (g'/g) u' overflows in radial_laplacian: those samples become NaN,
-    # untrusted like a pole sample, and the run ends in failed checks
-    payload = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
-                   params={"c": 5e-324, "g0": 2.3111355340550108e+16, "gp0": 5.479446372782705e+137,
-                           "b": 5e-324, "n": 10},
-                   suites=["identities", "audits"],
-                   grid={"interval": [3.558949814430625e-282, 3.390614269195102e-27], "resolution": 52})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main(["run", write_manifest(tmp_path, payload)]) == 1
+    # d (g'/g) u' overflows in radial_laplacian, and the squares in |grad T|^2
+    # overflow: those samples become NaN, untrusted like a pole sample, and
+    # the run ends in failed checks
+    laplacian = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
+                     params={"c": 5e-324, "g0": 2.3111355340550108e+16, "gp0": 5.479446372782705e+137,
+                             "b": 5e-324, "n": 10},
+                     suites=["identities", "audits"],
+                     grid={"interval": [3.558949814430625e-282, 3.390614269195102e-27], "resolution": 52})
+    grad_T = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
+                  params={"c": 4.272687737249145e-200, "g0": 5.864881174664321e-39,
+                          "gp0": 7.187825930577302e+55, "a": -2.1328874117530036e-277,
+                          "b": -2.2234340695174332e-31, "n": 4},
+                  suites=["identities"],
+                  grid={"interval": [0.0, 6.103515625e-05], "resolution": 98})
+    for payload in (laplacian, grad_T):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["run", write_manifest(tmp_path, payload)]) == 1
 
 
 def _param_value(kind):
@@ -533,6 +541,16 @@ def test_general_sine_identities_hold_at_200001_samples():
     checks = {c["identity_id"]: c for c in report.suite_results[0]["checks"]}
     for ident in ("scalar_gradient", "scalar_laplacian", "trace_free_balance"):
         assert checks[ident]["passed"], (ident, checks[ident]["sup_norm"])
+
+
+def test_cli_trace_free_balance_catches_a_negative_lambda_shift(tmp_path):
+    # the balance is an equality with |grad T|^2, so a shift of either sign fails it
+    payload = dict(DEMO_MANIFESTS["general-sine.json"], suites=["identities"])
+    payload["params"] = dict(payload["params"], corrupt_lambda=-1e-3)
+    out = tmp_path / "report.json"
+    assert main(["run", write_manifest(tmp_path, payload), "--format", "json", "--out", str(out)]) == 1
+    checks = {c["identity_id"]: c for c in json.loads(out.read_text())["suite_results"][0]["checks"]}
+    assert not checks["trace_free_balance"]["passed"]
 
 
 def demo_output_digests(workdir: Path) -> dict:

@@ -16,7 +16,7 @@ from solab.comparison import (
 from solab.errors import EnvelopeViolation, NegativeRadicand, NotAModel
 from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
 from solab.geometry import weighted_ball_volume, weighted_sphere_volume
-from solab.kernel import GridFn, sn, solve_linear_ode2
+from solab.kernel import GridFn, sn, solve_linear_ode2, solve_linear_ode2_with_derivative
 
 
 def hyperbolic_model(n=3, r_max=4.0):
@@ -157,12 +157,8 @@ def test_volume_bound_monotone_in_G():
     bigger = GridFn(cs.G.t0, cs.G.t1, cs.G.values + 0.5)
     from solab.comparison import ComparisonSetup
 
-    cs2 = ComparisonSetup(
-        G=bigger,
-        theta=cs.theta,
-        h=solve_linear_ode2(bigger, 0.0, 1.0),
-        D_calibration=cs.D_calibration,
-    )
+    h, hp = solve_linear_ode2_with_derivative(bigger, 0.0, 1.0)
+    cs2 = ComparisonSetup(G=bigger, theta=cs.theta, h=h, hp=hp, D_calibration=cs.D_calibration)
     for r in (0.5, 1.0, 2.0, 3.0):
         _, b1, _ = volume_bound_check(s, cs, r)
         _, b2, _ = volume_bound_check(s, cs2, r)
@@ -200,6 +196,15 @@ def test_omega_bound_weakens_with_wider_envelope():
     _, wide, ok = volume_bound_omega(s, cs, s.f, s.f.with_values(s.f.values + 1.0), r0=1.0, r=3.0)
     assert ok
     assert wide >= tight
+
+
+def test_omega_bound_rejects_xi_rising_faster_than_omega():
+    s = gaussian_model()
+    cs = derive_setup(s)
+    # xi = 2 f - max f stays below f, but xi' = 2 f' exceeds omega' = f' for r > 0
+    xi = s.f.with_values(2.0 * s.f.values - s.f.values.max())
+    with pytest.raises(ValueError, match="xi' <= omega'"):
+        volume_bound_omega(s, cs, xi, s.f, r0=1.0, r=3.0)
 
 
 def test_omega_bound_envelope_violation():

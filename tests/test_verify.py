@@ -1,8 +1,11 @@
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from solab.cli import DEMO_MANIFESTS
 from solab.errors import MissingParams, NonFiniteValues, NonPositiveG, NotConformallyFlat, NotTraceFree
 from solab.factory import (
     ClassifiedCase,
@@ -13,7 +16,9 @@ from solab.factory import (
 )
 from solab.geometry import POLE_EXCLUSION_STEPS, Polynomial, SnCombination, WarpProfile
 from solab.kernel import EDGE_WIDTH, GridFn, derivative
+from solab.manifest import build_spec, parse_manifest
 from solab.verify import (
+    IDENTITY_IDS,
     TrivialityAuditParams,
     Classification,
     Verdict,
@@ -65,8 +70,6 @@ ALL_SPECS = {
 
 def test_corrupted_lambda_is_detected():
     s = gaussian_spec()
-    from dataclasses import replace
-
     bad = replace(s, lam=s.lam.with_values(s.lam.values + 0.1))
     rep = soliton_residual(bad)
     assert not rep.passed
@@ -82,17 +85,17 @@ def test_residual_report_fields():
     assert not rep.per_point.flags.writeable
 
 
-@pytest.mark.parametrize("sign", [0, 1, -1])
-def test_residual_report_argmax_t_is_the_grid_value(sign):
+@pytest.mark.parametrize("one_sided", [False, True])
+def test_residual_report_argmax_t_is_the_grid_value(one_sided):
     flat = WarpProfile(n=3, rho_sigma=0.0, g=Polynomial(coeffs=(1.0,)), t0=0.3, t1=7.1, n_samples=2001)
     pole = gaussian_spec().profile
     # the last trusted sample, the first one past the pole band, one inside
     for p, i in ((flat, flat.n_samples - 1 - EDGE_WIDTH), (pole, POLE_EXCLUSION_STEPS), (pole, 1234)):
-        bad = 1.0 if sign == -1 else -1.0  # a violation for every sign
+        bad = 1.0 if one_sided else -1.0  # a violation either way
         per = np.zeros(p.n_samples)
         per[i] = bad
         per[[0, -1]] = 100.0 * bad  # untrusted samples never win
-        rep = residual_report("probe", p, per, 0.5, sign=sign)
+        rep = residual_report("probe", p, per, 0.5, one_sided=one_sided)
         assert rep.sup_norm == 1.0
         assert rep.argmax_t == p.grid[i]
 
@@ -110,26 +113,28 @@ def test_residual_report_rejects_infinite_residuals():
 # identity suite
 # ---------------------------------------------------------------------------
 
-TWO_SIDED = ("grad_f_bochner", "trace", "scalar_gradient", "scalar_laplacian")
-
-
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
-@pytest.mark.parametrize("ident", TWO_SIDED)
+@pytest.mark.parametrize("ident", IDENTITY_IDS)
 def test_identities_hold_on_factory_specs(name, ident):
+    # every identity is an equality; the trace-free balance residual is
+    # balance - |grad T|^2, so a pass also pins the balance to |grad T|^2
     rep = identity_residual(ALL_SPECS[name], ident)
+    assert not rep.one_sided
     assert rep.passed, f"{ident} on {name}: {rep.sup_norm:.3e} at t={rep.argmax_t:.3f}"
 
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
 def test_one_sided_trace_free_balance(name):
-    rep = identity_residual(ALL_SPECS[name], "trace_free_balance")
-    assert rep.one_sided
-    assert rep.passed, f"trace-free balance on {name}: min R = {-rep.sup_norm:.3e}"
+    # the balance itself (residual + |grad T|^2) is the one-sided
+    # statement of the paper: it never goes below zero past the old slack
+    s = ALL_SPECS[name]
+    rep = identity_residual(s, "trace_free_balance")
+    balance = rep.per_point + grad_T_norm2(s).values
+    mask = s.profile.trusted_mask("trace-free balance", balance, edge=2 * EDGE_WIDTH)
+    assert np.min(balance[mask]) >= -1e-5, f"trace-free balance on {name}: min {np.min(balance[mask]):.3e}"
 
 
 def test_identity_suite_catches_corruption():
-    from dataclasses import replace
-
     s = einstein_cosh()
     bad = replace(s, lam=s.lam.with_values(s.lam.values * 1.02))
     assert not identity_residual(bad, "trace").passed
@@ -143,7 +148,6 @@ def test_trace_identity_on_gaussian_is_exact():
 
 
 def test_i2_26r_requires_space_form_fiber():
-    from dataclasses import replace
     from solab.geometry import WarpProfile
 
     s = einstein_cosh()
@@ -154,6 +158,53 @@ def test_i2_26r_requires_space_form_fiber():
     )
     with pytest.raises(NotConformallyFlat):
         identity_residual(replace(s, profile=bare), "trace_free_balance")
+
+
+def _mutants(s, eps):
+    """Perturbed copies of a demo spec; every demo warp is an SnCombination,
+    and shifting its k keeps a pole a pole."""
+    p, t = s.profile, s.profile.grid
+    return {
+        "lambda + eps": replace(s, lam=s.lam.with_values(s.lam.values + eps)),
+        "lambda - eps": replace(s, lam=s.lam.with_values(s.lam.values - eps)),
+        "lambda + eps t": replace(s, lam=s.lam.with_values(s.lam.values + eps * t)),
+        "f + eps t^2": replace(s, f=s.f.with_values(s.f.values + eps * t * t)),
+        "warp k + eps": replace(s, profile=replace(p, g=replace(p.g, k=p.g.k + eps))),
+    }
+
+
+# Mutants (eps = 1e-3) each equality check fails on at least one demo at 2001
+# samples.  scalar_gradient sees only lambda', so no constant shift reaches it.
+# The trace-free balance catches its five only on general-sine: the other
+# demos are Einstein or space forms, where T = 0, so both sides stay near 0.
+# The Laplacian comparison is left out: derive_setup re-derives G and theta
+# from the mutated spec, so its inequality holds for any f and no mutant trips it.
+MUTANTS_CAUGHT = {
+    "soliton": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
+    "grad_f_bochner": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
+    "trace": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
+    "scalar_gradient": {"lambda + eps t", "f + eps t^2", "warp k + eps"},
+    "scalar_laplacian": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
+    "trace_free_balance": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
+}
+
+
+def test_equality_checks_catch_mutated_demo_specs():
+    def passed(spec, check):
+        rep = soliton_residual(spec) if check == "soliton" else identity_residual(spec, check)
+        return rep.passed
+
+    caught = {check: set() for check in MUTANTS_CAUGHT}
+    for fname, payload in DEMO_MANIFESTS.items():
+        s = build_spec(parse_manifest(json.dumps(payload).encode()))
+        assert s.profile.n_samples == 2001
+        for check in caught:
+            assert passed(s, check), (fname, check)
+        for name, mutant in _mutants(s, 1e-3).items():
+            for check in caught:
+                if not passed(mutant, check):
+                    caught[check].add(name)
+    assert caught == MUTANTS_CAUGHT
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +291,14 @@ def test_grad_T_closed_form_matches_brute_force_off_einstein():
 
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
 def test_trace_free_balance_defect_equals_grad_T(name):
+    # the residual is the balance defect minus |grad T|^2; on the wider
+    # single-stencil band it stays within 2e-5 of zero
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
     gt = grad_T_norm2(s)
     mask = s.profile.valid_mask(rep.per_point, gt.values)
-    assert np.max(np.abs(rep.per_point[mask] - gt.values[mask])) < 2e-5
+    defect = rep.per_point + gt.values
+    assert np.max(np.abs(defect[mask] - gt.values[mask])) < 2e-5
 
 
 # ---------------------------------------------------------------------------
@@ -433,8 +487,6 @@ def test_audit_violation_on_inconsistent_spec():
     # shrinking constant soliton function; hypotheses all measure true,
     # the scalar-curvature conclusion measures false -> VIOLATION, the
     # state the suite exists to catch
-    from dataclasses import replace
-
     base = hyperbolic_trivial()
     fake = replace(base, lam=base.lam.with_values(np.ones(base.lam.n_samples)),
                    f=base.f.with_values(1e-6 * base.f.grid**2))
@@ -467,8 +519,6 @@ def test_identity_unknown_id_rejected():
 
 
 def test_residual_detects_corrupted_potential():
-    from dataclasses import replace
-
     s = gaussian_spec()
     bad = replace(s, f=s.f.with_values(s.f.values + 0.05 * np.sin(s.f.grid)))
     assert not soliton_residual(bad).passed
