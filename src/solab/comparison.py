@@ -70,14 +70,16 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     """
     p = s.profile
     p.require_model()
+    # each grid is built just before it is read, so the RK4 scan's step
+    # matrices never share the heap with min_eig or theta
     min_eig = nan_fill(np.minimum(*s.bakry_emery))
-    G_vals = np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1)))
-    theta_vals = np.maximum.accumulate(np.maximum(0.0, -s.fp))
-    G = GridFn(p.t0, p.t1, G_vals)
+    G = GridFn.adopt(p.t0, p.t1, np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1))))
+    del min_eig
     h, hp = solve_linear_ode2_with_derivative(G, 0.0, 1.0)
+    theta = GridFn.adopt(p.t0, p.t1, np.maximum.accumulate(np.maximum(0.0, -s.fp)))
     with np.errstate(over="ignore"):  # an overflow is left to GridFn's check
         D = p.fiber_volume * float(np.exp(-s.f.values[0]))
-    return ComparisonSetup(G=G, theta=GridFn(p.t0, p.t1, theta_vals), h=h, hp=hp, D_calibration=D)
+    return ComparisonSetup(G=G, theta=theta, h=h, hp=hp, D_calibration=D)
 
 
 def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualReport:
@@ -91,11 +93,15 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     """
     p = s.profile
     p.require_model()
-    actual = p.d * p.g_ratio - s.fp
+    per = p.d * p.g_ratio
+    per -= s.fp
     with np.errstate(divide="ignore", invalid="ignore"):
-        bound = (p.n - 1) * cs.hp.values / cs.h.values + cs.theta.values
-    per = actual - bound
-    per = np.where(np.isfinite(per), per, np.nan)
+        bound = (p.n - 1) * cs.hp.values
+        bound /= cs.h.values
+        bound += cs.theta.values
+    per -= bound  # actual - bound
+    del bound
+    per[~np.isfinite(per)] = np.nan
     return residual_report("laplacian_comparison", p, per, LAPLACIAN_COMPARISON_TOL, one_sided=True)
 
 
@@ -122,12 +128,14 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     actual = weighted_ball_volume(p, s.f, r)
     Theta = integrate_cumulative(cs.theta)
     with np.errstate(over="ignore", invalid="ignore"):  # left to the finiteness test below
-        integrand = cs.h.values ** (p.n - 1) * np.exp(Theta.values)
+        integrand = cs.h.values ** (p.n - 1)
+        integrand *= np.exp(Theta.values)
     D = cs.D_calibration
     if not (np.isfinite(integrand).all() and 0.0 < D < math.inf):
         # D h^(n-1) e^Theta as one density, in logs where a factor leaves the float range
         D, integrand = 1.0, sphere_volume_density(p, cs.h.values, s.f.values[0] - Theta.values)
-    bound = D * integrate_cumulative(GridFn(p.t0, p.t1, integrand)).eval(r)
+    del Theta
+    bound = D * integrate_cumulative(GridFn.adopt(p.t0, p.t1, integrand)).eval(r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 
@@ -246,7 +254,7 @@ def f_parabolic_test(s: SolitonSpec, r_max: float) -> ParabolicVerdict:
     r_max = float(r_max)
     if r_max / 4 < 2.0 or r_max > p.t1 + 1e-12:
         raise ValueError("need 8 <= r_max <= profile end")
-    dens = sphere_volume_density(p, p.warp_values[0], s.f.values)
+    dens = sphere_volume_density(p, p.g_values, s.f.values)
     with np.errstate(divide="ignore"):
         integrand = 1.0 / dens
     integrand = np.where(np.isfinite(integrand), integrand, 0.0)

@@ -1,5 +1,25 @@
 """Exception types raised across the soliton laboratory."""
 
+__all__ = [
+    "SolabError",
+    "InvalidDimension",
+    "NonFiniteValues",
+    "OverflowDetected",
+    "NotAModel",
+    "InvalidWarp",
+    "InvalidCase",
+    "NotConformallyFlat",
+    "NotTraceFree",
+    "MissingParams",
+    "NonPositiveG",
+    "EnvelopeViolation",
+    "InvalidRegime",
+    "NegativeRadicand",
+    "NoTrustedSamples",
+    "ParseError",
+    "SchemaError",
+]
+
 
 class SolabError(Exception):
     """Base class for all errors raised by this package."""

@@ -33,6 +33,7 @@ __all__ = [
     "build_gaussian",
     "CLOSED_FORM_TOL",
     "QUADRATURE_TOL",
+    "DEFAULT_RESOLUTION",
 ]
 
 # sup-norm residual each family is required to meet (composed O(h^4)
@@ -122,9 +123,11 @@ class SolitonSpec:
             return p.d * (self.lamp * p.g_ratio) * c["tau_f"] + self.lampp * c["tau_r"]
 
     def f_laplacian(self, u_values: np.ndarray) -> np.ndarray:
-        """Weighted Laplacian Delta_f of the radial function with these samples."""
+        """Weighted Laplacian Delta_f of the radial function with these
+        samples; u_values is read, not copied, and must not change during
+        the call."""
         p = self.profile
-        u = GridFn(p.t0, p.t1, u_values)
+        u = GridFn.adopt(p.t0, p.t1, u_values)
         return radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, self.fp)
 
 

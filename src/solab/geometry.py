@@ -40,6 +40,8 @@ __all__ = [
     "WarpProfile",
     "unit_sphere_volume",
     "curvature_grids",
+    "ric_norm2",
+    "trace_free_cube",
     "radial_laplacian",
     "sphere_volume_density",
     "weighted_sphere_volume",
@@ -199,11 +201,20 @@ class WarpProfile:
 
     @cached_property
     def warp_values(self):
-        """(g, g', g'') sampled on the grid (read-only), from the closed form."""
+        """(g, g', g'') sampled on the grid (read-only), from the closed form.
+
+        Held until the curvature grids are built: after them g' and g''
+        have no reader, and g stays cached as g_values.  A read after that
+        evaluates the closed form again."""
         warp = tuple(np.asarray(a, dtype=float) for a in self.g.derivatives(self.grid))
         for a in warp:
             a.setflags(write=False)
         return warp
+
+    @cached_property
+    def g_values(self) -> np.ndarray:
+        """g sampled on the grid (read-only); it outlives warp_values."""
+        return self.warp_values[0]
 
     @cached_property
     def g_ratio(self) -> np.ndarray:
@@ -218,8 +229,12 @@ class WarpProfile:
 
     @cached_property
     def curvature(self):
-        """curvature_grids of this profile as a read-only mapping, built on first use."""
-        return MappingProxyType(curvature_grids(self))
+        """curvature_grids of this profile as a read-only mapping, built on
+        first use.  Building it releases warp_values (see there)."""
+        out = MappingProxyType(curvature_grids(self))
+        self.g_values  # cache g before (g, g', g'') goes
+        self.__dict__.pop("warp_values", None)
+        return out
 
     def valid_mask(self, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
         """Samples trusted for sup-norms: stencil-interior, away from a
@@ -247,9 +262,17 @@ class WarpProfile:
         return m
 
 
+def _nan_where_nonfinite(arr: np.ndarray) -> np.ndarray:
+    """arr with every non-finite sample set to NaN, in place."""
+    arr[~np.isfinite(arr)] = np.nan
+    return arr
+
+
 def curvature_grids(p: WarpProfile) -> dict:
-    """Read-only grids of every curvature scalar: the Ricci eigenvalues,
-    S, |Ric|^2, the trace-free eigenvalues tau, |T|^2 and tr T^3.
+    """Read-only grids of the curvature scalars read more than once: the
+    Ricci eigenvalues, S, the trace-free eigenvalues tau and |T|^2.
+    |Ric|^2 and tr T^3 have one reader each and are built there
+    (ric_norm2, trace_free_cube).
 
     At a pole the formulas are 0/0.  Those samples, and any that leave the
     float range, are NaN; valid_mask excludes them from every sup-norm.
@@ -267,18 +290,34 @@ def curvature_grids(p: WarpProfile) -> dict:
             "rho_fib": rho_fib,
             "rho_rad": rho_rad,
             "S": S,
-            "ric_norm2": d * rho_fib**2 + rho_rad**2,
             "tau_f": tau_f,
             "tau_r": tau_r,
             "T_norm2": d * tau_f**2 + tau_r**2,
-            # cubes by multiplication: numpy's pow drops to scalar libm calls
-            # for negative bases, and a trace-free pair always has one
-            "trT3": d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r,
         }
     for arr in out.values():
-        arr[~np.isfinite(arr)] = np.nan
-        arr.setflags(write=False)
+        _nan_where_nonfinite(arr).setflags(write=False)
     return out
+
+
+def ric_norm2(p: WarpProfile) -> np.ndarray:
+    """|Ric|^2 = d rho_fib^2 + rho_rad^2 on the grid, NaN where the
+    curvature is or where it leaves the float range."""
+    c = p.curvature
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = p.d * c["rho_fib"] ** 2 + c["rho_rad"] ** 2
+    return _nan_where_nonfinite(out)
+
+
+def trace_free_cube(p: WarpProfile) -> np.ndarray:
+    """tr T^3 = d tau_f^3 + tau_r^3 on the grid, NaN where the curvature
+    is or where it leaves the float range."""
+    c = p.curvature
+    tau_f, tau_r = c["tau_f"], c["tau_r"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cubes by multiplication: numpy's pow drops to scalar libm calls
+        # for negative bases, and a trace-free pair always has one
+        out = p.d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r
+    return _nan_where_nonfinite(out)
 
 
 def radial_laplacian(
@@ -308,7 +347,7 @@ def sphere_volume_density(p: WarpProfile, g, f=None):
     with np.errstate(over="ignore", invalid="ignore"):
         dens = fv * g**p.d
         if f is not None:
-            dens = dens * np.exp(-f)
+            dens *= np.exp(-f)
     redo = ~np.isfinite(dens) | (fv == 0.0)
     if not np.any(redo):
         return dens
@@ -332,5 +371,5 @@ def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray
     Simpson of the sphere-volume density.  r may be one radius (returns a
     float) or an array of radii (returns an array), as for GridFn.eval."""
     p.require_model()
-    dens = sphere_volume_density(p, p.warp_values[0], None if f is None else f.values)
-    return integrate_cumulative(GridFn(p.t0, p.t1, dens)).eval(r)
+    dens = sphere_volume_density(p, p.g_values, None if f is None else f.values)
+    return integrate_cumulative(GridFn.adopt(p.t0, p.t1, dens)).eval(r)

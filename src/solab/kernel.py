@@ -27,7 +27,10 @@ __all__ = [
     "nan_fill",
     "integrate_cumulative",
     "solve_linear_ode2",
+    "solve_linear_ode2_with_derivative",
     "fd_weights",
+    "EDGE_WIDTH",
+    "MIN_SAMPLES",
 ]
 
 # Width of the one-sided stencil band at each end of the grid.  Grids must
@@ -56,13 +59,15 @@ class GridFn:
         self._own(np.array(self.values, dtype=float))
 
     @classmethod
-    def _wrap(cls, t0: float, t1: float, values: np.ndarray) -> "GridFn":
-        """A GridFn around a fresh float array that nothing else holds:
-        the same checks as the constructor, without its defensive copy."""
+    def adopt(cls, t0: float, t1: float, values: np.ndarray) -> "GridFn":
+        """A GridFn over a float array the caller hands over and no longer
+        writes to: the same checks as the constructor, without its
+        defensive copy.  It reads the array through a read-only view, so
+        the caller's own array keeps its flags."""
         out = object.__new__(cls)
         object.__setattr__(out, "t0", t0)
         object.__setattr__(out, "t1", t1)
-        out._own(values)
+        out._own(np.asarray(values, dtype=float).view())
         return out
 
     def _own(self, vals: np.ndarray) -> None:
@@ -282,7 +287,7 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
     # index n-1-i, with the axis flip negating odd derivative orders)
     sign = -1.0 if order % 2 else 1.0
     out[n - EDGE_WIDTH :] = (sign * (edge @ v[: n - width - 1 : -1]) / scale)[::-1]
-    return GridFn._wrap(f.t0, f.t1, out)
+    return GridFn.adopt(f.t0, f.t1, out)
 
 
 def nan_fill(arr: np.ndarray) -> np.ndarray:
@@ -335,7 +340,7 @@ def integrate_cumulative(f: GridFn) -> GridFn:
             F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
         if shift:
             F *= 2.0**shift
-    return GridFn._wrap(f.t0, f.t1, F)
+    return GridFn.adopt(f.t0, f.t1, F)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +445,7 @@ def _rk4_linear(Q: GridFn, y0: float, yp0: float):
     if big.any():
         i = int(np.argmax(big)) + 1
         raise OverflowDetected(f"solution exceeded 1e300 near t = {Q.t0 + i * Q.h:.6g}")
-    return GridFn._wrap(Q.t0, Q.t1, y), GridFn._wrap(Q.t0, Q.t1, v)
+    return GridFn.adopt(Q.t0, Q.t1, y), GridFn.adopt(Q.t0, Q.t1, v)
 
 
 def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> GridFn:

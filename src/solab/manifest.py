@@ -26,11 +26,14 @@ from .factory import (
 from .geometry import Polynomial, SnCombination
 from .kernel import MIN_SAMPLES
 
-__all__ = ["Manifest", "parse_manifest", "build_spec", "FAMILIES", "SUITES", "DEFAULT_SEED"]
+__all__ = ["Manifest", "parse_manifest", "build_spec", "FAMILIES", "SUITES", "DEFAULT_SEED", "MAX_SAMPLES"]
 
 SUITES = ("residual", "identities", "audits", "comparison", "okumura", "oy")
 TOLERANCE_KEYS = ("residual", "identities")
 DEFAULT_SEED = 42
+# 50 times the 200001-sample fine grid; a job peaks near 23 full-grid
+# arrays, about 1.8 GB at this size (README, Conventions)
+MAX_SAMPLES = 10**7
 
 # family name -> (description, {param: (kind, required, default)})
 # every family also accepts the fault-injection key "corrupt_lambda"
@@ -221,6 +224,8 @@ def parse_manifest(text) -> Manifest:
     resolution = _integer(grid.get("resolution", DEFAULT_RESOLUTION), "$.grid.resolution")
     if resolution < MIN_SAMPLES:
         raise SchemaError(f"$.grid.resolution must be at least {MIN_SAMPLES}")
+    if resolution > MAX_SAMPLES:
+        raise SchemaError(f"$.grid.resolution must be at most {MAX_SAMPLES}")
 
     suites_raw = raw.get("suites")
     if not isinstance(suites_raw, list) or not suites_raw:

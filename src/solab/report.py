@@ -6,12 +6,15 @@ import json
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from .comparison import derive_setup, laplacian_comparison_check, volume_bound_check
 from .errors import NotConformallyFlat, SolabError
 from .factory import SolitonSpec
+from .geometry import ric_norm2
 from .manifest import Manifest, build_spec
 from .verify import (
     IDENTITY_IDS,
@@ -59,7 +62,7 @@ class RunReport:
     overall: bool
     seed: int
     timings: dict | None
-    table: dict  # profile-table columns, emitted by the csv format only
+    table: Callable[[], dict]  # builds the profile-table columns; the csv format alone calls it
 
     def to_dict(self) -> dict:
         out = {
@@ -122,7 +125,6 @@ def run_suite(m: Manifest) -> RunReport:
     p = spec.profile
     results: list = []
     timings: dict = {}
-    residual_points = None
     cs = None  # comparison setup, shared by the comparison and oy suites
     overall = True
 
@@ -130,9 +132,9 @@ def run_suite(m: Manifest) -> RunReport:
         start = time.perf_counter()
         try:
             if name == "residual":
-                rep = soliton_residual(spec, tol=m.tolerances.get("residual"))
-                residual_points = rep.per_point
-                result = {"suite": "residual", "passed": bool(rep.passed), "checks": [_residual_dict(rep)]}
+                # reports are reduced to their dicts at once, so no per_point outlives its check
+                check = _residual_dict(soliton_residual(spec, tol=m.tolerances.get("residual")))
+                result = {"suite": "residual", "passed": check["passed"], "checks": [check]}
             elif name == "identities":
                 checks = []
                 tol = m.tolerances.get("identities")
@@ -152,9 +154,8 @@ def run_suite(m: Manifest) -> RunReport:
                 result = {"suite": "audits", "passed": bool(passed), "checks": checks}
             elif name == "comparison":
                 cs = derive_setup(spec) if cs is None else cs
-                lap = laplacian_comparison_check(spec, cs)
-                checks = [_residual_dict(lap)]
-                passed = lap.passed
+                checks = [_residual_dict(laplacian_comparison_check(spec, cs))]
+                passed = checks[0]["passed"]
                 radii = [p.t0 + frac * (p.t1 - p.t0) for frac in (0.25, 0.5, 0.75)]
                 vb = volume_bound_check(spec, cs, np.array(radii))
                 for r, actual, bound, ok in zip(radii, *(col.tolist() for col in vb)):
@@ -181,17 +182,6 @@ def run_suite(m: Manifest) -> RunReport:
         overall = overall and result["passed"]
         results.append(result)
 
-    curv = p.curvature
-    table = {
-        "t": p.grid,
-        "g": p.warp_values[0],
-        "f": spec.f.values,
-        "lambda": spec.lam.values,
-        "S": curv["S"],
-        "ric_norm2": curv["ric_norm2"],
-        "T_norm2": curv["T_norm2"],
-        "residual": residual_points,
-    }
     return RunReport(
         manifest_echo=m.echo(),
         spec_summary=_spec_summary(spec),
@@ -199,8 +189,26 @@ def run_suite(m: Manifest) -> RunReport:
         overall=overall,
         seed=m.seed,
         timings=timings,
-        table=table,
+        table=partial(_profile_table, spec, "residual" in m.suites),
     )
+
+
+def _profile_table(spec: SolitonSpec, with_residual: bool) -> dict:
+    """The columns of the csv profile table, by CSV_COLUMNS name.  The
+    residual column, filled when the residual suite ran, is computed
+    again here rather than held through a job whose output has no table."""
+    p = spec.profile
+    curv = p.curvature
+    return {
+        "t": p.grid,
+        "g": p.g_values,
+        "f": spec.f.values,
+        "lambda": spec.lam.values,
+        "S": curv["S"],
+        "ric_norm2": ric_norm2(p),
+        "T_norm2": curv["T_norm2"],
+        "residual": soliton_residual(spec).per_point if with_residual else None,
+    }
 
 
 def _fmt_cell(x) -> str:
@@ -218,8 +226,9 @@ def render_report(r: RunReport, fmt: str) -> str:
         return json.dumps(r.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if fmt == "csv":
         rows = [",".join(CSV_COLUMNS)]
-        n = len(r.table["t"])
-        cols = [r.table[c] for c in CSV_COLUMNS]
+        table = r.table()
+        n = len(table["t"])
+        cols = [table[c] for c in CSV_COLUMNS]
         for i in range(n):
             rows.append(",".join("" if col is None else _fmt_cell(col[i]) for col in cols))
         return "\n".join(rows) + "\n"

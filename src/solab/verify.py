@@ -29,7 +29,7 @@ from .errors import (
     NotTraceFree,
 )
 from .factory import SolitonSpec
-from .geometry import radial_laplacian
+from .geometry import radial_laplacian, ric_norm2, trace_free_cube
 from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, nan_fill
 
 __all__ = [
@@ -211,37 +211,35 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     c = p.curvature
     lam = s.lam.values
 
+    # sums of several terms accumulate in place, left to right, so each
+    # term's temporaries are freed before the next term is built
     if ident == "grad_f_bochner":
         with np.errstate(over="ignore", invalid="ignore"):  # left to GridFn's and residual_report's checks
-            hess2 = s.fpp**2 + d * (s.fp * p.g_ratio) ** 2
-            per = (
-                0.5 * s.f_laplacian(s.fp**2)
-                - hess2
-                + lam * s.fp**2
-                + (n - 2) * s.lamp * s.fp
-            )
+            per = s.f_laplacian(s.fp**2)
+            per *= 0.5
+            per -= s.fpp**2 + d * (s.fp * p.g_ratio) ** 2  # |Hess f|^2
+            per += lam * s.fp**2
+            per += (n - 2) * s.lamp * s.fp
     elif ident == "trace":
         per = c["S"] - n * lam + radial_laplacian(p, s.fp, s.fpp)
     elif ident == "scalar_gradient":
-        S_prime = derivative(GridFn(p.t0, p.t1, nan_fill(c["S"])), 1).values
+        S_prime = derivative(GridFn.adopt(p.t0, p.t1, nan_fill(c["S"])), 1).values
         per = S_prime - 2 * (n - 1) * s.lamp - 2 * s.fp * c["rho_rad"]
     elif ident == "scalar_laplacian":
-        per = (
-            0.5 * s.f_laplacian(nan_fill(c["S"]))
-            - lam * c["S"]
-            + c["ric_norm2"]
-            - (n - 1) * s.lap_lam
-        )
+        per = s.f_laplacian(nan_fill(c["S"]))
+        per *= 0.5
+        per -= lam * c["S"]
+        per += ric_norm2(p)
+        per -= (n - 1) * s.lap_lam
     else:  # trace_free_balance
         if not (p.fiber_constant_curvature and n >= 3):
             raise NotConformallyFlat("the |T|^2 balance needs a space-form fiber and n >= 3")
-        per = (
-            0.5 * s.f_laplacian(nan_fill(c["T_norm2"]))
-            - 2.0 * (lam - c["S"] * (n - 2) / (n * (n - 1))) * c["T_norm2"]
-            - (n - 2) * s.hess_lam_T
-            - 4.0 / (n - 2) * c["trT3"]
-            - grad_T_norm2(s).values
-        )
+        per = s.f_laplacian(nan_fill(c["T_norm2"]))
+        per *= 0.5
+        per -= 2.0 * (lam - c["S"] * (n - 2) / (n * (n - 1))) * c["T_norm2"]
+        per -= (n - 2) * s.hess_lam_T
+        per -= 4.0 / (n - 2) * trace_free_cube(p)
+        per -= grad_T_norm2(s).values
     # composed stencils pollute twice the band
     return residual_report(ident, p, per, IDENTITY_TOL if tol is None else tol, edge=2 * EDGE_WIDTH)
 
@@ -258,11 +256,15 @@ def grad_T_norm2(s: SolitonSpec) -> GridFn:
     p = s.profile
     tf = nan_fill(p.curvature["tau_f"])
     tr = nan_fill(p.curvature["tau_r"])
-    tfp = derivative(GridFn(p.t0, p.t1, tf), 1).values
-    trp = derivative(GridFn(p.t0, p.t1, tr), 1).values
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow becomes NaN below
-        vals = p.d * tfp**2 + trp**2 + 2.0 * p.d * p.g_ratio**2 * (tf - tr) ** 2
-    return GridFn(p.t0, p.t1, np.where(np.isfinite(vals), vals, np.nan))
+        # term by term, so each derivative is freed once it is squared
+        vals = p.d * derivative(GridFn.adopt(p.t0, p.t1, tf), 1).values ** 2
+        vals += derivative(GridFn.adopt(p.t0, p.t1, tr), 1).values ** 2
+        cross = (tf - tr) ** 2
+        cross *= 2.0 * p.d * p.g_ratio**2
+        vals += cross
+    vals[~np.isfinite(vals)] = np.nan
+    return GridFn.adopt(p.t0, p.t1, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -335,36 +337,52 @@ def _verdict(hyps: dict, concls: dict) -> Verdict:
     return Verdict.HYPOTHESES_NOT_MET
 
 
+def _gradient_growth_flag(fp, r, mask, fit, sigma: float) -> Flag:
+    """|grad f|^2 grows no faster than r^sigma, by the log-log slope over
+    the final third of the trusted samples (fit)."""
+    with np.errstate(over="ignore"):
+        grad2 = fp**2
+    if np.isinf(grad2).any():
+        raise NonFiniteValues("triviality: |grad f|^2 leaves the float range")
+    exponent = _fit_growth_exponent(r[fit], grad2[fit])
+    if np.max(grad2[mask]) < 1e-20:
+        growth_ok = True
+    elif sigma == 0:
+        growth_ok = exponent <= 0.05
+    else:
+        growth_ok = exponent <= sigma - 0.05
+    return Flag(bool(growth_ok), exponent)
+
+
+def _lambda_bounds_flag(lam, r, mask, n: int, params: TrivialityAuditParams) -> Flag:
+    """-(n-1) B^2 (1+r^2)^(alpha/2) <= lambda <= -(n-1) A^2 (1+r^2)^(-mu/2)
+    on the trusted samples, with the worst violation as the measure."""
+    q = r**2
+    q += 1.0
+    lower = q ** (params.alpha / 2)
+    lower *= -(n - 1) * params.B**2
+    lower -= lam
+    q **= -params.mu / 2
+    q *= -(n - 1) * params.A**2  # the upper bound
+    np.subtract(lam, q, out=q)
+    violation = np.maximum(lower, q, out=q)[mask]
+    return Flag(bool(np.max(violation) <= 1e-12), float(np.max(violation)))
+
+
 def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditReport:
     fp = s.fp
     p = s.profile
     n = p.n
     lam = s.lam.values
     mask = p.trusted_mask("triviality", lam, fp)
-    t = p.grid
-    r = t - p.t0
+    r = p.grid
+    fit = mask & (r >= p.t0 + 2.0 * (p.t1 - p.t0) / 3.0)
+    r -= p.t0  # the distance from t0, in the grid's buffer
 
     hyps = {}
     hyps["expanding"] = Flag(bool(np.all(lam < 0)), float(np.max(lam)))
-
-    with np.errstate(over="ignore"):
-        grad2 = fp**2
-    if np.isinf(grad2).any():
-        raise NonFiniteValues("triviality: |grad f|^2 leaves the float range")
-    fit = mask & (t >= p.t0 + 2.0 * (p.t1 - p.t0) / 3.0)
-    exponent = _fit_growth_exponent(r[fit], grad2[fit])
-    if np.max(grad2[mask]) < 1e-20:
-        growth_ok = True
-    elif params.sigma == 0:
-        growth_ok = exponent <= 0.05
-    else:
-        growth_ok = exponent <= params.sigma - 0.05
-    hyps["gradient_growth"] = Flag(bool(growth_ok), exponent)
-
-    lower = -(n - 1) * params.B**2 * (1 + r**2) ** (params.alpha / 2)
-    upper = -(n - 1) * params.A**2 * (1 + r**2) ** (-params.mu / 2)
-    violation = np.maximum(lower - lam, lam - upper)[mask]
-    hyps["lambda_bounds"] = Flag(bool(np.max(violation) <= 1e-12), float(np.max(violation)))
+    hyps["gradient_growth"] = _gradient_growth_flag(fp, r, mask, fit, params.sigma)
+    hyps["lambda_bounds"] = _lambda_bounds_flag(lam, r, mask, n, params)
 
     if n == 2:
         hyps["sign_condition"] = Flag(True, "n = 2, condition waived")
@@ -482,6 +500,19 @@ def audit_theorem(s: SolitonSpec, theorem: str, params: TrivialityAuditParams | 
 # Omori-Yau condition set
 # ---------------------------------------------------------------------------
 
+def _oy_windows(G: GridFn, t_max: float) -> tuple:
+    """The grid points of the last tenth and of the mid tenth of
+    [1, t_max]; raises NoTrustedSamples when either is empty."""
+    lo, hi = 1.0, t_max
+    tw = G.grid
+    tw = tw[(tw >= lo) & (tw <= hi)]
+    t_last = tw[tw >= hi - 0.1 * (hi - lo)]
+    t_mid = tw[(tw >= lo + 0.5 * (hi - lo)) & (tw <= lo + 0.6 * (hi - lo))]
+    if not (hi > lo and t_last.size and t_mid.size):
+        raise NoTrustedSamples(f"omori_yau: no samples in the mid and last tenths of [1, {t_max:g}]")
+    return t_last, t_mid
+
+
 def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     """Finite-domain checks of the four admissibility conditions on a
     Ricci lower-bound profile G.
@@ -498,13 +529,7 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
         raise NonPositiveG("G must be strictly positive")
     if G.t0 > 1e-12 or t_max > G.t1 + 1e-12:
         raise ValueError("need G sampled on [0, t_max]")
-    t = G.grid
-    lo, hi = 1.0, t_max
-    tw = t[(t >= lo) & (t <= hi)]
-    last = tw >= hi - 0.1 * (hi - lo)
-    mid = (tw >= lo + 0.5 * (hi - lo)) & (tw <= lo + 0.6 * (hi - lo))
-    if not (hi > lo and last.any() and mid.any()):
-        raise NoTrustedSamples(f"omori_yau: no samples in the mid and last tenths of [1, {t_max:g}]")
+    t_last, t_mid = _oy_windows(G, t_max)
 
     hyps = {}
     hyps["positive_at_origin"] = Flag(bool(G.values[0] > 0), float(G.values[0]))
@@ -514,13 +539,13 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     worst = float(np.min(np.diff(G.values))) / G.h
     hyps["nondecreasing"] = Flag(worst >= -_NULL_THRESHOLD, worst)
 
-    inv_sqrt = integrate_cumulative(G.with_values(G.values**-0.5))
+    inv_sqrt = integrate_cumulative(GridFn.adopt(G.t0, G.t1, G.values**-0.5))
     full = float(inv_sqrt.eval(t_max))
     half = float(inv_sqrt.eval(t_max / 2))
     increment = (full - half) / full if full > 0 else 0.0
     hyps["inverse_sqrt_not_integrable"] = Flag(increment > 0.05, increment)
 
-    m_last, m_mid = (float(np.max(tq * G.eval(np.sqrt(tq)) / G.eval(tq))) for tq in (tw[last], tw[mid]))
+    m_last, m_mid = (float(np.max(tq * G.eval(np.sqrt(tq)) / G.eval(tq))) for tq in (t_last, t_mid))
     stable = bool(np.isfinite(m_last) and np.isfinite(m_mid) and m_last <= 2.0 * m_mid)
     hyps["scaling_ratio_stabilizes"] = Flag(stable, m_last)
 

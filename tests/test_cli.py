@@ -4,6 +4,7 @@ import json
 import platform
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from solab import cli
 from solab.cli import DEMO_MANIFESTS, main
 from solab.errors import NotAModel, ParseError, SchemaError
-from solab.manifest import FAMILIES, SUITES, TOLERANCE_KEYS, build_spec, parse_manifest
+from solab.manifest import FAMILIES, MAX_SAMPLES, SUITES, TOLERANCE_KEYS, build_spec, parse_manifest
+from solab import report as report_module
 from solab.report import render_report, run_suite
 
 GAUSSIAN_MANIFEST = {
@@ -605,6 +607,27 @@ def test_parse_rejects_bad_grid():
         parse_manifest(manifest_bytes(bad))
     # a manifest without a resolution gets the default
     assert parse_manifest(manifest_bytes(dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8]}))).resolution == 2001
+    largest = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8], "resolution": MAX_SAMPLES})
+    assert parse_manifest(manifest_bytes(largest)).resolution == 10**7
+
+
+def test_cli_grid_above_the_sample_cap_exit_two(tmp_path, capsys, monkeypatch):
+    # the parse rejects it, so no grid is ever allocated
+    def no_build(_manifest):
+        raise AssertionError("a spec was built for a manifest beyond the sample cap")
+
+    monkeypatch.setattr(report_module, "build_spec", no_build)
+    payload = dict(GAUSSIAN_MANIFEST, grid={"interval": [0, 8], "resolution": MAX_SAMPLES + 1})
+    path = write_manifest(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        code = main(["run", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "$.grid.resolution must be at most 10000000" in capsys.readouterr().err
+    assert peak < 8 * MAX_SAMPLES / 100  # far below one grid array
 
 
 def test_parse_rejects_bad_closed_form():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -103,6 +104,40 @@ def test_laplacian_strict_on_gaussian():
     t = s.profile.grid
     mask = s.profile.valid_mask(rep.per_point)
     np.testing.assert_allclose(rep.per_point[mask], -t[mask], atol=1e-7)
+
+
+def _f_mutants(s, eps):
+    t = s.profile.grid
+    return {sign: replace(s, f=s.f.with_values(s.f.values + sign * eps * t * t)) for sign in (-1, 1)}
+
+
+def test_laplacian_comparison_catches_a_mutant_against_the_fixed_setup():
+    # The check compares a spec with bound data derived from that same
+    # spec, so a mutant checked against its own setup passes.  With the
+    # unmutated setup held fixed, f - eps t^2 raises Delta_f r by
+    # 2 eps r above the sharp bound on the hyperbolic model and fails;
+    # f + eps t^2 lowers it and passes, as an inequality should.
+    s = hyperbolic_model()
+    cs = derive_setup(s)
+    mutants = _f_mutants(s, 1e-3)
+    lower = laplacian_comparison_check(mutants[-1], cs)
+    assert not lower.passed
+    # 8.0e-3: 2 eps r at the last trusted sample, r = 3.992
+    assert lower.sup_norm == pytest.approx(2e-3 * lower.argmax_t, rel=1e-6)
+    assert lower.argmax_t == pytest.approx(3.992)
+    assert laplacian_comparison_check(mutants[1], cs).sup_norm == 0.0
+    for mutant in mutants.values():
+        assert laplacian_comparison_check(mutant, derive_setup(mutant)).passed
+
+
+def test_laplacian_comparison_on_gaussian_misses_both_mutants():
+    # gaussian sits a distance r below its bound (f' = r, theta = 0), far
+    # from the sharp case, so a 2e-3 r shift of Delta_f r either way
+    # stays below it
+    s = gaussian_model()
+    cs = derive_setup(s)
+    for mutant in _f_mutants(s, 1e-3).values():
+        assert laplacian_comparison_check(mutant, cs).sup_norm == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ from solab.geometry import (
     WarpProfile,
     curvature_grids,
     radial_laplacian,
+    ric_norm2,
     sphere_volume_density,
+    trace_free_cube,
     unit_sphere_volume,
     weighted_ball_volume,
     weighted_sphere_volume,
@@ -86,16 +88,17 @@ def test_hyperbolic_model_constant_curvature():
 
 
 def test_cylinder_is_ricci_flat():
-    grids = curvature_grids(cylinder_profile())
-    for key in ("rho_fib", "rho_rad", "S", "ric_norm2", "T_norm2"):
-        assert np.nanmax(np.abs(grids[key])) < 1e-12
+    p = cylinder_profile()
+    grids = curvature_grids(p)
+    for arr in (*(grids[key] for key in ("rho_fib", "rho_rad", "S", "T_norm2")), ric_norm2(p)):
+        assert np.nanmax(np.abs(arr)) < 1e-12
 
 
 def test_pole_sample_is_nan_and_excluded():
     # the curvature formulas are 0/0 at the pole: no value, no sup-norm
     p = hyperbolic_profile()
     grids = curvature_grids(p)
-    assert all(np.isnan(arr[0]) for arr in grids.values())
+    assert all(np.isnan(arr[0]) for arr in (*grids.values(), ric_norm2(p), trace_free_cube(p)))
     assert not np.isnan(grids["rho_fib"][1])
     for edge in (0, 4, 8):
         assert not p.valid_mask(*grids.values(), edge=edge)[0]
@@ -406,7 +409,7 @@ def test_trace_free_cube_by_multiplication_matches_pow():
     p = WarpProfile(n=3, rho_sigma=1.0, g=g, t0=0.0, t1=2 * np.pi, n_samples=2001, fiber_constant_curvature=True)
     c = curvature_grids(p)
     assert (c["tau_f"] < 0).any()
-    np.testing.assert_allclose(c["trT3"], p.d * c["tau_f"] ** 3 + c["tau_r"] ** 3, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(trace_free_cube(p), p.d * c["tau_f"] ** 3 + c["tau_r"] ** 3, rtol=1e-15, atol=0)
 
 
 @pytest.mark.parametrize("t0, t1, res", [(0.0, 8.0, 2001), (0.3, 7.1, 20001), (-2.0, 1e-3, 9)])

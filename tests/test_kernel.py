@@ -308,6 +308,18 @@ def test_gridfn_owns_a_copy_and_kernel_outputs_keep_the_checks():
         derivative(tiny, 2)
 
 
+def test_gridfn_adopt_shares_the_array_and_keeps_the_checks():
+    v = np.linspace(0.0, 1.0, 11)
+    f = GridFn.adopt(0.0, 1.0, v)
+    # no copy, and the caller's array keeps its flags
+    assert np.shares_memory(f.values, v) and v.flags.writeable and not f.values.flags.writeable
+    v[3] = np.inf
+    with pytest.raises(NonFiniteValues):
+        GridFn.adopt(0.0, 1.0, v)
+    with pytest.raises(ValueError, match="at least"):
+        GridFn.adopt(0.0, 1.0, np.zeros(8))
+
+
 def test_gridfn_interpolation_accuracy():
     f = GridFn.from_callable(np.sin, 0.0, np.pi, 2001)
     t = np.linspace(0.1, 3.0, 77)

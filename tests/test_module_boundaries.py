@@ -39,13 +39,17 @@ def test_every_name_in_all_is_defined():
     assert stale == []
 
 
-def test_package_reexports_only_public_names():
-    """Every name solab/__init__.py imports is in its home module's __all__."""
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+def test_modules_import_only_exported_names():
+    """Every `from .x import name` in the package, solab/__init__.py's
+    re-exports included, names something in x.__all__."""
     unlisted = []
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            home = importlib.import_module(f"solab.{node.module}")
-            public = getattr(home, "__all__", ())
-            unlisted += [f"{node.module}.{alias.name}" for alias in node.names if alias.name not in public]
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                public = getattr(importlib.import_module(f"solab.{node.module}"), "__all__", ())
+                unlisted += [
+                    f"{path.name}:{node.lineno}: {node.module}.{alias.name}"
+                    for alias in node.names
+                    if alias.name not in public
+                ]
     assert unlisted == []

@@ -179,6 +179,7 @@ def _mutants(s, eps):
 # demos are Einstein or space forms, where T = 0, so both sides stay near 0.
 # The Laplacian comparison is left out: derive_setup re-derives G and theta
 # from the mutated spec, so its inequality holds for any f and no mutant trips it.
+# tests/test_comparison.py checks it against the unmutated spec's setup.
 MUTANTS_CAUGHT = {
     "soliton": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
     "grad_f_bochner": {"lambda + eps", "lambda - eps", "lambda + eps t", "f + eps t^2", "warp k + eps"},
