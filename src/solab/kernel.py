@@ -325,15 +325,28 @@ def integrate_cumulative(f: GridFn) -> GridFn:
     # near the float limit, sum scaled by an exact power of two: 4 v must not overflow
     shift = max(0, math.frexp(max(abs(float(v.max())), abs(float(v.min()))))[1] - 1000)
     v = v * 2.0**-shift if shift else v
+    # every sum is built in F's own strided slices, in the order of
+    # (h/24)(-v[k-2] + 13 v[k-1] + 13 v[k] - v[k+1]) and (h/3)(v[j-2] + 4 v[j-1] + v[j])
+    # (IEEE + and * commute, so operand order keeps the bits); the even slots
+    # hold 13 v[k] until the Simpson sums overwrite them
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to GridFn's check
-        pairs = (h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2])
-        F[2::2] = np.cumsum(pairs)
-
         # odd k = 3, 5, ... with a node past k: the 4-point rule over
         # [k-1, k]; an odd last index uses the left-sided end rule below
         m = (n - 3) // 2
-        last = (h / 24.0) * (-v[1 : 1 + 2 * m : 2] + 13.0 * v[2 : 2 + 2 * m : 2] + 13.0 * v[3 : 3 + 2 * m : 2] - v[4 : 4 + 2 * m : 2])
-        F[3 : 3 + 2 * m : 2] = F[2 : 2 + 2 * m : 2] + last
+        last, even = F[3 : 3 + 2 * m : 2], F[2 : 2 + 2 * m : 2]
+        np.multiply(v[2 : 2 + 2 * m : 2], 13.0, out=last)
+        last -= v[1 : 1 + 2 * m : 2]
+        last += np.multiply(v[3 : 3 + 2 * m : 2], 13.0, out=even)
+        last -= v[4 : 4 + 2 * m : 2]
+        last *= h / 24.0
+
+        pairs = F[2::2]
+        np.multiply(v[1:-1:2], 4.0, out=pairs)
+        np.add(v[0:-2:2], pairs, out=pairs)
+        pairs += v[2::2]
+        pairs *= h / 3.0
+        np.cumsum(pairs, out=pairs)
+        last += even
         F[1] = (h / 24.0) * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
         if n % 2 == 0:
             i = n - 1

@@ -498,6 +498,37 @@ def test_cli_demo_unwritable_manifest_exit_two(tmp_path, monkeypatch, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_cli_reuses_one_parser_and_each_call_parses_afresh(tmp_path, monkeypatch, capsys):
+    # main runs many times in one process on one cached parser; no call may
+    # see an option, default or error left by the one before
+    assert cli._parser() is cli._parser()
+    path = write_manifest(tmp_path, GAUSSIAN_MANIFEST)
+    out = tmp_path / "report.json"
+    calls = (
+        ["run", path, "--format", "json", "--no-timings", "--out", str(out)],
+        ["run", path, "--format", "json", "--out", str(out)],
+        ["run", path],
+    )
+    assert main(calls[0]) == 0
+    assert "timings" not in json.loads(out.read_text(encoding="utf-8"))
+    assert main(calls[1]) == 0
+    assert "timings" in json.loads(out.read_text(encoding="utf-8"))
+    capsys.readouterr()
+    assert main(calls[2]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["run", path, "--format", "xml"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(["families"]) == 0
+    assert "gaussian" in capsys.readouterr().out
+    monkeypatch.chdir(tmp_path)
+    assert main(["demo"]) == 0
+    assert all((tmp_path / fname).exists() for fname in DEMO_MANIFESTS)
+    for argv in calls:
+        assert vars(cli._parser().parse_args(argv)) == vars(cli._parser.__wrapped__().parse_args(argv))
+
+
 def test_cli_demo_manifests_all_pass_and_json_is_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     main(["demo"])

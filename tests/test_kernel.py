@@ -199,6 +199,44 @@ def test_cumulative_exact_on_cubic(n):
     assert np.max(np.abs(F.values - exact)) < 1e-13
 
 
+def _cumulative_by_expression(v, h):
+    """The running integral written as whole-array expressions, one
+    temporary per operation: the reference for the in-place kernel."""
+    n = v.size
+    F = np.zeros(n)
+    F[2::2] = np.cumsum((h / 3.0) * (v[0:-2:2] + 4.0 * v[1:-1:2] + v[2::2]))
+    m = (n - 3) // 2
+    last = (h / 24.0) * (-v[1 : 1 + 2 * m : 2] + 13.0 * v[2 : 2 + 2 * m : 2] + 13.0 * v[3 : 3 + 2 * m : 2] - v[4 : 4 + 2 * m : 2])
+    F[3 : 3 + 2 * m : 2] = F[2 : 2 + 2 * m : 2] + last
+    F[1] = (h / 24.0) * (9.0 * v[0] + 19.0 * v[1] - 5.0 * v[2] + v[3])
+    if n % 2 == 0:
+        F[-1] = F[-2] + (h / 24.0) * (v[-4] - 5.0 * v[-3] + 19.0 * v[-2] + 9.0 * v[-1])
+    return F
+
+
+@pytest.mark.parametrize("n", [9, 10, 2001, 2002])
+def test_cumulative_is_bitwise_the_rule_expressions(n):
+    rng = np.random.default_rng(n)
+    v = np.exp(rng.normal(scale=3.0, size=n)) * rng.choice([-1.0, 1.0], size=n)
+    f = GridFn(0.3, 7.1, v)
+    assert np.array_equal(integrate_cumulative(f).values, _cumulative_by_expression(v, f.h))
+
+
+def test_cumulative_allocates_only_its_result():
+    # at 1.6 arrays a half-grid temporary of the Simpson or end-rule sums
+    # would show; the result's own infinity check adds an eighth
+    n = 200_001
+    f = GridFn.from_callable(np.cos, 0.0, 4.0, n)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        integrate_cumulative(f)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 8 * n
+
+
 def test_derivative_inverts_cumulative():
     for fn in (np.sin, lambda t: np.exp(-t) * np.cos(3 * t)):
         f = GridFn.from_callable(fn, 0.0, np.pi, 2001)

@@ -173,10 +173,26 @@ def _mutants(s, eps):
     }
 
 
-# Mutants (eps = 1e-3) each equality check fails on at least one demo at 2001
-# samples.  scalar_gradient sees only lambda', so no constant shift reaches it.
-# The trace-free balance catches its five only on general-sine: the other
-# demos are Einstein or space forms, where T = 0, so both sides stay near 0.
+# A second general-family spec: the demos other than general-sine are Einstein
+# or space forms, where T = 0 and both sides of the trace-free balance stay
+# near 0.  Here |T|^2 reaches 15 and the balance residual is 9.5e-7.
+GENERAL_SIN_2T = dict(
+    DEMO_MANIFESTS["general-sine.json"],
+    params={
+        "g": {"kind": "sin", "offset": 3.0, "amplitude": 1.0, "frequency": 2.0},
+        "rho_sigma": 2.0,
+        "A": 0.5,
+        "B": 0.0,
+        "n": 4,
+    },
+    grid={"interval": [0.0, 4.0], "resolution": 2001},
+)
+MUTATED_SPECS = {**DEMO_MANIFESTS, "general sin 2t": GENERAL_SIN_2T}
+
+# Mutants (eps = 1e-3) each equality check fails on at least one of
+# MUTATED_SPECS at 2001 samples.  scalar_gradient sees only lambda', so no
+# constant shift reaches it.  The trace-free balance catches its five only
+# on the two general-family specs, where T != 0.
 # The Laplacian comparison is left out: derive_setup re-derives G and theta
 # from the mutated spec, so its inequality holds for any f and no mutant trips it.
 # tests/test_comparison.py checks it against the unmutated spec's setup.
@@ -196,16 +212,21 @@ def test_equality_checks_catch_mutated_demo_specs():
         return rep.passed
 
     caught = {check: set() for check in MUTANTS_CAUGHT}
-    for fname, payload in DEMO_MANIFESTS.items():
+    balance_caught = {}  # spec -> mutants the trace-free balance fails on it
+    for spec_name, payload in MUTATED_SPECS.items():
         s = build_spec(parse_manifest(json.dumps(payload).encode()))
         assert s.profile.n_samples == 2001
         for check in caught:
-            assert passed(s, check), (fname, check)
+            assert passed(s, check), (spec_name, check)
         for name, mutant in _mutants(s, 1e-3).items():
             for check in caught:
                 if not passed(mutant, check):
                     caught[check].add(name)
+                    if check == "trace_free_balance":
+                        balance_caught.setdefault(spec_name, set()).add(name)
     assert caught == MUTANTS_CAUGHT
+    every = MUTANTS_CAUGHT["trace_free_balance"]
+    assert balance_caught == {"general-sine.json": every, "general sin 2t": every}
 
 
 # ---------------------------------------------------------------------------
