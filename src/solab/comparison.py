@@ -93,15 +93,14 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     """
     p = s.profile
     p.require_model()
-    per = p.d * p.g_ratio
-    per -= s.fp
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # left to residual_report
+        per = p.d * p.g_ratio
+        per -= s.fp
         bound = (p.n - 1) * cs.hp.values
         bound /= cs.h.values
         bound += cs.theta.values
-    per -= bound  # actual - bound
+        per -= bound  # actual - bound
     del bound
-    per[~np.isfinite(per)] = np.nan
     return residual_report("laplacian_comparison", p, per, LAPLACIAN_COMPARISON_TOL, one_sided=True)
 
 

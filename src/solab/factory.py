@@ -13,6 +13,7 @@ The verifier module re-checks this for every constructed spec.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -91,6 +92,19 @@ class SolitonSpec:
         return CLOSED_FORM_TOL
 
     @cached_property
+    def extrema(self) -> tuple:
+        """(S_*, S^*, |T|^*, lambda_*, lambda^*), reduced once for the audits
+        and the spec summary: grid stand-ins for the global quantities, the
+        curvature ones over the trusted samples."""
+        p = self.profile
+        c = p.curvature
+        mask = p.trusted_mask("grid extrema", c["S"], c["T_norm2"])
+        S = c["S"][mask]
+        T_sup = math.sqrt(max(0.0, float(np.max(c["T_norm2"][mask]))))
+        lam = self.lam.values
+        return float(np.min(S)), float(np.max(S)), T_sup, float(np.min(lam)), float(np.max(lam))
+
+    @cached_property
     def _derivatives(self) -> tuple:
         """f', f'', lambda', lambda'' by stencil, computed together on first use."""
         return tuple(derivative(u, order).values for u in (self.f, self.lam) for order in (1, 2))
@@ -105,7 +119,7 @@ class SolitonSpec:
         """Eigenvalues (fiber, radial) of Ric + Hess f: rho_fib + f' g'/g and
         rho_rad + f''; both equal lambda on a true soliton."""
         c = self.profile.curvature
-        with np.errstate(over="ignore"):  # left to the checks' finiteness tests
+        with np.errstate(over="ignore", invalid="ignore"):  # left to the checks' finiteness tests
             return c["rho_fib"] + self.fp * self.profile.g_ratio, c["rho_rad"] + self.fpp
 
     @property

@@ -218,12 +218,13 @@ class WarpProfile:
 
     @cached_property
     def g_ratio(self) -> np.ndarray:
-        """g'/g sampled on the grid (read-only; NaN where undefined, i.e. at
-        a pole)."""
+        """g'/g sampled on the grid (read-only; NaN at a pole sample, where
+        it is undefined)."""
         g, gp, _ = self.warp_values
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ratio = gp / g
-        ratio = np.where(np.isfinite(ratio), ratio, np.nan)
+        if self.pole:
+            ratio[0] = np.nan  # 1/0, and 0/0 in every formula it enters
         ratio.setflags(write=False)
         return ratio
 
@@ -236,9 +237,9 @@ class WarpProfile:
         self.__dict__.pop("warp_values", None)
         return out
 
-    def valid_mask(self, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
-        """Samples trusted for sup-norms: stencil-interior, away from a
-        pole, and finite in every supplied array.
+    def valid_mask(self, edge: int = 4) -> np.ndarray:
+        """Samples trusted for sup-norms: stencil-interior and away from a
+        pole.
 
         edge is the boundary band to drop: 4 for a single stencil
         application, 8 for quantities that differentiate a stencil output
@@ -249,23 +250,25 @@ class WarpProfile:
         m[self.n_samples - edge:] = False
         if self.pole:
             m[:POLE_EXCLUSION_STEPS] = False
-        for a in arrays:
-            m &= np.isfinite(a)
         return m
 
     def trusted_mask(self, what: str, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
-        """valid_mask for a quantity reduced over it; raises
-        NoTrustedSamples, naming what, when no sample is left."""
-        m = self.valid_mask(*arrays, edge=edge)
+        """valid_mask for a quantity reduced over it, naming what in its errors.
+
+        The pole sample is the only sample without a value, so a NaN there
+        is the one non-finite value allowed: any other (an overflow) raises
+        NonFiniteValues.  An empty band raises NoTrustedSamples.
+        """
+        for a in arrays:
+            start = 1 if self.pole and np.isnan(a[0]) else 0
+            finite = np.isfinite(a[start:])
+            if not finite.all():
+                i = start + int(np.argmin(finite))
+                raise NonFiniteValues(f"{what}: non-finite value at t = {self.grid_at(i):.6g}")
+        m = self.valid_mask(edge)
         if not m.any():
             raise NoTrustedSamples(f"{what}: no trusted samples on a {self.n_samples}-sample grid")
         return m
-
-
-def _nan_where_nonfinite(arr: np.ndarray) -> np.ndarray:
-    """arr with every non-finite sample set to NaN, in place."""
-    arr[~np.isfinite(arr)] = np.nan
-    return arr
 
 
 def curvature_grids(p: WarpProfile) -> dict:
@@ -274,8 +277,8 @@ def curvature_grids(p: WarpProfile) -> dict:
     |Ric|^2 and tr T^3 have one reader each and are built there
     (ric_norm2, trace_free_cube).
 
-    At a pole the formulas are 0/0.  Those samples, and any that leave the
-    float range, are NaN; valid_mask excludes them from every sup-norm.
+    At a pole the formulas are 0/0, and the pole sample is NaN.  A sample
+    that leaves the float range stays as it is, for trusted_mask to reject.
     """
     g, _, gpp = p.warp_values
     d = p.d
@@ -295,29 +298,29 @@ def curvature_grids(p: WarpProfile) -> dict:
             "T_norm2": d * tau_f**2 + tau_r**2,
         }
     for arr in out.values():
-        _nan_where_nonfinite(arr).setflags(write=False)
+        if p.pole:
+            arr[0] = np.nan  # rho_rad alone can be +-inf there (g''(t0) != 0)
+        arr.setflags(write=False)
     return out
 
 
 def ric_norm2(p: WarpProfile) -> np.ndarray:
     """|Ric|^2 = d rho_fib^2 + rho_rad^2 on the grid, NaN where the
-    curvature is or where it leaves the float range."""
+    curvature is."""
     c = p.curvature
     with np.errstate(over="ignore", invalid="ignore"):
-        out = p.d * c["rho_fib"] ** 2 + c["rho_rad"] ** 2
-    return _nan_where_nonfinite(out)
+        return p.d * c["rho_fib"] ** 2 + c["rho_rad"] ** 2
 
 
 def trace_free_cube(p: WarpProfile) -> np.ndarray:
     """tr T^3 = d tau_f^3 + tau_r^3 on the grid, NaN where the curvature
-    is or where it leaves the float range."""
+    is."""
     c = p.curvature
     tau_f, tau_r = c["tau_f"], c["tau_r"]
     with np.errstate(over="ignore", invalid="ignore"):
         # cubes by multiplication: numpy's pow drops to scalar libm calls
         # for negative bases, and a trace-free pair always has one
-        out = p.d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r
-    return _nan_where_nonfinite(out)
+        return p.d * (tau_f * tau_f * tau_f) + tau_r * tau_r * tau_r
 
 
 def radial_laplacian(
@@ -325,15 +328,13 @@ def radial_laplacian(
 ) -> np.ndarray:
     """Weighted Laplacian of a radial function from its sampled derivatives
     u' and u'': u'' + d (g'/g) u' - f' u' (the plain Laplacian when fp is
-    None).  Non-finite samples, e.g. at a pole, become NaN and are excluded
-    from downstream sup-norms."""
+    None); NaN at a pole sample, like g'/g."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = p.d * p.g_ratio
         out *= up
         np.add(upp, out, out=out)
         if fp is not None:
             out -= fp * up
-    out[~np.isfinite(out)] = np.nan
     return out
 
 

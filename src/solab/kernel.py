@@ -43,10 +43,9 @@ MIN_SAMPLES = 2 * EDGE_WIDTH + 1
 class GridFn:
     """A real function of one variable sampled on a uniform grid.
 
-    Values must be free of infinities.  NaN is tolerated at isolated
-    samples (it marks points where a quantity is undefined, e.g. a ratio
-    at a model pole); all quadrature and sup-norm consumers either see
-    finite data or mask NaN explicitly.
+    Values must be free of infinities.  NaN is tolerated: it marks the one
+    sample where a quantity is undefined, a model pole, and every sup-norm
+    rejects a NaN anywhere else (WarpProfile.trusted_mask).
     """
 
     t0: float
@@ -291,17 +290,14 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
 
 
 def nan_fill(arr: np.ndarray) -> np.ndarray:
-    """Replace leading/trailing NaN (pole samples) by the nearest finite
-    value so stencils near the trusted region stay clean; the polluted
-    band is excluded from sup-norms anyway."""
-    if np.isfinite(arr).all():
+    """arr with a NaN first sample (a pole's) replaced by its neighbour, so
+    stencils near the trusted region stay clean; the polluted band is
+    excluded from sup-norms anyway.  Any other non-finite sample is left
+    in place, for the sup-norms to reject."""
+    if not np.isnan(arr[0]):
         return arr
     out = arr.copy()
-    finite = np.flatnonzero(np.isfinite(out))
-    if finite.size == 0:
-        raise NonFiniteValues("array has no finite samples")
-    out[: finite[0]] = out[finite[0]]
-    out[finite[-1] + 1 :] = out[finite[-1]]
+    out[0] = out[1]
     return out
 
 

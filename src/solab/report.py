@@ -78,17 +78,15 @@ class RunReport:
 
 
 def _spec_summary(spec: SolitonSpec) -> dict:
-    p = spec.profile
-    curv = p.curvature
-    mask = p.trusted_mask("spec summary", curv["S"], curv["T_norm2"])
+    S_star, _, T_sup, lam_star, lam_sup = spec.extrema
     return {
         "family": spec.family_tag.value,
-        "n": p.n,
+        "n": spec.profile.n,
         "classification": classify_soliton(spec).value,
-        "S_star": _finite_or_none(np.min(curv["S"][mask])),
-        "lambda_star": _finite_or_none(np.min(spec.lam.values)),
-        "lambda_sup": _finite_or_none(np.max(spec.lam.values)),
-        "T_sup": _finite_or_none(math.sqrt(max(0.0, float(np.max(curv["T_norm2"][mask]))))),
+        "S_star": S_star,
+        "lambda_star": lam_star,
+        "lambda_sup": lam_sup,
+        "T_sup": T_sup,
         "residual_tolerance": spec.residual_tolerance,
     }
 

@@ -300,7 +300,7 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
         # no finite Bakry-Emery eigenvalue for G on a subnormal interval
         (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 2.2250738585e-313, "n": 11},
               suites=["comparison"], grid={"interval": [0, 2.2250738585e-313], "resolution": 11}),
-         "suite 'comparison': array has no finite samples"),
+         "suite 'comparison': laplacian_comparison: non-finite value at t = 2.22507e-314"),
         # a pole family's grid starts at t = 0, past this interval's end
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 2, "n": 6},
               suites=["audits"], grid={"interval": [-19, -14.9], "resolution": 9}),
@@ -309,22 +309,22 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
         (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 5.910216486567447e+185, "n": 9},
               suites=["comparison"], grid={"interval": [-4.4e-249, 3.0775457320025937e-55], "resolution": 258}),
          "suite 'comparison': GridFn values must not contain infinities"),
-        # inf - inf in the grad_f_bochner residual
+        # inf - inf in the grad_f_bochner residual, away from the pole
         (dict(GAUSSIAN_MANIFEST, family="gaussian",
               params={"lambda0": 1.2892651523764015e+95, "n": 10, "corrupt_lambda": 1.1204822209439632e+249},
               suites=["identities"], grid={"interval": [0, 15.653879711884684], "resolution": 72}),
-         "grad_f_bochner: residual values must not contain infinities"),
+         "suite 'identities': grad_f_bochner: non-finite value at t = 0.220477"),
         # G holds NaN samples, which are not positive
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form",
               params={"c": 1.192092896e-07, "a": 1e+300, "b": 6.819194701598045e+16, "n": 5},
               suites=["oy"], grid={"interval": [0, 18.153409896102268], "resolution": 185}),
          "suite 'oy': G must be strictly positive"),
-        # sin(1e60 t) is exact on every sample, but no stencil on the grid resolves it
+        # sin(1e60 t) is exact on every sample, but the stencils overflow on it
         (dict(GAUSSIAN_MANIFEST, family="general",
               params={"g": {"kind": "sin", "offset": 2, "amplitude": 1, "frequency": 1e60},
                       "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3},
               suites=["identities"], grid={"interval": [0, 6], "resolution": 201}),
-         "suite 'identities': grad_f_bochner: no trusted samples on a 201-sample grid"),
+         "suite 'identities': grad_f_bochner: non-finite value at t = 0"),
     ],
     ids=["gaussian_n1", "space_form_volume_bound_overflow", "einstein_overflowing_warp",
          "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
@@ -365,25 +365,28 @@ def test_cli_ball_volume_near_the_float_limit_passes_without_warning(tmp_path, c
     assert "comparison: PASS" in capsys.readouterr().out
 
 
-def test_cli_overflowing_weighted_laplacian_fails_without_warning(tmp_path):
-    # d (g'/g) u' overflows in radial_laplacian, and the squares in |grad T|^2
-    # overflow: those samples become NaN, untrusted like a pole sample, and
-    # the run ends in failed checks
+def test_cli_overflowing_samples_exit_two_without_warning(tmp_path, capsys):
+    # d (g'/g) u' overflows in radial_laplacian on the first grid; on the
+    # second, |Ric|^2 and |T|^2 overflow at t = 0, which is no pole.  Only a
+    # pole sample may lack a value, so an overflow ends the run as a
+    # precondition error, not in checks on the samples left
     laplacian = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
                      params={"c": 5e-324, "g0": 2.3111355340550108e+16, "gp0": 5.479446372782705e+137,
                              "b": 5e-324, "n": 10},
                      suites=["identities", "audits"],
                      grid={"interval": [3.558949814430625e-282, 3.390614269195102e-27], "resolution": 52})
-    grad_T = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
-                  params={"c": 4.272687737249145e-200, "g0": 5.864881174664321e-39,
-                          "gp0": 7.187825930577302e+55, "a": -2.1328874117530036e-277,
-                          "b": -2.2234340695174332e-31, "n": 4},
-                  suites=["identities"],
-                  grid={"interval": [0.0, 6.103515625e-05], "resolution": 98})
-    for payload in (laplacian, grad_T):
+    curvature = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
+                     params={"c": 4.272687737249145e-200, "g0": 5.864881174664321e-39,
+                             "gp0": 7.187825930577302e+55, "a": -2.1328874117530036e-277,
+                             "b": -2.2234340695174332e-31, "n": 4},
+                     suites=["identities"],
+                     grid={"interval": [0.0, 6.103515625e-05], "resolution": 98})
+    for payload, message in ((laplacian, "scalar_laplacian: non-finite value at t = 3.55895e-282"),
+                             (curvature, "scalar_laplacian: non-finite value at t = 0")):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["run", write_manifest(tmp_path, payload)]) == 1
+            assert main(["run", write_manifest(tmp_path, payload)]) == 2
+        assert message in capsys.readouterr().err
 
 
 def _param_value(kind):

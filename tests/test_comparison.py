@@ -84,7 +84,7 @@ def test_laplacian_equality_on_hyperbolic():
     s = hyperbolic_model()
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
-    mask = s.profile.valid_mask(rep.per_point)
+    mask = s.profile.valid_mask()
     assert np.max(np.abs(rep.per_point[mask])) < 1e-6  # equality case
 
 
@@ -92,7 +92,7 @@ def test_laplacian_equality_on_euclidean():
     s = euclidean_model()
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
-    mask = s.profile.valid_mask(rep.per_point)
+    mask = s.profile.valid_mask()
     assert np.max(np.abs(rep.per_point[mask])) < 1e-7
 
 
@@ -102,7 +102,7 @@ def test_laplacian_strict_on_gaussian():
     assert rep.passed
     # actual = d/r - r stays strictly below the bound d/r by exactly r
     t = s.profile.grid
-    mask = s.profile.valid_mask(rep.per_point)
+    mask = s.profile.valid_mask()
     np.testing.assert_allclose(rep.per_point[mask], -t[mask], atol=1e-7)
 
 

@@ -11,6 +11,7 @@ from solab.kernel import (
     derivative,
     fd_weights,
     integrate_cumulative,
+    nan_fill,
     sn,
     solve_linear_ode2,
     solve_linear_ode2_with_derivative,
@@ -344,6 +345,16 @@ def test_gridfn_owns_a_copy_and_kernel_outputs_keep_the_checks():
     tiny = GridFn(0.0, 1e-300, v * v)
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteValues):
         derivative(tiny, 2)
+
+
+def test_nan_fill_fills_the_pole_sample_only():
+    # a NaN first sample is a pole's and takes its neighbour's value; a NaN
+    # anywhere else is an overflow and stays, for the sup-norms to reject
+    v = np.linspace(0.0, 1.0, 11)
+    v[[0, -1]] = np.nan
+    out = nan_fill(v)
+    assert out[0] == out[1] and np.isnan(out[-1]) and np.isnan(v[0])
+    assert nan_fill(out) is out  # nothing left to fill
 
 
 def test_gridfn_adopt_shares_the_array_and_keeps_the_checks():

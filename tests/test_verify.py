@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from solab.cli import DEMO_MANIFESTS
+from solab.comparison import derive_setup, laplacian_comparison_check
 from solab.errors import MissingParams, NonFiniteValues, NonPositiveG, NotConformallyFlat, NotTraceFree
 from solab.factory import (
     ClassifiedCase,
@@ -14,8 +15,16 @@ from solab.factory import (
     build_gaussian,
     build_general_family,
 )
-from solab.geometry import POLE_EXCLUSION_STEPS, Polynomial, SnCombination, WarpProfile
-from solab.kernel import EDGE_WIDTH, GridFn, derivative
+from solab.geometry import (
+    POLE_EXCLUSION_STEPS,
+    Polynomial,
+    SnCombination,
+    WarpProfile,
+    radial_laplacian,
+    ric_norm2,
+    trace_free_cube,
+)
+from solab.kernel import EDGE_WIDTH, GridFn, derivative, nan_fill
 from solab.manifest import build_spec, parse_manifest
 from solab.verify import (
     IDENTITY_IDS,
@@ -101,12 +110,39 @@ def test_residual_report_argmax_t_is_the_grid_value(one_sided):
 
 
 def test_residual_report_rejects_infinite_residuals():
-    # an infinite sample is a failure to report, not an untrusted sample to skip
+    # a non-finite sample away from the pole is an overflow to report, not
+    # an untrusted sample to skip; at the pole sample only NaN is allowed
     p = gaussian_spec().profile
+    for i, bad in ((1000, np.inf), (1000, np.nan), (0, np.inf), (0, -np.inf)):
+        per = np.zeros(p.n_samples)
+        per[i] = bad
+        with pytest.raises(NonFiniteValues, match="probe"):
+            residual_report("probe", p, per, 0.5)
     per = np.zeros(p.n_samples)
-    per[1000] = np.inf
-    with pytest.raises(NonFiniteValues, match="probe"):
-        residual_report("probe", p, per, 0.5)
+    per[0] = np.nan
+    assert residual_report("probe", p, per, 0.5).passed
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_MANIFESTS))
+def test_demo_grids_are_nan_at_the_pole_sample_only(demo):
+    s = build_spec(parse_manifest(json.dumps(DEMO_MANIFESTS[demo]).encode()))
+    p = s.profile
+    arrays = {
+        **p.curvature,
+        "g_ratio": p.g_ratio,
+        "ric_norm2": ric_norm2(p),
+        "trace_free_cube": trace_free_cube(p),
+        "laplacian f": radial_laplacian(p, s.fp, s.fpp),
+        "laplacian lambda": s.lap_lam,
+        "f-laplacian S": s.f_laplacian(nan_fill(p.curvature["S"])),
+        "soliton": soliton_residual(s).per_point,
+    }
+    arrays.update({ident: identity_residual(s, ident).per_point for ident in IDENTITY_IDS})
+    if p.pole:
+        arrays["laplacian_comparison"] = laplacian_comparison_check(s, derive_setup(s)).per_point
+    for name, arr in arrays.items():
+        assert np.isnan(arr[0]) if p.pole else np.isfinite(arr[0]), name
+        assert np.isfinite(arr[1:]).all(), name
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +332,7 @@ def brute_force_grad_T_norm2(spec, t_eval):
 def test_grad_T_closed_form_vanishes_on_space_forms():
     s = hyperbolic_trivial()
     gt = grad_T_norm2(s)
-    mask = s.profile.valid_mask(gt.values)
+    mask = s.profile.valid_mask()
     assert np.max(np.abs(gt.values[mask])) < 1e-12
     for t in (0.8, 1.5, 2.5):
         assert brute_force_grad_T_norm2(s, t) == pytest.approx(0.0, abs=1e-12)
@@ -318,7 +354,7 @@ def test_trace_free_balance_defect_equals_grad_T(name):
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
     gt = grad_T_norm2(s)
-    mask = s.profile.valid_mask(rep.per_point, gt.values)
+    mask = s.profile.valid_mask()
     defect = rep.per_point + gt.values
     assert np.max(np.abs(defect[mask] - gt.values[mask])) < 2e-5
 
