@@ -98,9 +98,9 @@ class SolitonSpec:
         curvature ones over the trusted samples."""
         p = self.profile
         c = p.curvature
-        mask = p.trusted_mask("grid extrema", c["S"], c["T_norm2"])
-        S = c["S"][mask]
-        T_sup = math.sqrt(max(0.0, float(np.max(c["T_norm2"][mask]))))
+        band = p.trusted_band("grid extrema", c["S"], c["T_norm2"])
+        S = c["S"][band]
+        T_sup = math.sqrt(max(0.0, float(np.max(c["T_norm2"][band]))))
         lam = self.lam.values
         return float(np.min(S)), float(np.max(S)), T_sup, float(np.min(lam)), float(np.max(lam))
 

@@ -237,38 +237,32 @@ class WarpProfile:
         self.__dict__.pop("warp_values", None)
         return out
 
-    def valid_mask(self, edge: int = 4) -> np.ndarray:
-        """Samples trusted for sup-norms: stencil-interior and away from a
-        pole.
-
-        edge is the boundary band to drop: 4 for a single stencil
-        application, 8 for quantities that differentiate a stencil output
-        again (one-sided rows of the inner pass pollute the outer one).
-        """
-        m = np.ones(self.n_samples, dtype=bool)
-        m[:edge] = False
-        m[self.n_samples - edge:] = False
-        if self.pole:
-            m[:POLE_EXCLUSION_STEPS] = False
-        return m
-
-    def trusted_mask(self, what: str, *arrays: np.ndarray, edge: int = 4) -> np.ndarray:
-        """valid_mask for a quantity reduced over it, naming what in its errors.
-
-        The pole sample is the only sample without a value, so a NaN there
-        is the one non-finite value allowed: any other (an overflow) raises
-        NonFiniteValues.  An empty band raises NoTrustedSamples.
-        """
+    def require_finite(self, what: str, *arrays: np.ndarray) -> None:
+        """The pole sample is the only sample without a value, so a NaN
+        there is the one non-finite value allowed: any other (an overflow)
+        raises NonFiniteValues, naming what."""
         for a in arrays:
             start = 1 if self.pole and np.isnan(a[0]) else 0
             finite = np.isfinite(a[start:])
             if not finite.all():
                 i = start + int(np.argmin(finite))
                 raise NonFiniteValues(f"{what}: non-finite value at t = {self.grid_at(i):.6g}")
-        m = self.valid_mask(edge)
-        if not m.any():
+
+    def trusted_band(self, what: str, *arrays: np.ndarray, edge: int = 4) -> slice:
+        """The samples trusted for sup-norms and extrema of arrays, as one
+        slice: stencil-interior and away from a pole.
+
+        edge is the boundary band to drop: 4 for a single stencil
+        application, 8 for quantities that differentiate a stencil output
+        again (one-sided rows of the inner pass pollute the outer one).
+        The arrays must pass require_finite; an empty band raises
+        NoTrustedSamples.
+        """
+        self.require_finite(what, *arrays)
+        band = slice(max(edge, POLE_EXCLUSION_STEPS) if self.pole else edge, self.n_samples - edge)
+        if band.start >= band.stop:
             raise NoTrustedSamples(f"{what}: no trusted samples on a {self.n_samples}-sample grid")
-        return m
+        return band
 
 
 def curvature_grids(p: WarpProfile) -> dict:
@@ -278,7 +272,7 @@ def curvature_grids(p: WarpProfile) -> dict:
     (ric_norm2, trace_free_cube).
 
     At a pole the formulas are 0/0, and the pole sample is NaN.  A sample
-    that leaves the float range stays as it is, for trusted_mask to reject.
+    that leaves the float range stays as it is, for require_finite to reject.
     """
     g, _, gpp = p.warp_values
     d = p.d

@@ -45,7 +45,8 @@ class GridFn:
 
     Values must be free of infinities.  NaN is tolerated: it marks the one
     sample where a quantity is undefined, a model pole, and every sup-norm
-    rejects a NaN anywhere else (WarpProfile.trusted_mask).
+    rejects a NaN anywhere else (WarpProfile.require_finite).  Sup-norms
+    and extrema reduce over one slice of samples, WarpProfile.trusted_band.
     """
 
     t0: float

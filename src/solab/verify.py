@@ -4,12 +4,13 @@ the hypothesis/conclusion audits for the triviality, scalar-curvature and
 gap theorems plus the Omori-Yau condition set.
 
 All identity checks are radial transcriptions evaluated on the working
-grid, and each is an equality checked two-sided.  Sup-norms run over
-trusted samples only: 4 stencil points at each end are dropped (8 for
-identity residuals), and on pole models the band within 10 grid
-spacings of the pole, where 1/g amplifies stencil noise.  The pole
-sample is the only one without a value: a non-finite sample anywhere
-else is an overflow, and raises NonFiniteValues instead of being dropped.
+grid, and each is an equality checked two-sided.  Sup-norms and grid
+extrema reduce over one slice of trusted samples (WarpProfile.trusted_band):
+4 stencil points at each end are dropped (8 for identity residuals), and
+on pole models the band within 10 grid spacings of the pole, where 1/g
+amplifies stencil noise.  The pole sample is the only one without a
+value: a non-finite sample anywhere else is an overflow, and raises
+NonFiniteValues instead of being dropped.
 Grid extrema (S_*, lambda_*, ...) are finite-domain approximations of
 the global quantities, so audits report "consistent with", not "proved".
 """
@@ -166,16 +167,14 @@ def residual_report(
     the worst sample either way.
     """
     per_point.setflags(write=False)
-    mask = p.trusted_mask(ident, per_point, edge=edge)
-    vals = per_point.copy() if one_sided else np.abs(per_point)
-    # untrusted samples can never win: every trusted one is finite
-    vals[~mask] = -np.inf
+    band = p.trusted_band(ident, per_point, edge=edge)
+    vals = per_point[band] if one_sided else np.abs(per_point[band])
     k = int(np.argmax(vals))
     worst = float(vals[k])
     return ResidualReport(
         identity_id=ident,
         sup_norm=max(0.0, worst) if one_sided else worst,
-        argmax_t=p.grid_at(k),
+        argmax_t=p.grid_at(band.start + k),
         per_point=per_point,
         tolerance_used=tol,
         passed=worst <= tol if one_sided else worst < tol,
@@ -336,7 +335,7 @@ def _verdict(hyps: dict, concls: dict) -> Verdict:
     return Verdict.HYPOTHESES_NOT_MET
 
 
-def _gradient_growth_flag(fp, r, mask, fit, sigma: float) -> Flag:
+def _gradient_growth_flag(fp, r, band, fit, sigma: float) -> Flag:
     """|grad f|^2 grows no faster than r^sigma, by the log-log slope over
     the final third of the trusted samples (fit)."""
     with np.errstate(over="ignore"):
@@ -344,7 +343,7 @@ def _gradient_growth_flag(fp, r, mask, fit, sigma: float) -> Flag:
     if np.isinf(grad2).any():
         raise NonFiniteValues("triviality: |grad f|^2 leaves the float range")
     exponent = _fit_growth_exponent(r[fit], grad2[fit])
-    if np.max(grad2[mask]) < 1e-20:
+    if np.max(grad2[band]) < 1e-20:
         growth_ok = True
     elif sigma == 0:
         growth_ok = exponent <= 0.05
@@ -353,7 +352,7 @@ def _gradient_growth_flag(fp, r, mask, fit, sigma: float) -> Flag:
     return Flag(bool(growth_ok), exponent)
 
 
-def _lambda_bounds_flag(lam, r, mask, n: int, params: TrivialityAuditParams) -> Flag:
+def _lambda_bounds_flag(lam, r, band, n: int, params: TrivialityAuditParams) -> Flag:
     """-(n-1) B^2 (1+r^2)^(alpha/2) <= lambda <= -(n-1) A^2 (1+r^2)^(-mu/2)
     on the trusted samples, with the worst violation as the measure."""
     q = r**2
@@ -364,7 +363,7 @@ def _lambda_bounds_flag(lam, r, mask, n: int, params: TrivialityAuditParams) -> 
     q **= -params.mu / 2
     q *= -(n - 1) * params.A**2  # the upper bound
     np.subtract(lam, q, out=q)
-    violation = np.maximum(lower, q, out=q)[mask]
+    violation = np.maximum(lower, q, out=q)[band]
     return Flag(bool(np.max(violation) <= 1e-12), float(np.max(violation)))
 
 
@@ -373,24 +372,24 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
     p = s.profile
     n = p.n
     lam = s.lam.values
-    mask = p.trusted_mask("triviality", lam, fp)
+    band = p.trusted_band("triviality", lam, fp)
     r = p.grid
-    fit = mask & (r >= p.t0 + 2.0 * (p.t1 - p.t0) / 3.0)
+    fit = slice(max(band.start, int(np.searchsorted(r, p.t0 + 2.0 * (p.t1 - p.t0) / 3.0))), band.stop)
     r -= p.t0  # the distance from t0, in the grid's buffer
 
     hyps = {}
     hyps["expanding"] = Flag(bool(np.all(lam < 0)), float(np.max(lam)))
-    hyps["gradient_growth"] = _gradient_growth_flag(fp, r, mask, fit, params.sigma)
-    hyps["lambda_bounds"] = _lambda_bounds_flag(lam, r, mask, n, params)
+    hyps["gradient_growth"] = _gradient_growth_flag(fp, r, band, fit, params.sigma)
+    hyps["lambda_bounds"] = _lambda_bounds_flag(lam, r, band, n, params)
 
     if n == 2:
         hyps["sign_condition"] = Flag(True, "n = 2, condition waived")
     else:
         with np.errstate(over="ignore"):  # an infinite product fails the flag, as it should
-            worst = float(np.max((s.lamp * fp)[mask]))
+            worst = float(np.max(s.lamp[band] * fp[band]))
         hyps["sign_condition"] = Flag(worst <= _NULL_THRESHOLD, worst)
 
-    concls = {"trivial": bool(np.max(np.abs(fp[mask])) < 1e-8)}
+    concls = {"trivial": bool(np.max(np.abs(fp[band])) < 1e-8)}
     return AuditReport(
         theorem_id="triviality",
         hypothesis_flags=hyps,
@@ -406,7 +405,7 @@ def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
     lam = s.lam.values
 
     plain_lap_lam = s.lap_lam
-    worst = float(np.max(plain_lap_lam[p.trusted_mask("scalar_bounds", plain_lap_lam)]))
+    worst = float(np.max(plain_lap_lam[p.trusted_band("scalar_bounds", plain_lap_lam)]))
     hyps = {"delta_lambda_nonpositive": Flag(worst <= _NULL_THRESHOLD, worst)}
 
     cls = classify_soliton(s)
@@ -451,7 +450,7 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
     _, S_sup, T_sup, lam_star, _ = s.extrema
 
     hess_lam_T = s.hess_lam_T
-    worst = float(np.min(hess_lam_T[p.trusted_mask("trace_free_gap", hess_lam_T)]))
+    worst = float(np.min(hess_lam_T[p.trusted_band("trace_free_gap", hess_lam_T)]))
     hyps = {
         "hess_lambda_T_nonnegative": Flag(worst >= -_NULL_THRESHOLD, worst),
         "conformally_flat": Flag(bool(p.fiber_constant_curvature), str(p.fiber_constant_curvature)),
@@ -495,9 +494,12 @@ def _oy_windows(G: GridFn, t_max: float) -> tuple:
     [1, t_max]; raises NoTrustedSamples when either is empty."""
     lo, hi = 1.0, t_max
     tw = G.grid
-    tw = tw[(tw >= lo) & (tw <= hi)]
-    t_last = tw[tw >= hi - 0.1 * (hi - lo)]
-    t_mid = tw[(tw >= lo + 0.5 * (hi - lo)) & (tw <= lo + 0.6 * (hi - lo))]
+    # when hi > lo both windows lie inside [lo, hi]; otherwise the check below
+    # raises.  Copies, so that the windows do not hold the full grid
+    t_last, t_mid = (
+        tw[np.searchsorted(tw, a):np.searchsorted(tw, b, side="right")].copy()
+        for a, b in ((hi - 0.1 * (hi - lo), hi), (lo + 0.5 * (hi - lo), lo + 0.6 * (hi - lo)))
+    )
     if not (hi > lo and t_last.size and t_mid.size):
         raise NoTrustedSamples(f"omori_yau: no samples in the mid and last tenths of [1, {t_max:g}]")
     return t_last, t_mid

@@ -250,6 +250,20 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
     assert path in capsys.readouterr().err
 
 
+def _demo_at(demo, suites, res):
+    payload = DEMO_MANIFESTS[f"{demo}.json"]
+    return dict(payload, suites=suites, grid=dict(payload["grid"], resolution=res))
+
+
+# (demo, suites, the largest grid with no trusted sample, the smallest with one)
+_EMPTY_BANDS = [
+    ("cylinder", ["residual", "identities"], 16, 17),
+    ("hyperbolic-model", ["residual"], 14, 15),
+    ("hyperbolic-model", ["residual", "identities"], 18, 19),
+    ("gaussian", ["audits"], 14, 15),
+]
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [
@@ -325,19 +339,33 @@ def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
                       "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3},
               suites=["identities"], grid={"interval": [0, 6], "resolution": 201}),
          "suite 'identities': grad_f_bochner: non-finite value at t = 0"),
+        # the trusted band is empty: the edge bands (8 samples each for an
+        # identity) and, on a pole model, the first 10 samples meet
+        *((_demo_at(demo, suites, res), f"no trusted samples on a {res}-sample grid")
+          for demo, suites, res, _ in _EMPTY_BANDS),
     ],
     ids=["gaussian_n1", "space_form_volume_bound_overflow", "einstein_overflowing_warp",
          "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
          "general_warp_powers_underflow", "space_form_grad_f_square_overflow", "tiny_grid_stencil_overflow",
          "tiny_grid_curvature_overflow", "triviality_gradient_overflow", "subnormal_grid_no_finite_eigenvalue",
          "pole_family_interval_before_pole", "volume_bound_zero_times_infinity", "bochner_infinity_minus_infinity",
-         "oy_profile_with_nan", "unresolved_sin_frequency"],
+         "oy_profile_with_nan", "unresolved_sin_frequency",
+         *(f"empty_band_{demo}_{res}" for demo, _, res, _ in _EMPTY_BANDS)],
 )
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", write_manifest(tmp_path, payload)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "demo, suites, res", [(demo, suites, res) for demo, suites, _, res in _EMPTY_BANDS],
+    ids=[f"{demo}_{res}" for demo, _, _, res in _EMPTY_BANDS],
+)
+def test_cli_smallest_trusted_band_exits_zero(tmp_path, demo, suites, res):
+    # one sample more than each empty band of the cases above
+    assert main(["run", write_manifest(tmp_path, _demo_at(demo, suites, res)), "--no-timings"]) == 0
 
 
 @pytest.mark.parametrize("n", [400, 500])

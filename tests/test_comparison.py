@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from solab.comparison import (
     volume_bound_check,
     volume_bound_omega,
 )
-from solab.errors import EnvelopeViolation, NegativeRadicand, NotAModel
+from solab.errors import EnvelopeViolation, NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
 from solab.geometry import weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import GridFn, sn, solve_linear_ode2, solve_linear_ode2_with_derivative
@@ -84,16 +85,16 @@ def test_laplacian_equality_on_hyperbolic():
     s = hyperbolic_model()
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
-    mask = s.profile.valid_mask()
-    assert np.max(np.abs(rep.per_point[mask])) < 1e-6  # equality case
+    band = s.profile.trusted_band("laplacian_comparison", rep.per_point)
+    assert np.max(np.abs(rep.per_point[band])) < 1e-6  # equality case
 
 
 def test_laplacian_equality_on_euclidean():
     s = euclidean_model()
     rep = laplacian_comparison_check(s, derive_setup(s))
     assert rep.passed
-    mask = s.profile.valid_mask()
-    assert np.max(np.abs(rep.per_point[mask])) < 1e-7
+    band = s.profile.trusted_band("laplacian_comparison", rep.per_point)
+    assert np.max(np.abs(rep.per_point[band])) < 1e-7
 
 
 def test_laplacian_strict_on_gaussian():
@@ -102,8 +103,8 @@ def test_laplacian_strict_on_gaussian():
     assert rep.passed
     # actual = d/r - r stays strictly below the bound d/r by exactly r
     t = s.profile.grid
-    mask = s.profile.valid_mask()
-    np.testing.assert_allclose(rep.per_point[mask], -t[mask], atol=1e-7)
+    band = s.profile.trusted_band("laplacian_comparison", rep.per_point)
+    np.testing.assert_allclose(rep.per_point[band], -t[band], atol=1e-7)
 
 
 def _f_mutants(s, eps):
@@ -250,6 +251,18 @@ def test_omega_bound_envelope_violation():
         volume_bound_omega(s, cs, zero, zero, r0=1.0, r=3.0)  # f > 0 leaves [0, 0]
 
 
+def test_omega_bound_rejects_overflowing_integrand():
+    # h^(2 + 55 t) = sinh(t)^(2 + 55 t) leaves the float range at t = 3.94;
+    # integrating those samples as 0 would cap the bound at its r = 3.95 value
+    s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0}, 3)
+    cs = derive_setup(s)
+    omega = s.f.with_values(s.f.values + 27.5 * s.profile.grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValues, match="volume_bound_omega: non-finite value at t = 3.94"):
+            volume_bound_omega(s, cs, s.f, omega, r0=1.0, r=4.0)
+
+
 # ---------------------------------------------------------------------------
 # decay-rate volume estimates
 # ---------------------------------------------------------------------------
@@ -339,6 +352,17 @@ def test_euclidean_plane_parabolic():
     s = euclidean_model(n=2, r_max=24.0)
     _, verdict = f_parabolic_test(s, 24.0)
     assert verdict == "LikelyParabolic"
+
+
+@pytest.mark.parametrize("lambda0, t", [(20.0, "8.472"), (100.0, "3.784")])
+def test_parabolicity_rejects_overflowing_integrand(lambda0, t):
+    # e^(-f) = e^(-lambda0 t^2 / 2) underflows, and 1 / vol_f(boundary B_t)
+    # overflows: those samples are no longer integrated as 0
+    s = build_gaussian(lambda0, 3, r_max=16.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValues, match=f"f_parabolic: non-finite value at t = {t}"):
+            f_parabolic_test(s, 16.0)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def test_pole_sample_is_nan_and_excluded():
         for arr in (*curvature_grids(p).values(), p.g_ratio, ric_norm2(p), trace_free_cube(p), lap):
             assert np.isnan(arr[0]) and np.isfinite(arr[1:]).all()
         for edge in (0, 4, 8):
-            assert not p.valid_mask(edge=edge)[0]
+            assert p.trusted_band("pole", edge=edge).start > 0
 
 
 def test_sphere_model_positive_curvature():
@@ -130,24 +130,24 @@ def test_constant_curvature_models_across_grid(cc):
         t0=0.0, t1=r_max, n_samples=2001, fiber_constant_curvature=True,
     )
     grids = curvature_grids(p)
-    mask = p.valid_mask()
+    band = p.trusted_band("eigenvalues", grids["rho_fib"], grids["rho_rad"])
     target = -(n - 1) * cc
-    assert np.max(np.abs(grids["rho_fib"][mask] - target)) < 1e-7
-    assert np.max(np.abs(grids["rho_rad"][mask] - target)) < 1e-7
+    assert np.max(np.abs(grids["rho_fib"][band] - target)) < 1e-7
+    assert np.max(np.abs(grids["rho_rad"][band] - target)) < 1e-7
 
 
 def test_trace_identities_on_samples():
     p = hyperbolic_profile(n=5)
     grids = curvature_grids(p)
-    mask = p.valid_mask()
+    band = p.trusted_band("curvature", *grids.values())
     d = p.d
     np.testing.assert_allclose(
-        grids["S"][mask], d * grids["rho_fib"][mask] + grids["rho_rad"][mask], atol=1e-9
+        grids["S"][band], d * grids["rho_fib"][band] + grids["rho_rad"][band], atol=1e-9
     )
     np.testing.assert_allclose(
-        d * grids["tau_f"][mask] + grids["tau_r"][mask], 0.0, atol=1e-9
+        d * grids["tau_f"][band] + grids["tau_r"][band], 0.0, atol=1e-9
     )
-    assert np.min(grids["T_norm2"][mask]) >= 0.0
+    assert np.min(grids["T_norm2"][band]) >= 0.0
 
 
 def test_einstein_criterion_separates_profiles():
@@ -158,8 +158,8 @@ def test_einstein_criterion_separates_profiles():
         t0=0.0, t1=2.0, n_samples=2001, fiber_constant_curvature=True,
     )
     grids = curvature_grids(ein)
-    mask = ein.valid_mask()
-    assert np.max(np.abs(grids["rho_fib"][mask] - grids["rho_rad"][mask])) < 1e-7
+    band = ein.trusted_band("eigenvalues", grids["rho_fib"], grids["rho_rad"])
+    assert np.max(np.abs(grids["rho_fib"][band] - grids["rho_rad"][band])) < 1e-7
 
     # a perturbed warp is visibly not Einstein
     pert = WarpProfile(
@@ -167,8 +167,8 @@ def test_einstein_criterion_separates_profiles():
         t0=0.0, t1=2.0, n_samples=2001, fiber_constant_curvature=True,
     )
     grids = curvature_grids(pert)
-    mask = pert.valid_mask()
-    assert np.max(np.abs(grids["rho_fib"][mask] - grids["rho_rad"][mask])) > 1e-2
+    band = pert.trusted_band("eigenvalues", grids["rho_fib"], grids["rho_rad"])
+    assert np.max(np.abs(grids["rho_fib"][band] - grids["rho_rad"][band])) > 1e-2
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +180,8 @@ def test_laplacian_of_distance_squared_flat():
     p = euclidean_profile()
     u = GridFn.from_callable(lambda t: t**2, 0.0, 4.0, 2001)
     lap = radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values)
-    mask = p.valid_mask()
-    assert np.max(np.abs(lap[mask] - 6.0)) < 1e-8
+    band = p.trusted_band("laplacian", lap)
+    assert np.max(np.abs(lap[band] - 6.0)) < 1e-8
 
 
 def test_laplacian_of_one_vanishes():
@@ -189,8 +189,8 @@ def test_laplacian_of_one_vanishes():
     one = GridFn.constant(1.0, 0.0, 4.0, 2001)
     f = GridFn.from_callable(lambda t: 0.3 * t**2, 0.0, 4.0, 2001)
     lap = radial_laplacian(p, derivative(one, 1).values, derivative(one, 2).values, derivative(f, 1).values)
-    mask = p.valid_mask()
-    assert np.max(np.abs(lap[mask])) < 1e-12
+    band = p.trusted_band("laplacian", lap)
+    assert np.max(np.abs(lap[band])) < 1e-12
 
 
 def test_weighted_laplacian_gaussian():
@@ -199,9 +199,9 @@ def test_weighted_laplacian_gaussian():
     half_sq = GridFn.from_callable(lambda t: t**2 / 2.0, 0.0, 4.0, 2001)
     up = derivative(half_sq, 1).values
     lap = radial_laplacian(p, up, derivative(half_sq, 2).values, up)
-    mask = p.valid_mask()
-    t = p.grid[mask]
-    assert np.max(np.abs(lap[mask] - (3.0 - t**2))) < 1e-8
+    band = p.trusted_band("laplacian", lap)
+    t = p.grid[band]
+    assert np.max(np.abs(lap[band] - (3.0 - t**2))) < 1e-8
 
 
 def test_laplacian_on_hyperbolic_model():
@@ -209,10 +209,10 @@ def test_laplacian_on_hyperbolic_model():
     p = hyperbolic_profile()
     u = GridFn.from_callable(lambda t: np.cos(t) + 0.1 * t**3, 0.0, 4.0, 2001)
     lap = radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values)
-    mask = p.valid_mask()
-    t = p.grid[mask]
+    band = p.trusted_band("laplacian", lap)
+    t = p.grid[band]
     exact = -np.cos(t) + 0.6 * t + 2.0 / np.tanh(t) * (-np.sin(t) + 0.3 * t * t)
-    assert np.max(np.abs(lap[mask] - exact)) < 1e-7
+    assert np.max(np.abs(lap[band] - exact)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +429,12 @@ def test_pole_band_by_index_is_the_band_by_radius(res):
     p = euclidean_profile(r_max=8.0, res=res)
     expected = p.grid > p.t0 + (POLE_EXCLUSION_STEPS - 0.5) * p.h
     expected[-4:] = False
-    assert np.array_equal(p.valid_mask(), expected)
+    band = np.zeros(p.n_samples, dtype=bool)
+    band[p.trusted_band("band")] = True
+    assert np.array_equal(band, expected)
 
 
 @pytest.mark.parametrize("edge", [0, 1, 4])
-def test_valid_mask_drops_edge_samples_at_each_end(edge):
+def test_trusted_band_drops_edge_samples_at_each_end(edge):
     p = cylinder_profile()
-    mask = p.valid_mask(edge=edge)
-    assert mask.sum() == p.n_samples - 2 * edge
-    assert mask[edge] and mask[p.n_samples - 1 - edge]
+    assert p.trusted_band("band", edge=edge) == slice(edge, p.n_samples - edge)

@@ -39,6 +39,7 @@ from solab.verify import (
     okumura_check,
     residual_report,
     soliton_residual,
+    _oy_windows,
 )
 
 
@@ -166,8 +167,8 @@ def test_one_sided_trace_free_balance(name):
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
     balance = rep.per_point + grad_T_norm2(s).values
-    mask = s.profile.trusted_mask("trace-free balance", balance, edge=2 * EDGE_WIDTH)
-    assert np.min(balance[mask]) >= -1e-5, f"trace-free balance on {name}: min {np.min(balance[mask]):.3e}"
+    band = s.profile.trusted_band("trace-free balance", balance, edge=2 * EDGE_WIDTH)
+    assert np.min(balance[band]) >= -1e-5, f"trace-free balance on {name}: min {np.min(balance[band]):.3e}"
 
 
 def test_identity_suite_catches_corruption():
@@ -332,8 +333,8 @@ def brute_force_grad_T_norm2(spec, t_eval):
 def test_grad_T_closed_form_vanishes_on_space_forms():
     s = hyperbolic_trivial()
     gt = grad_T_norm2(s)
-    mask = s.profile.valid_mask()
-    assert np.max(np.abs(gt.values[mask])) < 1e-12
+    band = s.profile.trusted_band("grad_T", gt.values)
+    assert np.max(np.abs(gt.values[band])) < 1e-12
     for t in (0.8, 1.5, 2.5):
         assert brute_force_grad_T_norm2(s, t) == pytest.approx(0.0, abs=1e-12)
 
@@ -354,9 +355,9 @@ def test_trace_free_balance_defect_equals_grad_T(name):
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
     gt = grad_T_norm2(s)
-    mask = s.profile.valid_mask()
     defect = rep.per_point + gt.values
-    assert np.max(np.abs(defect[mask] - gt.values[mask])) < 2e-5
+    band = s.profile.trusted_band("trace-free balance", defect)
+    assert np.max(np.abs(defect[band] - gt.values[band])) < 2e-5
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +533,20 @@ def test_oy_constant_profile_passes():
     G = GridFn.constant(1.0, 0.0, 100.0, 2001)
     rep = check_OY_hypotheses(G, 100.0)
     assert rep.verdict is Verdict.CONSISTENT
+
+
+@pytest.mark.parametrize("t1, res, t_max", [(16.0, 129, 11.0), (100.0, 4001, 100.0), (10.0, 2001, 7.3), (2.0, 21, 1.93)])
+def test_oy_windows_match_the_mask_reference(t1, res, t_max):
+    # the windows are grid slices found by searchsorted; the boolean masks
+    # they replaced are the reference.  On [0, 16] with step 1/8 every
+    # window end for t_max = 11 (6, 7, 10 and 11) is a grid point
+    G = GridFn.constant(1.0, 0.0, t1, res)
+    tw = G.grid
+    tw = tw[(tw >= 1.0) & (tw <= t_max)]
+    t_last = tw[tw >= t_max - 0.1 * (t_max - 1.0)]
+    t_mid = tw[(tw >= 1.0 + 0.5 * (t_max - 1.0)) & (tw <= 1.0 + 0.6 * (t_max - 1.0))]
+    got_last, got_mid = _oy_windows(G, t_max)
+    assert np.array_equal(got_last, t_last) and np.array_equal(got_mid, t_mid)
 
 
 def test_oy_rejects_nonpositive_profile():
