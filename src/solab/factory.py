@@ -141,7 +141,7 @@ class SolitonSpec:
         samples; u_values is read, not copied, and must not change during
         the call."""
         p = self.profile
-        u = GridFn.adopt(p.t0, p.t1, u_values)
+        u = GridFn(p.t0, p.t1, u_values)
         return radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, self.fp)
 
 

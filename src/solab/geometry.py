@@ -32,7 +32,7 @@ from .errors import (
     NoTrustedSamples,
     NotAModel,
 )
-from .kernel import GridFn, cn, integrate_cumulative, sn
+from .kernel import EDGE_WIDTH, GridFn, cn, integrate_cumulative, sn
 
 __all__ = [
     "SnCombination",
@@ -248,13 +248,13 @@ class WarpProfile:
                 i = start + int(np.argmin(finite))
                 raise NonFiniteValues(f"{what}: non-finite value at t = {self.grid_at(i):.6g}")
 
-    def trusted_band(self, what: str, *arrays: np.ndarray, edge: int = 4) -> slice:
+    def trusted_band(self, what: str, *arrays: np.ndarray, edge: int = EDGE_WIDTH) -> slice:
         """The samples trusted for sup-norms and extrema of arrays, as one
         slice: stencil-interior and away from a pole.
 
-        edge is the boundary band to drop: 4 for a single stencil
-        application, 8 for quantities that differentiate a stencil output
-        again (one-sided rows of the inner pass pollute the outer one).
+        edge is the boundary band to drop: EDGE_WIDTH for one stencil
+        pass, twice that where a stencil output is differentiated again
+        (one-sided rows of the inner pass pollute the outer one).
         The arrays must pass require_finite; an empty band raises
         NoTrustedSamples.
         """
@@ -367,4 +367,4 @@ def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray
     float) or an array of radii (returns an array), as for GridFn.eval."""
     p.require_model()
     dens = sphere_volume_density(p, p.g_values, None if f is None else f.values)
-    return integrate_cumulative(GridFn.adopt(p.t0, p.t1, dens)).eval(r)
+    return integrate_cumulative(GridFn(p.t0, p.t1, dens)).eval(r)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -43,10 +42,13 @@ MIN_SAMPLES = 2 * EDGE_WIDTH + 1
 class GridFn:
     """A real function of one variable sampled on a uniform grid.
 
-    Values must be free of infinities.  NaN is tolerated: it marks the one
-    sample where a quantity is undefined, a model pole, and every sup-norm
-    rejects a NaN anywhere else (WarpProfile.require_finite).  Sup-norms
-    and extrema reduce over one slice of samples, WarpProfile.trusted_band.
+    The caller hands its float array over and no longer writes to it: no
+    copy is made, and the array is read through a read-only view, so the
+    caller's own array keeps its flags.  Values must be free of
+    infinities.  NaN is tolerated: it marks the one sample where a
+    quantity is undefined, a model pole, and every sup-norm rejects a NaN
+    anywhere else (WarpProfile.require_finite).  Sup-norms and extrema
+    reduce over one slice of samples, WarpProfile.trusted_band.
     """
 
     t0: float
@@ -54,23 +56,7 @@ class GridFn:
     values: np.ndarray
 
     def __post_init__(self):
-        # own a frozen copy: freezing a caller's array in place would be
-        # a visible side effect
-        self._own(np.array(self.values, dtype=float))
-
-    @classmethod
-    def adopt(cls, t0: float, t1: float, values: np.ndarray) -> "GridFn":
-        """A GridFn over a float array the caller hands over and no longer
-        writes to: the same checks as the constructor, without its
-        defensive copy.  It reads the array through a read-only view, so
-        the caller's own array keeps its flags."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "t0", t0)
-        object.__setattr__(out, "t1", t1)
-        out._own(np.asarray(values, dtype=float).view())
-        return out
-
-    def _own(self, vals: np.ndarray) -> None:
+        vals = np.asarray(self.values, dtype=float).view()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         if vals.ndim != 1:
@@ -93,11 +79,6 @@ class GridFn:
     @property
     def grid(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_samples)
-
-    @classmethod
-    def from_callable(cls, fn: Callable, t0: float, t1: float, n_samples: int) -> "GridFn":
-        t = np.linspace(t0, t1, n_samples)
-        return cls(t0, t1, np.asarray(fn(t), dtype=float))
 
     @classmethod
     def constant(cls, value: float, t0: float, t1: float, n_samples: int) -> "GridFn":
@@ -287,7 +268,7 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
     # index n-1-i, with the axis flip negating odd derivative orders)
     sign = -1.0 if order % 2 else 1.0
     out[n - EDGE_WIDTH :] = (sign * (edge @ v[: n - width - 1 : -1]) / scale)[::-1]
-    return GridFn.adopt(f.t0, f.t1, out)
+    return GridFn(f.t0, f.t1, out)
 
 
 def nan_fill(arr: np.ndarray) -> np.ndarray:
@@ -350,7 +331,7 @@ def integrate_cumulative(f: GridFn) -> GridFn:
             F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
         if shift:
             F *= 2.0**shift
-    return GridFn.adopt(f.t0, f.t1, F)
+    return GridFn(f.t0, f.t1, F)
 
 
 # ---------------------------------------------------------------------------
@@ -455,7 +436,7 @@ def _rk4_linear(Q: GridFn, y0: float, yp0: float):
     if big.any():
         i = int(np.argmax(big)) + 1
         raise OverflowDetected(f"solution exceeded 1e300 near t = {Q.t0 + i * Q.h:.6g}")
-    return GridFn.adopt(Q.t0, Q.t1, y), GridFn.adopt(Q.t0, Q.t1, v)
+    return GridFn(Q.t0, Q.t1, y), GridFn(Q.t0, Q.t1, v)
 
 
 def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> GridFn:

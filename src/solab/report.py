@@ -38,16 +38,11 @@ CSV_COLUMNS = ("t", "g", "f", "lambda", "S", "ric_norm2", "T_norm2", "residual")
 _DEFAULT_TRIVIALITY_PARAMS = TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=0.0, A=1.0, B=1.0)
 
 
-def _finite_or_none(x):
-    x = float(x)
-    return x if math.isfinite(x) else None
-
-
 def _residual_dict(rep: ResidualReport) -> dict:
     return {
         "identity_id": rep.identity_id,
-        "sup_norm": _finite_or_none(rep.sup_norm),
-        "argmax_t": _finite_or_none(rep.argmax_t),
+        "sup_norm": float(rep.sup_norm),
+        "argmax_t": float(rep.argmax_t),
         "tolerance_used": rep.tolerance_used,
         "passed": bool(rep.passed),
         "one_sided": bool(rep.one_sided),

@@ -196,10 +196,12 @@ def test_criterion_8_parabolicity_verdicts():
 
 def test_criterion_9_omori_yau_conditions():
     with criterion(9, "Omori-Yau condition checks"):
-        G = GridFn.from_callable(lambda t: t**2 + 1.0, 0.0, 100.0, 4001)
+        t = np.linspace(0.0, 100.0, 4001)
+        G = GridFn(0.0, 100.0, t**2 + 1.0)
         rep = check_OY_hypotheses(G, 100.0)
         assert all(f.passed for f in rep.hypothesis_flags.values())
-        G = GridFn.from_callable(lambda t: np.exp(t**2), 0.0, 20.0, 4001)
+        t = np.linspace(0.0, 20.0, 4001)
+        G = GridFn(0.0, 20.0, np.exp(t**2))
         rep = check_OY_hypotheses(G, 20.0)
         assert not rep.hypothesis_flags["inverse_sqrt_not_integrable"].passed
 

@@ -7,6 +7,7 @@ import pytest
 
 from solab.comparison import (
     VolestConstants,
+    _integral_to,
     derive_setup,
     diameter_bound,
     f_parabolic_test,
@@ -18,7 +19,7 @@ from solab.comparison import (
 from solab.errors import EnvelopeViolation, NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
 from solab.geometry import weighted_ball_volume, weighted_sphere_volume
-from solab.kernel import GridFn, sn, solve_linear_ode2, solve_linear_ode2_with_derivative
+from solab.kernel import GridFn, integrate_cumulative, sn, solve_linear_ode2, solve_linear_ode2_with_derivative
 
 
 def hyperbolic_model(n=3, r_max=4.0):
@@ -203,7 +204,8 @@ def test_volume_bound_monotone_in_G():
 
 def test_sturm_domination():
     # G >= c_min pointwise forces h >= sn_{-c_min}
-    Q = GridFn.from_callable(lambda t: 1.0 + t**2, 0.0, 2.0, 2001)
+    t = np.linspace(0.0, 2.0, 2001)
+    Q = GridFn(0.0, 2.0, 1.0 + t**2)
     h = solve_linear_ode2(Q, 0.0, 1.0)
     assert np.all(h.values >= sn(-1.0, h.grid) - 1e-9)
 
@@ -261,6 +263,30 @@ def test_omega_bound_rejects_overflowing_integrand():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteValues, match="volume_bound_omega: non-finite value at t = 3.94"):
             volume_bound_omega(s, cs, s.f, omega, r0=1.0, r=4.0)
+
+
+def test_omega_bound_integrates_only_up_to_its_radius():
+    # the same integrand leaves the float range at t = 3.94, past r = 2
+    s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0}, 3)
+    cs = derive_setup(s)
+    omega = s.f.with_values(s.f.values + 27.5 * s.profile.grid)
+    _, bound, ok = volume_bound_omega(s, cs, s.f, omega, r0=1.0, r=2.0)
+    assert ok and bound == pytest.approx(4.36441164288078e57, rel=1e-12)
+
+
+@pytest.mark.parametrize("res, r_max, rtol", [(2001, 8.0, 0.0), (1001, 3.0, 1e-15), (1002, 3.0, 1e-15)])
+def test_prefix_integral_reads_the_whole_grid_values(res, r_max, rtol):
+    # the prefix ends 3 samples past the cell of r, so eval reads Simpson
+    # and interior-rule values; they match the whole grid's bit for bit
+    # when the prefix's spacing rounds back to the grid's h (r_max a power
+    # of two here), and to a few ulps otherwise
+    p = build_gaussian(1.0, 3, r_max=r_max, resolution=res).profile
+    integrand = np.exp(np.sin(p.grid))
+    whole = integrate_cumulative(GridFn(p.t0, p.t1, integrand))
+    for r in np.linspace(0.1, r_max, 61):
+        part = _integral_to(p, "test", integrand, r)
+        radii = np.array([0.3 * r, 0.77 * r, r])
+        np.testing.assert_allclose(part.eval(radii), whole.eval(radii), rtol=rtol, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +377,12 @@ def test_euclidean_3d_not_parabolic():
 def test_euclidean_plane_parabolic():
     s = euclidean_model(n=2, r_max=24.0)
     _, verdict = f_parabolic_test(s, 24.0)
+    assert verdict == "LikelyParabolic"
+
+
+def test_parabolicity_integrates_only_up_to_r_max():
+    # 1 / vol_f(boundary B_t) overflows at t = 11.984, past r_max = 8
+    _, verdict = f_parabolic_test(build_gaussian(10.0, 3, r_max=16.0), 8.0)
     assert verdict == "LikelyParabolic"
 
 

@@ -178,7 +178,8 @@ def test_einstein_criterion_separates_profiles():
 def test_laplacian_of_distance_squared_flat():
     # u = t^2 on R^3: Delta u = 2n = 6
     p = euclidean_profile()
-    u = GridFn.from_callable(lambda t: t**2, 0.0, 4.0, 2001)
+    t = np.linspace(0.0, 4.0, 2001)
+    u = GridFn(0.0, 4.0, t**2)
     lap = radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values)
     band = p.trusted_band("laplacian", lap)
     assert np.max(np.abs(lap[band] - 6.0)) < 1e-8
@@ -187,7 +188,8 @@ def test_laplacian_of_distance_squared_flat():
 def test_laplacian_of_one_vanishes():
     p = hyperbolic_profile()
     one = GridFn.constant(1.0, 0.0, 4.0, 2001)
-    f = GridFn.from_callable(lambda t: 0.3 * t**2, 0.0, 4.0, 2001)
+    t = np.linspace(0.0, 4.0, 2001)
+    f = GridFn(0.0, 4.0, 0.3 * t**2)
     lap = radial_laplacian(p, derivative(one, 1).values, derivative(one, 2).values, derivative(f, 1).values)
     band = p.trusted_band("laplacian", lap)
     assert np.max(np.abs(lap[band])) < 1e-12
@@ -196,7 +198,8 @@ def test_laplacian_of_one_vanishes():
 def test_weighted_laplacian_gaussian():
     # g = t, f = t^2/2, u = t^2/2, n = 3: Delta_f u = 3 - t^2
     p = euclidean_profile()
-    half_sq = GridFn.from_callable(lambda t: t**2 / 2.0, 0.0, 4.0, 2001)
+    t = np.linspace(0.0, 4.0, 2001)
+    half_sq = GridFn(0.0, 4.0, t**2 / 2.0)
     up = derivative(half_sq, 1).values
     lap = radial_laplacian(p, up, derivative(half_sq, 2).values, up)
     band = p.trusted_band("laplacian", lap)
@@ -207,7 +210,8 @@ def test_weighted_laplacian_gaussian():
 def test_laplacian_on_hyperbolic_model():
     # u = cos t + 0.1 t^3 on H^3 (g = sinh t, d = 2): Delta u = u'' + 2 coth(t) u'
     p = hyperbolic_profile()
-    u = GridFn.from_callable(lambda t: np.cos(t) + 0.1 * t**3, 0.0, 4.0, 2001)
+    t = np.linspace(0.0, 4.0, 2001)
+    u = GridFn(0.0, 4.0, np.cos(t) + 0.1 * t**3)
     lap = radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values)
     band = p.trusted_band("laplacian", lap)
     t = p.grid[band]
@@ -226,7 +230,8 @@ def test_euclidean_sphere_area():
 
 def test_gaussian_sphere_volume_n2():
     p = euclidean_profile(n=2)
-    f = GridFn.from_callable(lambda t: t**2 / 2.0, 0.0, 4.0, 2001)
+    t = np.linspace(0.0, 4.0, 2001)
+    f = GridFn(0.0, 4.0, t**2 / 2.0)
     direct = weighted_sphere_volume(p, f, 1.0)
     assert direct == pytest.approx(2 * math.pi * math.exp(-0.5), rel=1e-12)
     # cross-check against quadrature of the density over the circle fiber
@@ -248,7 +253,8 @@ def test_euclidean_ball_volume():
 
 def test_gaussian_total_weighted_volume_n2():
     p = euclidean_profile(n=2, r_max=8.0)
-    f = GridFn.from_callable(lambda t: t**2 / 2.0, 0.0, 8.0, 2001)
+    t = np.linspace(0.0, 8.0, 2001)
+    f = GridFn(0.0, 8.0, t**2 / 2.0)
     assert weighted_ball_volume(p, f, 8.0) == pytest.approx(2 * math.pi, rel=1e-9)
 
 
@@ -260,7 +266,8 @@ def test_hyperbolic_ball_volume():
 
 def test_ball_volume_monotone_in_radius():
     p = hyperbolic_profile()
-    f = GridFn.from_callable(lambda t: np.sin(t), 0.0, 4.0, 2001)
+    t = np.linspace(0.0, 4.0, 2001)
+    f = GridFn(0.0, 4.0, np.sin(t))
     radii = np.linspace(0.1, 4.0, 40)
     vols = [weighted_ball_volume(p, f, r) for r in radii]
     assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))

@@ -516,14 +516,16 @@ def test_no_factory_spec_violates_any_theorem(name):
 # ---------------------------------------------------------------------------
 
 def test_oy_quadratic_profile_passes_all_four():
-    G = GridFn.from_callable(lambda t: t**2 + 1.0, 0.0, 100.0, 4001)
+    t = np.linspace(0.0, 100.0, 4001)
+    G = GridFn(0.0, 100.0, t**2 + 1.0)
     rep = check_OY_hypotheses(G, 100.0)
     assert rep.verdict is Verdict.CONSISTENT
     assert all(f.passed for f in rep.hypothesis_flags.values())
 
 
 def test_oy_gaussian_growth_fails_integrability_condition():
-    G = GridFn.from_callable(lambda t: np.exp(t**2), 0.0, 20.0, 4001)
+    t = np.linspace(0.0, 20.0, 4001)
+    G = GridFn(0.0, 20.0, np.exp(t**2))
     rep = check_OY_hypotheses(G, 20.0)
     assert not rep.hypothesis_flags["inverse_sqrt_not_integrable"].passed
     assert rep.verdict is Verdict.HYPOTHESES_NOT_MET
@@ -550,7 +552,8 @@ def test_oy_windows_match_the_mask_reference(t1, res, t_max):
 
 
 def test_oy_rejects_nonpositive_profile():
-    G = GridFn.from_callable(lambda t: t - 1.0, 0.0, 10.0, 2001)
+    t = np.linspace(0.0, 10.0, 2001)
+    G = GridFn(0.0, 10.0, t - 1.0)
     with pytest.raises(NonPositiveG):
         check_OY_hypotheses(G, 10.0)
 
