@@ -338,10 +338,25 @@ def test_gridfn_rejects_infinities():
         GridFn(0.0, 1.0, v)
 
 
-def test_gridfn_shares_the_callers_array_and_keeps_the_checks():
+def test_gridfn_owns_a_copy_and_kernel_outputs_keep_the_checks():
     v = np.linspace(0.0, 1.0, 11)
     f = GridFn(0.0, 1.0, v)
-    # no copy, and the caller's array keeps its flags
+    assert not f.values.flags.writeable
+    outputs = (derivative(f, 1), derivative(f, 2), integrate_cumulative(f), solve_linear_ode2(f, 0.0, 1.0))
+    # every kernel output holds a fresh array of its own, read-only
+    assert not any(np.shares_memory(out.values, v) for out in outputs)
+    assert not any(out.values.flags.writeable for out in outputs)
+    # h^2 underflows to 0, and the second-derivative stencil divides by it
+    tiny = GridFn(0.0, 1e-300, v * v)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteValues):
+        derivative(tiny, 2)
+
+
+def test_gridfn_adopt_shares_the_array_and_keeps_the_checks():
+    # the constructor adopts the caller's array: no copy, and the caller's
+    # array keeps its flags
+    v = np.linspace(0.0, 1.0, 11)
+    f = GridFn(0.0, 1.0, v)
     assert np.shares_memory(f.values, v) and v.flags.writeable and not f.values.flags.writeable
     bad = v.copy()
     bad[3] = np.inf
@@ -351,12 +366,6 @@ def test_gridfn_shares_the_callers_array_and_keeps_the_checks():
         GridFn(0.0, 1.0, np.zeros(8))
     with pytest.raises(ValueError, match="t1 > t0"):
         GridFn(1.0, 1.0, v)
-    outputs = (derivative(f, 1), derivative(f, 2), integrate_cumulative(f), solve_linear_ode2(f, 0.0, 1.0))
-    assert not any(out.values.flags.writeable for out in outputs)
-    # h^2 underflows to 0, and the second-derivative stencil divides by it
-    tiny = GridFn(0.0, 1e-300, v * v)
-    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(NonFiniteValues):
-        derivative(tiny, 2)
 
 
 def test_kernel_outputs_are_counted_constructions(monkeypatch):
