@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand
 from .factory import SolitonSpec
-from .geometry import WarpProfile, sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
-from .kernel import MIN_SAMPLES, GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
+from .geometry import integral_to, sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
+from .kernel import GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
 from .verify import ResidualReport, residual_report
 
 __all__ = [
@@ -121,7 +121,7 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     with D calibrated so the two densities agree at the pole
     (D = fiber_volume * e^(-f(pole)), exact for models).  r is one radius
     or an array of radii (as for GridFn.eval); the volume curves are
-    integrated once either way."""
+    integrated once either way, up to the largest radius (integral_to)."""
     p = s.profile
     p.require_model()
     actual = weighted_ball_volume(p, s.f, r)
@@ -134,7 +134,7 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
         # D h^(n-1) e^Theta as one density, in logs where a factor leaves the float range
         D, integrand = 1.0, sphere_volume_density(p, cs.h.values, s.f.values[0] - Theta.values)
     del Theta
-    bound = D * integrate_cumulative(GridFn(p.t0, p.t1, integrand)).eval(r)
+    bound = D * integral_to(p, "volume_bound", integrand, r).eval(r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 
@@ -170,27 +170,15 @@ def volume_bound_omega(
 
     omega_tilde = omega.values - xi.values
     exponent = (p.n - 1) + 2.0 * omega_tilde
-    C = weighted_ball_volume(p, s.f, r0)
+    C, actual = weighted_ball_volume(p, s.f, np.array([r0, r])).tolist()
     sphere_r0 = weighted_sphere_volume(p, s.f, r0)
     wt_r0 = float(GridFn(p.t0, p.t1, omega_tilde).eval(r0))
     B_cal = sphere_r0 / h_r0 ** ((p.n - 1) + 2.0 * wt_r0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # left to require_finite
         integrand = cs.h.values ** exponent
-    F = _integral_to(p, "volume_bound_omega", integrand, max(r0, r))
+    F = integral_to(p, "volume_bound_omega", integrand, max(r0, r))
     bound = C + B_cal * (float(F.eval(r)) - float(F.eval(r0)))
-    actual = weighted_ball_volume(p, s.f, r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
-
-
-def _integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float) -> GridFn:
-    """Running integral of integrand over the grid prefix that eval reads
-    at radii up to r, after require_finite on that prefix alone.  It ends
-    3 samples past the cell of r, so eval reads Simpson and interior-rule
-    values: the whole grid's, bit for bit when the prefix's spacing is h."""
-    m = min(p.n_samples, max(MIN_SAMPLES, int((r - p.t0) / p.h) + 4))
-    prefix = integrand[:m]
-    p.require_finite(what, prefix)
-    return integrate_cumulative(GridFn(p.t0, p.grid_at(m - 1), prefix))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +255,7 @@ def f_parabolic_test(s: SolitonSpec, r_max: float) -> ParabolicVerdict:
     with np.errstate(divide="ignore", over="ignore"):  # left to require_finite
         integrand = 1.0 / dens
     integrand[0] = 0.0  # the pole, 1/0, lies below the test's start at t = 2
-    F = _integral_to(p, "f_parabolic", integrand, r_max)
+    F = integral_to(p, "f_parabolic", integrand, r_max)
     base = float(F.eval(2.0))
     partials = tuple(float(F.eval(T)) - base for T in (r_max / 4, r_max / 2, r_max))
     total = partials[-1]

@@ -80,7 +80,8 @@ class SolitonSpec:
     family_tag: FamilyTag
 
     def __post_init__(self):
-        if not (self.f.same_grid(self.profile) and self.lam.same_grid(self.profile)):
+        p = self.profile
+        if any((u.t0, u.t1, u.n_samples) != (p.t0, p.t1, p.n_samples) for u in (self.f, self.lam)):
             raise ValueError("f and lambda must live on the profile grid")
         if not (np.isfinite(self.f.values).all() and np.isfinite(self.lam.values).all()):
             raise NonFiniteValues("potential and soliton function must be finite")

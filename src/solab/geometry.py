@@ -32,7 +32,7 @@ from .errors import (
     NoTrustedSamples,
     NotAModel,
 )
-from .kernel import EDGE_WIDTH, GridFn, cn, integrate_cumulative, sn
+from .kernel import EDGE_WIDTH, MIN_SAMPLES, GridFn, cn, integrate_cumulative, sn
 
 __all__ = [
     "SnCombination",
@@ -46,6 +46,7 @@ __all__ = [
     "sphere_volume_density",
     "weighted_sphere_volume",
     "weighted_ball_volume",
+    "integral_to",
 ]
 
 # samples within 10 grid spacings of a pole are excluded from sup-norms;
@@ -363,8 +364,24 @@ def weighted_sphere_volume(p: WarpProfile, f: GridFn | None, r: float) -> float:
 
 def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray):
     """vol_f of the geodesic ball of radius r about the pole, by composite
-    Simpson of the sphere-volume density.  r may be one radius (returns a
-    float) or an array of radii (returns an array), as for GridFn.eval."""
+    Simpson of the sphere-volume density over the grid prefix that
+    integral_to reads.  r may be one radius (returns a float) or an array
+    of radii (returns an array), as for GridFn.eval."""
     p.require_model()
     dens = sphere_volume_density(p, p.g_values, None if f is None else f.values)
-    return integrate_cumulative(GridFn(p.t0, p.t1, dens)).eval(r)
+    return integral_to(p, "ball_volume", dens, r).eval(r)
+
+
+def integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float | np.ndarray) -> GridFn:
+    """Running integral of integrand over the grid prefix that eval reads
+    at radii up to r (the largest of an array), after require_finite on
+    that prefix alone, so samples past r can neither enter nor refuse it.
+    The prefix ends at least 3 samples past the cell of r, at the first
+    sample where its spacing rounds back to the grid's h: eval then reads
+    the whole grid's values, bit for bit."""
+    m = int(np.clip((np.max(r) - p.t0) / p.h + 4, MIN_SAMPLES, p.n_samples))
+    while (p.grid_at(m - 1) - p.t0) / (m - 1) != p.h:  # ends by m = n_samples, where grid_at is t1
+        m += 1
+    prefix = integrand[:m]
+    p.require_finite(what, prefix)
+    return integrate_cumulative(GridFn(p.t0, p.grid_at(m - 1), prefix))

@@ -88,13 +88,6 @@ class GridFn:
         """Same grid, new samples."""
         return GridFn(self.t0, self.t1, values)
 
-    def same_grid(self, other: "GridFn") -> bool:
-        return (
-            self.n_samples == other.n_samples
-            and abs(self.t0 - other.t0) <= 1e-12 * (1 + abs(self.t0))
-            and abs(self.t1 - other.t1) <= 1e-12 * (1 + abs(self.t1))
-        )
-
     def eval(self, t):
         """Evaluate at arbitrary points by 4-point (cubic) Lagrange interpolation.
 

@@ -268,17 +268,13 @@ _EMPTY_BANDS = [
     "payload, message",
     [
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 1}), "gaussian needs n >= 2"),
-        # the ball volume stays finite, e^Theta in its bound overflows
-        (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": -1, "b": 60, "n": 3},
-              suites=["comparison"], grid={"interval": [0, 7.3], "resolution": 201}),
-         "GridFn values must not contain infinities"),
         # cosh(100 t) overflows on [0, 10]
         (dict(GAUSSIAN_MANIFEST, family="einstein", params={"c": 1e4, "g0": 1, "gp0": 0, "a": 1, "b": 0, "n": 4},
               grid={"interval": [0, 10], "resolution": 201}), "must be finite on the interval"),
-        # e^(-f(0)) = e^800 in the volume calibration overflows
+        # e^(-f) = e^800 overflows in the ball volume density, past the pole
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 0, "b": -800, "n": 3},
               suites=["comparison"], grid={"interval": [0, 4], "resolution": 201}),
-         "suite 'comparison': GridFn values must not contain infinities"),
+         "suite 'comparison': ball_volume: non-finite value at t = 0.02"),
         # no sample in the mid tenth of [1, 4] for condition (iv)
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 0, "n": 3}, suites=["oy"],
               grid={"interval": [0, 4], "resolution": 11}),
@@ -322,7 +318,7 @@ _EMPTY_BANDS = [
         # h^(n-1) e^Theta is 0 * inf in the volume bound
         (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 5.910216486567447e+185, "n": 9},
               suites=["comparison"], grid={"interval": [-4.4e-249, 3.0775457320025937e-55], "resolution": 258}),
-         "suite 'comparison': GridFn values must not contain infinities"),
+         "suite 'comparison': volume_bound: non-finite value at t = 1.19749e-57"),
         # inf - inf in the grad_f_bochner residual, away from the pole
         (dict(GAUSSIAN_MANIFEST, family="gaussian",
               params={"lambda0": 1.2892651523764015e+95, "n": 10, "corrupt_lambda": 1.1204822209439632e+249},
@@ -344,7 +340,7 @@ _EMPTY_BANDS = [
         *((_demo_at(demo, suites, res), f"no trusted samples on a {res}-sample grid")
           for demo, suites, res, _ in _EMPTY_BANDS),
     ],
-    ids=["gaussian_n1", "space_form_volume_bound_overflow", "einstein_overflowing_warp",
+    ids=["gaussian_n1", "einstein_overflowing_warp",
          "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
          "general_warp_powers_underflow", "space_form_grad_f_square_overflow", "tiny_grid_stencil_overflow",
          "tiny_grid_curvature_overflow", "triviality_gradient_overflow", "subnormal_grid_no_finite_eigenvalue",
@@ -357,6 +353,19 @@ def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", write_manifest(tmp_path, payload)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_volume_bound_reads_only_the_samples_up_to_its_radius(tmp_path):
+    # e^Theta overflows past t = 7.26, beyond the largest radius 5.475
+    payload = dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": -1, "b": 60, "n": 3},
+                   suites=["comparison"], grid={"interval": [0, 7.3], "resolution": 201})
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", write_manifest(tmp_path, payload), "--format", "json", "--out", str(out)]) == 0
+    checks = json.loads(out.read_text())["suite_results"][0]["checks"]
+    volume = [(c["r"], c["passed"]) for c in checks if c.get("check") == "volume_bound"]
+    assert volume == [(1.825, True), (3.65, True), (5.475, True)]
 
 
 @pytest.mark.parametrize(
@@ -575,10 +584,12 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 # golden file -> (demo manifest, grid resolution or None for the demo's own).
 # Chained stencils amplify a last-bit change by eps/h^k, so the fine grid
-# sees changes the default one hides.  At 20001 samples every demo fails
-# some check (the rounding floor of chained stencils) and exits 1.
+# sees changes the default one hides.  At 20001 and 200001 samples every
+# demo fails some check (the rounding floor of chained stencils) and exits 1.
 GOLDEN_RUNS = {fname: (fname, None) for fname in DEMO_MANIFESTS}
-GOLDEN_RUNS.update({fname.replace(".json", "-20001.json"): (fname, 20001) for fname in DEMO_MANIFESTS})
+GOLDEN_RUNS.update(
+    {fname.replace(".json", f"-{res}.json"): (fname, res) for fname in DEMO_MANIFESTS for res in (20001, 200001)}
+)
 
 
 @pytest.mark.parametrize("fname", sorted(GOLDEN_RUNS))

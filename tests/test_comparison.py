@@ -7,7 +7,6 @@ import pytest
 
 from solab.comparison import (
     VolestConstants,
-    _integral_to,
     derive_setup,
     diameter_bound,
     f_parabolic_test,
@@ -18,7 +17,7 @@ from solab.comparison import (
 )
 from solab.errors import EnvelopeViolation, NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
-from solab.geometry import weighted_ball_volume, weighted_sphere_volume
+from solab.geometry import integral_to, weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import GridFn, integrate_cumulative, sn, solve_linear_ode2, solve_linear_ode2_with_derivative
 
 
@@ -274,19 +273,18 @@ def test_omega_bound_integrates_only_up_to_its_radius():
     assert ok and bound == pytest.approx(4.36441164288078e57, rel=1e-12)
 
 
-@pytest.mark.parametrize("res, r_max, rtol", [(2001, 8.0, 0.0), (1001, 3.0, 1e-15), (1002, 3.0, 1e-15)])
-def test_prefix_integral_reads_the_whole_grid_values(res, r_max, rtol):
-    # the prefix ends 3 samples past the cell of r, so eval reads Simpson
-    # and interior-rule values; they match the whole grid's bit for bit
-    # when the prefix's spacing rounds back to the grid's h (r_max a power
-    # of two here), and to a few ulps otherwise
+@pytest.mark.parametrize("res, r_max", [(2001, 8.0), (1001, 3.0), (1002, 3.0), (20001, 8.0), (200001, 16.0)])
+def test_prefix_integral_reads_the_whole_grid_values(res, r_max):
+    # the prefix ends 3 or more samples past the cell of r, where its
+    # spacing rounds back to the grid's h, so eval reads Simpson and
+    # interior-rule values the whole grid's bit for bit
     p = build_gaussian(1.0, 3, r_max=r_max, resolution=res).profile
     integrand = np.exp(np.sin(p.grid))
     whole = integrate_cumulative(GridFn(p.t0, p.t1, integrand))
     for r in np.linspace(0.1, r_max, 61):
-        part = _integral_to(p, "test", integrand, r)
+        part = integral_to(p, "test", integrand, r)
         radii = np.array([0.3 * r, 0.77 * r, r])
-        np.testing.assert_allclose(part.eval(radii), whole.eval(radii), rtol=rtol, atol=0)
+        np.testing.assert_allclose(part.eval(radii), whole.eval(radii), rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------

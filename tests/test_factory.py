@@ -12,7 +12,7 @@ from solab.factory import (
     build_general_family,
 )
 from solab.geometry import Polynomial, SnCombination, curvature_grids, weighted_ball_volume
-from solab.kernel import derivative
+from solab.kernel import GridFn, derivative
 from solab.verify import Classification, classify_soliton, soliton_residual
 
 # frozen via the exponential-series oracle (tests/oracles.py)
@@ -166,6 +166,16 @@ def test_gaussian_total_weighted_volume():
     s = build_gaussian(1.0, 3, r_max=8.0)
     vol = weighted_ball_volume(s.profile, s.f, 8.0)
     assert vol == pytest.approx(TWO_PI_CUBED_SQRT, abs=1e-6)
+
+
+def test_spec_rejects_fields_off_the_profile_grid():
+    from dataclasses import replace
+
+    s = build_gaussian(1.0, 3, r_max=4.0, resolution=101)
+    p = s.profile
+    for field, u in (("f", GridFn(p.t0, p.t1, np.zeros(102))), ("lam", GridFn(p.t0, 4.5, s.lam.values))):
+        with pytest.raises(ValueError, match="f and lambda must live on the profile grid"):
+            replace(s, **{field: u})
 
 
 def test_gaussian_zero_is_trivial_flat():

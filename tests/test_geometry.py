@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from solab.errors import InvalidWarp, NotAModel
+from solab.errors import InvalidWarp, NonFiniteValues, NotAModel
+from solab.factory import build_gaussian
 from solab.geometry import (
     POLE_EXCLUSION_STEPS,
     Polynomial,
@@ -271,6 +272,15 @@ def test_ball_volume_monotone_in_radius():
     radii = np.linspace(0.1, 4.0, 40)
     vols = [weighted_ball_volume(p, f, r) for r in radii]
     assert all(b >= a - 1e-12 for a, b in zip(vols, vols[1:]))
+
+
+def test_ball_volume_reads_only_the_samples_up_to_its_radius():
+    # e^(50 r^2) overflows past t = 3.76: the 16-grid gives the 4-grid's
+    # value at r = 2 (same h = 0.008) and names the overflow at r = 8
+    wide, narrow = build_gaussian(-100.0, 3, r_max=16.0), build_gaussian(-100.0, 3, r_max=4.0, resolution=501)
+    assert weighted_ball_volume(wide.profile, wide.f, 2.0) == weighted_ball_volume(narrow.profile, narrow.f, 2.0)
+    with pytest.raises(NonFiniteValues, match="ball_volume: non-finite value at t = 3.76"):
+        weighted_ball_volume(wide.profile, wide.f, 8.0)
 
 
 def test_volume_requires_model():
