@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand
+from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand, NonFiniteValues
 from .factory import SolitonSpec
 from .geometry import integral_to, sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
 from .kernel import GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
@@ -77,7 +77,8 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     del min_eig
     h, hp = solve_linear_ode2_with_derivative(G, 0.0, 1.0)
     theta = GridFn(p.t0, p.t1, np.maximum.accumulate(np.maximum(0.0, -s.fp)))
-    with np.errstate(over="ignore"):  # an overflow is left to GridFn's check
+    p.require_finite("comparison setup", G.values, theta.values, h.values, hp.values)
+    with np.errstate(over="ignore"):  # an infinite D sends volume_bound_check to its log path
         D = p.fiber_volume * float(np.exp(-s.f.values[0]))
     return ComparisonSetup(G=G, theta=theta, h=h, hp=hp, D_calibration=D)
 
@@ -125,16 +126,19 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     p = s.profile
     p.require_model()
     actual = weighted_ball_volume(p, s.f, r)
-    Theta = integrate_cumulative(cs.theta)
-    with np.errstate(over="ignore", invalid="ignore"):  # left to the finiteness test below
-        integrand = cs.h.values ** (p.n - 1)
-        integrand *= np.exp(Theta.values)
-    D = cs.D_calibration
-    if not (np.isfinite(integrand).all() and 0.0 < D < math.inf):
-        # D h^(n-1) e^Theta as one density, in logs where a factor leaves the float range
-        D, integrand = 1.0, sphere_volume_density(p, cs.h.values, s.f.values[0] - Theta.values)
-    del Theta
-    bound = D * integral_to(p, "volume_bound", integrand, r).eval(r)
+    Theta = integrate_cumulative(cs.theta).values
+    D, bound = cs.D_calibration, None
+    if 0.0 < D < math.inf:  # the direct path, unless the prefix integral_to reads leaves the float range
+        with np.errstate(over="ignore", invalid="ignore"):  # left to integral_to
+            integrand = cs.h.values ** (p.n - 1)
+            integrand *= np.exp(Theta)
+        try:
+            bound = D * integral_to(p, "volume_bound", integrand, r).eval(r)
+        except NonFiniteValues:
+            pass
+    if bound is None:  # D h^(n-1) e^Theta as one density, in logs where a factor leaves the float range
+        integrand = sphere_volume_density(p, cs.h.values, s.f.values[0] - Theta)
+        bound = integral_to(p, "volume_bound", integrand, r).eval(r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 
@@ -157,6 +161,7 @@ def volume_bound_omega(
     p = s.profile
     p.require_model()
     r0, r = float(r0), float(r)
+    p.require_finite("volume_bound_omega", xi.values, omega.values)
     fv = s.f.values
     if np.any(fv < xi.values - 1e-12) or np.any(fv > omega.values + 1e-12):
         raise EnvelopeViolation("potential leaves the envelope xi <= f <= omega")
@@ -228,6 +233,8 @@ def volest_bound(D: float, mu: float, constants: VolestConstants, r: float) -> t
     ball = constants.ball_vol_r0 + float(
         integrate_cumulative(GridFn(r0, r, sphere_vals)).values[-1]
     )
+    if not (np.isfinite(J).all() and math.isfinite(ball)):  # an infinite J reads as a sphere volume of 0
+        raise NonFiniteValues(f"volest_bound: the bound leaves the float range on [{r0:g}, {r:g}]")
     return float(sphere_vals[-1]), ball
 
 

@@ -4,7 +4,6 @@ __all__ = [
     "SolabError",
     "InvalidDimension",
     "NonFiniteValues",
-    "OverflowDetected",
     "NotAModel",
     "InvalidWarp",
     "InvalidCase",
@@ -31,10 +30,6 @@ class InvalidDimension(SolabError, ValueError):
 
 class NonFiniteValues(SolabError, ValueError):
     """Sampled data that must be finite overflowed or is undefined."""
-
-
-class OverflowDetected(SolabError):
-    """ODE solution exceeded the representable range (|y| > 1e300)."""
 
 
 class NotAModel(SolabError):
@@ -78,8 +73,7 @@ class NegativeRadicand(SolabError):
 
 
 class NoTrustedSamples(SolabError):
-    """A residual check has no trusted sample left (grid too coarse for the
-    stencil bands and the pole exclusion, or no finite values)."""
+    """No trusted sample is left once the stencil bands and the pole band are dropped."""
 
 
 class ParseError(SolabError):

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCase, InvalidDimension, InvalidWarp, NonFiniteValues
+from .errors import InvalidCase, InvalidDimension, InvalidWarp
 from .geometry import SnCombination, WarpProfile, radial_laplacian
 from .kernel import GridFn, derivative, integrate_cumulative
 
@@ -83,8 +83,7 @@ class SolitonSpec:
         p = self.profile
         if any((u.t0, u.t1, u.n_samples) != (p.t0, p.t1, p.n_samples) for u in (self.f, self.lam)):
             raise ValueError("f and lambda must live on the profile grid")
-        if not (np.isfinite(self.f.values).all() and np.isfinite(self.lam.values).all()):
-            raise NonFiniteValues("potential and soliton function must be finite")
+        p.require_finite("f and lambda", self.f.values, self.lam.values)
 
     @property
     def residual_tolerance(self) -> float:
@@ -107,8 +106,11 @@ class SolitonSpec:
 
     @cached_property
     def _derivatives(self) -> tuple:
-        """f', f'', lambda', lambda'' by stencil, computed together on first use."""
-        return tuple(derivative(u, order).values for u in (self.f, self.lam) for order in (1, 2))
+        """f', f'', lambda', lambda'' by stencil, computed and judged together
+        on first use (a tiny h overflows; the stencils spread a NaN pole sample)."""
+        out = tuple(derivative(u, order).values for u in (self.f, self.lam) for order in (1, 2))
+        self.profile.require_finite("derivatives of f and lambda", *out)
+        return out
 
     fp = property(lambda self: self._derivatives[0])
     fpp = property(lambda self: self._derivatives[1])

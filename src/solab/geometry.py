@@ -147,11 +147,9 @@ class WarpProfile:
         if self.n == 2 and abs(self.rho_sigma) > 1e-14:
             raise ValueError("a one-dimensional fiber is Ricci flat: rho_sigma must be 0")
 
-        # an overflowing closed form shows up as a non-finite sample below
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to require_finite
             warp = self.warp_values
-        if not all(np.isfinite(a).all() for a in warp):
-            raise NonFiniteValues("warping function g, g' and g'' must be finite on the interval")
+        self.require_finite("warp", *warp)
         gvals = warp[0]
         if np.min(gvals[1:-1]) <= 0 or (not self.pole and (gvals[0] <= 0 or gvals[-1] <= 0)):
             raise InvalidWarp("warping function must be positive on the interval")
@@ -337,8 +335,8 @@ def sphere_volume_density(p: WarpProfile, g, f=None):
     """vol_f density of the geodesic sphere about the pole where the warp
     takes the value g and the potential the value f (arrays or scalars):
     fiber_volume * g^d * e^(-f), or fiber_volume * g^d for f = None.  A
-    density beyond the float range leaves infinite samples, which a GridFn
-    rejects."""
+    density beyond the float range leaves infinite samples, which
+    integral_to rejects."""
     fv = p.fiber_volume
     with np.errstate(over="ignore", invalid="ignore"):
         dens = fv * g**p.d
@@ -375,13 +373,16 @@ def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray
 def integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float | np.ndarray) -> GridFn:
     """Running integral of integrand over the grid prefix that eval reads
     at radii up to r (the largest of an array), after require_finite on
-    that prefix alone, so samples past r can neither enter nor refuse it.
-    The prefix ends at least 3 samples past the cell of r, at the first
-    sample where its spacing rounds back to the grid's h: eval then reads
-    the whole grid's values, bit for bit."""
+    that prefix alone, so samples past r can neither enter nor refuse it,
+    and on the integral (a sum of finite samples can overflow).  The prefix
+    ends at least 3 samples past the cell of r, at the first sample where
+    its spacing rounds back to the grid's h: eval then reads the whole
+    grid's values, bit for bit."""
     m = int(np.clip((np.max(r) - p.t0) / p.h + 4, MIN_SAMPLES, p.n_samples))
     while (p.grid_at(m - 1) - p.t0) / (m - 1) != p.h:  # ends by m = n_samples, where grid_at is t1
         m += 1
     prefix = integrand[:m]
     p.require_finite(what, prefix)
-    return integrate_cumulative(GridFn(p.t0, p.grid_at(m - 1), prefix))
+    F = integrate_cumulative(GridFn(p.t0, p.grid_at(m - 1), prefix))
+    p.require_finite(what, F.values)
+    return F

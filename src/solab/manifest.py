@@ -271,7 +271,7 @@ def _materialize_form(spec: dict):
     return SnCombination(k=w * w, c1=spec["amplitude"] * w, c2=0.0, c0=spec["offset"])
 
 
-# an array that leaves the float range fails a finiteness check of WarpProfile, SolitonSpec or their grids
+# an array that leaves the float range fails require_finite in the layer that owns it
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def build_spec(m: Manifest) -> SolitonSpec:
     """Construct the SolitonSpec a manifest describes.

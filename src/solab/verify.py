@@ -212,7 +212,7 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     # sums of several terms accumulate in place, left to right, so each
     # term's temporaries are freed before the next term is built
     if ident == "grad_f_bochner":
-        with np.errstate(over="ignore", invalid="ignore"):  # left to GridFn's and residual_report's checks
+        with np.errstate(over="ignore", invalid="ignore"):  # left to residual_report's check
             per = s.f_laplacian(s.fp**2)
             per *= 0.5
             per -= s.fpp**2 + d * (s.fp * p.g_ratio) ** 2  # |Hess f|^2
@@ -254,7 +254,7 @@ def grad_T_norm2(s: SolitonSpec) -> GridFn:
     p = s.profile
     tf = nan_fill(p.curvature["tau_f"])
     tr = nan_fill(p.curvature["tau_r"])
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is left to GridFn's check
+    with np.errstate(over="ignore", invalid="ignore"):  # left to residual_report's check
         # term by term, so each derivative is freed once it is squared
         vals = p.d * derivative(GridFn(p.t0, p.t1, tf), 1).values ** 2
         vals += derivative(GridFn(p.t0, p.t1, tr), 1).values ** 2
@@ -515,8 +515,8 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     domain and are flagged as such in the notes.
     """
     t_max = float(t_max)
-    if not np.all(G.values > 0):  # NaN fails too
-        raise NonPositiveG("G must be strictly positive")
+    if not np.all((G.values > 0) & (G.values < math.inf)):  # NaN fails too
+        raise NonPositiveG("G must be strictly positive and finite")
     if G.t0 > 1e-12 or t_max > G.t1 + 1e-12:
         raise ValueError("need G sampled on [0, t_max]")
     t_last, t_mid = _oy_windows(G, t_max)

@@ -255,6 +255,10 @@ def _demo_at(demo, suites, res):
     return dict(payload, suites=suites, grid=dict(payload["grid"], resolution=res))
 
 
+_PROFILE_WITH_NAN = dict(GAUSSIAN_MANIFEST, family="classified_space_form",
+                         params={"c": 1.192092896e-07, "a": 1e+300, "b": 6.819194701598045e+16, "n": 5},
+                         grid={"interval": [0, 18.153409896102268], "resolution": 185})
+
 # (demo, suites, the largest grid with no trusted sample, the smallest with one)
 _EMPTY_BANDS = [
     ("cylinder", ["residual", "identities"], 16, 17),
@@ -270,7 +274,7 @@ _EMPTY_BANDS = [
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 1}), "gaussian needs n >= 2"),
         # cosh(100 t) overflows on [0, 10]
         (dict(GAUSSIAN_MANIFEST, family="einstein", params={"c": 1e4, "g0": 1, "gp0": 0, "a": 1, "b": 0, "n": 4},
-              grid={"interval": [0, 10], "resolution": 201}), "must be finite on the interval"),
+              grid={"interval": [0, 10], "resolution": 201}), "warp: non-finite value at t = 7.15"),
         # e^(-f) = e^800 overflows in the ball volume density, past the pole
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 0, "b": -800, "n": 3},
               suites=["comparison"], grid={"interval": [0, 4], "resolution": 201}),
@@ -288,29 +292,30 @@ _EMPTY_BANDS = [
               params={"g": {"kind": "sn", "k": 0, "c1": 0, "c2": 3.1213423401088904e-219},
                       "rho_sigma": 0, "A": 0, "B": 0, "n": 3},
               suites=["residual"], grid={"interval": [0, 1], "resolution": 9}),
-         "potential and soliton function must be finite"),
+         "f and lambda: non-finite value at t = 0.125"),
         # f' is about 4e238, and its square overflows
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form",
               params={"c": 2.5025091253077462e-239, "a": 1, "b": 0, "n": 2},
               suites=["identities"], grid={"interval": [0, 1], "resolution": 9}),
-         "suite 'identities': GridFn values must not contain infinities"),
+         "suite 'identities': grad_f_bochner: non-finite value at t = 0.125"),
         # h ~ 7e-249: the stencils' 1/h^2 overflows
         (dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic", params={"c": 1.1823376650284692e+70, "n": 11},
               suites=["residual"], grid={"interval": [-6.746121076280463e-248, 0], "resolution": 9}),
-         "suite 'residual': GridFn values must not contain infinities"),
-        # (g'/g)^2 ~ 1e432 in the curvature
+         "suite 'residual': derivatives of f and lambda: non-finite value at t = -6.74612e-248"),
+        # (g'/g)^2 ~ 1e432 in the curvature, but h^2 underflows to 0 first,
+        # and the second-derivative stencils divide by it
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 3.9370655731229626e-240, "n": 6},
               suites=["residual"], grid={"interval": [0, 7.1007136801990635e-217], "resolution": 9}),
-         "suite 'residual': GridFn values must not contain infinities"),
+         "suite 'residual': derivatives of f and lambda: non-finite value at t = 8.87589e-218"),
         # |grad f|^2 overflows in the triviality audit
         (dict(GAUSSIAN_MANIFEST, family="classified_flat",
               params={"lambda0": 2.1338780901317334e+217, "n": 7, "corrupt_lambda": -3.384182484740786e+16},
               suites=["audits"], grid={"interval": [1.5, 6.871177016932034], "resolution": 44}),
          "suite 'audits': triviality: non-finite value at t = 0"),
-        # no finite Bakry-Emery eigenvalue for G on a subnormal interval
+        # a subnormal interval: h^2 underflows to 0, so f'' and lambda'' are 0/0
         (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 2.2250738585e-313, "n": 11},
               suites=["comparison"], grid={"interval": [0, 2.2250738585e-313], "resolution": 11}),
-         "suite 'comparison': laplacian_comparison: non-finite value at t = 2.22507e-314"),
+         "suite 'comparison': derivatives of f and lambda: non-finite value at t = 2.22507e-314"),
         # a pole family's grid starts at t = 0, past this interval's end
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 2, "n": 6},
               suites=["audits"], grid={"interval": [-19, -14.9], "resolution": 9}),
@@ -324,17 +329,23 @@ _EMPTY_BANDS = [
               params={"lambda0": 1.2892651523764015e+95, "n": 10, "corrupt_lambda": 1.1204822209439632e+249},
               suites=["identities"], grid={"interval": [0, 15.653879711884684], "resolution": 72}),
          "suite 'identities': grad_f_bochner: non-finite value at t = 0.220477"),
-        # G holds NaN samples, which are not positive
-        (dict(GAUSSIAN_MANIFEST, family="classified_space_form",
-              params={"c": 1.192092896e-07, "a": 1e+300, "b": 6.819194701598045e+16, "n": 5},
-              suites=["oy"], grid={"interval": [0, 18.153409896102268], "resolution": 185}),
-         "suite 'oy': G must be strictly positive"),
+        # f is about 8.4e306, and the f'' stencil's sums overflow
+        (dict(_PROFILE_WITH_NAN, suites=["oy"]),
+         "suite 'oy': derivatives of f and lambda: non-finite value at t = 0.394639"),
         # sin(1e60 t) is exact on every sample, but the stencils overflow on it
         (dict(GAUSSIAN_MANIFEST, family="general",
               params={"g": {"kind": "sin", "offset": 2, "amplitude": 1, "frequency": 1e60},
                       "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3},
               suites=["identities"], grid={"interval": [0, 6], "resolution": 201}),
          "suite 'identities': grad_f_bochner: non-finite value at t = 0"),
+        # the spec summary reads f' too, so a suite that reads no derivative
+        # does not save the job
+        (dict(_PROFILE_WITH_NAN, suites=["okumura"]),
+         "derivatives of f and lambda: non-finite value at t = 0.394639"),
+        # h'' = G h with G about 1e6 leaves the float range past t = 1.07
+        *((dict(GAUSSIAN_MANIFEST, params={"lambda0": -1e6, "n": 3}, suites=[suite],
+                grid={"interval": [0, 8], "resolution": 2001}),
+           f"suite '{suite}': comparison setup: non-finite value at t = 1.076") for suite in ("comparison", "oy")),
         # the trusted band is empty: the edge bands (8 samples each for an
         # identity) and, on a pole model, the first 10 samples meet
         *((_demo_at(demo, suites, res), f"no trusted samples on a {res}-sample grid")
@@ -345,7 +356,8 @@ _EMPTY_BANDS = [
          "general_warp_powers_underflow", "space_form_grad_f_square_overflow", "tiny_grid_stencil_overflow",
          "tiny_grid_curvature_overflow", "triviality_gradient_overflow", "subnormal_grid_no_finite_eigenvalue",
          "pole_family_interval_before_pole", "volume_bound_zero_times_infinity", "bochner_infinity_minus_infinity",
-         "oy_profile_with_nan", "unresolved_sin_frequency",
+         "oy_profile_with_nan", "unresolved_sin_frequency", "okumura_profile_with_nan",
+         "comparison_solution_overflow", "oy_comparison_solution_overflow",
          *(f"empty_band_{demo}_{res}" for demo, _, res, _ in _EMPTY_BANDS)],
 )
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):

@@ -287,6 +287,35 @@ def test_prefix_integral_reads_the_whole_grid_values(res, r_max):
         np.testing.assert_allclose(part.eval(radii), whole.eval(radii), rtol=0, atol=0)
 
 
+def test_prefix_integral_names_an_infinite_sample_and_an_overflowing_sum():
+    # the integrand's first infinite sample is named; so is the first
+    # sample where a running integral of finite samples leaves the float range
+    p = build_gaussian(1.0, 3, r_max=4.0, resolution=101).profile
+    integrand = np.ones(101)
+    integrand[3] = np.inf
+    with pytest.raises(NonFiniteValues, match="probe: non-finite value at t = 0.12$"):
+        integral_to(p, "probe", integrand, 4.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NonFiniteValues, match="probe: non-finite value at t = 1.8$"):
+            integral_to(p, "probe", np.full(101, 1e308), 4.0)
+
+
+def test_volume_bound_path_depends_only_on_the_samples_up_to_its_radius():
+    # theta = sinh t, and e^Theta overflows past t = 7.26, beyond the
+    # largest radius 5.475.  Holding theta at its t = 5.84 value from there
+    # on keeps e^Theta finite on the whole grid, and changes no sample the
+    # bound reads, so the bound must not change in any bit
+    s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": -1.0, "b": 60.0}, 3,
+                         interval=(0.0, 7.3), resolution=201)
+    cs = derive_setup(s)
+    flat = cs.theta.values.copy()
+    flat[161:] = flat[160]
+    radii = np.array([1.825, 3.65, 5.475])
+    bounds = [volume_bound_check(s, c, radii).bound for c in (cs, replace(cs, theta=cs.theta.with_values(flat)))]
+    np.testing.assert_array_equal(bounds[0], bounds[1])
+
+
 # ---------------------------------------------------------------------------
 # decay-rate volume estimates
 # ---------------------------------------------------------------------------
@@ -346,6 +375,17 @@ def test_volest_rejects_negative_mu():
     consts = VolestConstants(r0=2.0, C=0.0, sphere_vol_r0=1.0, ball_vol_r0=1.0)
     with pytest.raises(InvalidRegime):
         volest_bound(1.0, -0.5, consts, 4.0)
+
+
+def test_volest_rejects_a_bound_beyond_the_float_range():
+    # D (r - r0) overflows: to -inf the sphere bound is e^(+inf), and to
+    # +inf it would read as a sphere volume of 0
+    consts = VolestConstants(r0=2.0, C=0.0, sphere_vol_r0=1.0, ball_vol_r0=1.0)
+    for D in (-1e308, 1e308):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteValues, match=r"volest_bound: the bound leaves the float range on \[2, 8\]$"
+        ):
+            volest_bound(D, 0.0, consts, 8.0)
 
 
 def test_volest_growing_regimes_for_negative_D():

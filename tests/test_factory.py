@@ -1,17 +1,20 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from solab.errors import InvalidCase, InvalidWarp
+from solab.errors import InvalidCase, InvalidWarp, NonFiniteValues
 from solab.factory import (
     ClassifiedCase,
     FamilyTag,
+    SolitonSpec,
     build_classified,
     build_einstein_family,
     build_gaussian,
     build_general_family,
 )
-from solab.geometry import Polynomial, SnCombination, curvature_grids, weighted_ball_volume
+from solab.geometry import Polynomial, SnCombination, WarpProfile, curvature_grids, weighted_ball_volume
 from solab.kernel import GridFn, derivative
 from solab.verify import Classification, classify_soliton, soliton_residual
 
@@ -169,13 +172,42 @@ def test_gaussian_total_weighted_volume():
 
 
 def test_spec_rejects_fields_off_the_profile_grid():
-    from dataclasses import replace
-
     s = build_gaussian(1.0, 3, r_max=4.0, resolution=101)
     p = s.profile
     for field, u in (("f", GridFn(p.t0, p.t1, np.zeros(102))), ("lam", GridFn(p.t0, 4.5, s.lam.values))):
         with pytest.raises(ValueError, match="f and lambda must live on the profile grid"):
             replace(s, **{field: u})
+
+
+def test_spec_names_the_first_infinite_sample_of_f_or_lambda():
+    # a GridFn keeps an infinite sample; the spec, which owns f and lambda,
+    # refuses it with the first bad t
+    s = build_gaussian(1.0, 3, r_max=4.0, resolution=101)
+    for field, u in (("f", s.f), ("lam", s.lam)):
+        v = u.values.copy()
+        v[3] = np.inf
+        with pytest.raises(NonFiniteValues, match="f and lambda: non-finite value at t = 0.12$"):
+            replace(s, **{field: u.with_values(v)})
+
+
+def test_spec_refuses_derivatives_that_overflow_on_a_tiny_grid():
+    # h^2 underflows to 0, and the second-derivative stencil divides by it
+    p = WarpProfile(n=3, rho_sigma=0.0, g=SnCombination(k=0.0, c1=0.0, c2=1.0), t0=0.0, t1=1e-300, n_samples=11)
+    f = GridFn(0.0, 1e-300, np.linspace(0.0, 1.0, 11) ** 2)
+    s = SolitonSpec(profile=p, f=f, lam=GridFn.constant(0.0, 0.0, 1e-300, 11), family_tag=FamilyTag.GENERAL_WARPED)
+    with pytest.raises(NonFiniteValues, match="derivatives of f and lambda: non-finite value at t = 0$"):
+        s.fp
+
+
+def test_spec_refuses_a_nan_pole_sample_of_f_in_its_derivatives():
+    # require_finite lets a NaN pass at the pole sample, but the one-sided
+    # stencils spread it to the samples after it, where it is refused
+    s = build_gaussian(1.0, 3, r_max=4.0, resolution=101)
+    v = s.f.values.copy()
+    v[0] = np.nan
+    s = replace(s, f=s.f.with_values(v))
+    with pytest.raises(NonFiniteValues, match="derivatives of f and lambda: non-finite value at t = 0.04$"):
+        s.fp
 
 
 def test_gaussian_zero_is_trivial_flat():

@@ -53,3 +53,30 @@ def test_modules_import_only_exported_names():
                     if alias.name not in public
                 ]
     assert unlisted == []
+
+
+def test_only_the_profile_and_volest_bound_judge_finiteness():
+    """The kernel imports nothing from errors: it returns whatever IEEE
+    gives.  NonFiniteValues is raised only in WarpProfile.require_finite,
+    by the layer that owns each array, and in volest_bound, whose grid is
+    not the profile's."""
+    kernel = ast.parse((PACKAGE / "kernel.py").read_text(encoding="utf-8"))
+    imported = [
+        alias.name if isinstance(node, ast.Import) else f"{node.module}.{alias.name}"
+        for node in ast.walk(kernel)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    assert [name for name in imported if "errors" in name] == []
+
+    raisers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                raisers += [
+                    f"{path.name}:{fn.name}"
+                    for node in ast.walk(fn)
+                    if isinstance(node, ast.Raise) and node.exc is not None
+                    and "NonFiniteValues" in ast.unparse(node.exc).split("(")[0]
+                ]
+    assert raisers == ["comparison.py:volest_bound", "geometry.py:require_finite"]

@@ -558,6 +558,14 @@ def test_oy_rejects_nonpositive_profile():
         check_OY_hypotheses(G, 10.0)
 
 
+def test_oy_rejects_an_infinite_profile_sample():
+    # G has no profile to run require_finite, so its own test refuses +inf
+    v = np.linspace(1.0, 2.0, 2001)
+    v[1000] = np.inf
+    with pytest.raises(NonPositiveG, match="G must be strictly positive and finite"):
+        check_OY_hypotheses(GridFn(0.0, 10.0, v), 10.0)
+
+
 def test_audit_violation_on_inconsistent_spec():
     # hand-built non-soliton: hyperbolic profile (S = -6) dressed with a
     # shrinking constant soliton function; hypotheses all measure true,
