@@ -5,9 +5,9 @@
     solab demo
 
 The manifest file alone sets what a run computes: family, grid,
-suites, tolerances and seed.  Exit codes: 0 when every requested suite
-passes, 1 when a suite fails, 2 on bad arguments and on manifest,
-precondition, or I/O errors.
+suites and tolerances (its seed is echoed in the report and read by no
+suite).  Exit codes: 0 when every requested suite passes, 1 when a suite
+fails, 2 on bad arguments and on manifest, precondition, or I/O errors.
 """
 
 from __future__ import annotations

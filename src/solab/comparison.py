@@ -224,12 +224,13 @@ def volest_bound(D: float, mu: float, constants: VolestConstants, r: float) -> t
         return constants.sphere_vol_r0, constants.ball_vol_r0
 
     t = np.linspace(r0, r, 2001)
-    if mu == 1.0:
-        inner = D * (np.log1p(t) - math.log1p(r0))
-    else:
-        inner = D * ((1.0 + t) ** (1.0 - mu) - (1.0 + r0) ** (1.0 - mu)) / (1.0 - mu)
-    J = integrate_cumulative(GridFn(r0, r, inner)).values
-    sphere_vals = constants.sphere_vol_r0 * np.exp(constants.C * (t - r0) - J)
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound past the float range is refused below
+        if mu == 1.0:
+            inner = D * (np.log1p(t) - math.log1p(r0))
+        else:
+            inner = D * ((1.0 + t) ** (1.0 - mu) - (1.0 + r0) ** (1.0 - mu)) / (1.0 - mu)
+        J = integrate_cumulative(GridFn(r0, r, inner)).values
+        sphere_vals = constants.sphere_vol_r0 * np.exp(constants.C * (t - r0) - J)
     ball = constants.ball_vol_r0 + float(
         integrate_cumulative(GridFn(r0, r, sphere_vals)).values[-1]
     )

@@ -239,13 +239,16 @@ class WarpProfile:
     def require_finite(self, what: str, *arrays: np.ndarray) -> None:
         """The pole sample is the only sample without a value, so a NaN
         there is the one non-finite value allowed: any other (an overflow)
-        raises NonFiniteValues, naming what."""
+        raises NonFiniteValues, naming what and the earliest such sample
+        over all the arrays."""
+        bad = []
         for a in arrays:
             start = 1 if self.pole and np.isnan(a[0]) else 0
             finite = np.isfinite(a[start:])
             if not finite.all():
-                i = start + int(np.argmin(finite))
-                raise NonFiniteValues(f"{what}: non-finite value at t = {self.grid_at(i):.6g}")
+                bad.append(start + int(np.argmin(finite)))
+        if bad:
+            raise NonFiniteValues(f"{what}: non-finite value at t = {self.grid_at(min(bad)):.6g}")
 
     def trusted_band(self, what: str, *arrays: np.ndarray, edge: int = EDGE_WIDTH) -> slice:
         """The samples trusted for sup-norms and extrema of arrays, as one

@@ -246,7 +246,7 @@ def parse_manifest(text) -> Manifest:
             raise SchemaError(f"expected a positive number at $.tolerances.{key}")
 
     seed = _integer(raw.get("seed", DEFAULT_SEED), "$.seed")
-    if seed < 0:  # numpy's generators take no negative seed
+    if seed < 0:
         raise SchemaError("expected a non-negative integer at $.seed")
 
     return Manifest(

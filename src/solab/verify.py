@@ -47,13 +47,18 @@ __all__ = [
     "identity_residual",
     "grad_T_norm2",
     "okumura_check",
+    "okumura_residual",
+    "okumura_attained_frac",
     "classify_soliton",
     "audit_theorem",
     "check_OY_hypotheses",
     "IDENTITY_TOL",
+    "OKUMURA_TOL",
 ]
 
 IDENTITY_TOL = 1e-5       # second-order identity residuals
+OKUMURA_TOL = 1e-12       # relative defect of Okumura's equality on a warped product
+_EINSTEIN_T = 1e-8        # |T| below this reads as Einstein (trace-free part zero)
 
 IDENTITY_IDS = ("grad_f_bochner", "trace", "scalar_gradient", "scalar_laplacian", "trace_free_balance")
 
@@ -291,6 +296,34 @@ def okumura_check(eigenvalues):
     return lhs, rhs, lhs >= rhs - 1e-12
 
 
+def okumura_residual(s: SolitonSpec) -> ResidualReport:
+    """Okumura's bound tr T^3 >= -k |T|^3, k = (n-2)/sqrt(n(n-1)), on the
+    spec's own trace-free Ricci tensor.  T has eigenvalues tau_f (d times)
+    and tau_r = -d tau_f, so |tr T^3| = k |T|^3 at every sample: per_point
+    is the two-sided defect (|tr T^3| - k |T|^3) / max(1, k |T|^3)."""
+    p = s.profile
+    T_norm2 = p.curvature["T_norm2"]
+    with np.errstate(over="ignore", invalid="ignore"):  # left to residual_report's check
+        bound = np.sqrt(T_norm2)
+        bound *= T_norm2
+        bound *= (p.n - 2) / math.sqrt(p.n * (p.n - 1))  # k |T|^3
+        per = trace_free_cube(p)
+        np.abs(per, out=per)
+        per -= bound
+        per /= np.maximum(bound, 1.0, out=bound)
+    return residual_report("okumura_equality", p, per, OKUMURA_TOL)
+
+
+def okumura_attained_frac(s: SolitonSpec) -> float | None:
+    """The share of trusted non-Einstein samples (|T| >= 1e-8) where
+    Okumura's lower bound is attained, tau_f >= 0; None when there are none."""
+    c = s.profile.curvature
+    band = s.profile.trusted_band("okumura_equality", c["T_norm2"], c["tau_f"])
+    live = np.sqrt(c["T_norm2"][band]) >= _EINSTEIN_T
+    count = int(np.count_nonzero(live))
+    return int(np.count_nonzero(live & (c["tau_f"][band] >= 0.0))) / count if count else None
+
+
 # ---------------------------------------------------------------------------
 # classification
 # ---------------------------------------------------------------------------
@@ -457,7 +490,7 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
     hyps["lambda_bounded_below"] = Flag(bool(np.isfinite(lam_star)), lam_star)
 
     gap = 0.5 * (math.sqrt(n * (n - 1)) * lam_star - S_sup * (n - 2) / math.sqrt(n * (n - 1)))
-    einstein = T_sup < 1e-8
+    einstein = T_sup < _EINSTEIN_T
     concls = {"einstein_or_gap": bool(einstein or T_sup >= gap - 1e-8)}
     return AuditReport(
         theorem_id="trace_free_gap",

@@ -272,9 +272,9 @@ _EMPTY_BANDS = [
     "payload, message",
     [
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 1}), "gaussian needs n >= 2"),
-        # cosh(100 t) overflows on [0, 10]
+        # cosh(100 t) overflows on [0, 10], and g'' = 1e4 cosh(100 t) first
         (dict(GAUSSIAN_MANIFEST, family="einstein", params={"c": 1e4, "g0": 1, "gp0": 0, "a": 1, "b": 0, "n": 4},
-              grid={"interval": [0, 10], "resolution": 201}), "warp: non-finite value at t = 7.15"),
+              grid={"interval": [0, 10], "resolution": 201}), "warp: non-finite value at t = 7.05"),
         # e^(-f) = e^800 overflows in the ball volume density, past the pole
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "a": 0, "b": -800, "n": 3},
               suites=["comparison"], grid={"interval": [0, 4], "resolution": 201}),
@@ -292,7 +292,7 @@ _EMPTY_BANDS = [
               params={"g": {"kind": "sn", "k": 0, "c1": 0, "c2": 3.1213423401088904e-219},
                       "rho_sigma": 0, "A": 0, "B": 0, "n": 3},
               suites=["residual"], grid={"interval": [0, 1], "resolution": 9}),
-         "f and lambda: non-finite value at t = 0.125"),
+         "f and lambda: non-finite value at t = 0"),
         # f' is about 4e238, and its square overflows
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form",
               params={"c": 2.5025091253077462e-239, "a": 1, "b": 0, "n": 2},
@@ -306,7 +306,7 @@ _EMPTY_BANDS = [
         # and the second-derivative stencils divide by it
         (dict(GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 3.9370655731229626e-240, "n": 6},
               suites=["residual"], grid={"interval": [0, 7.1007136801990635e-217], "resolution": 9}),
-         "suite 'residual': derivatives of f and lambda: non-finite value at t = 8.87589e-218"),
+         "suite 'residual': derivatives of f and lambda: non-finite value at t = 0"),
         # |grad f|^2 overflows in the triviality audit
         (dict(GAUSSIAN_MANIFEST, family="classified_flat",
               params={"lambda0": 2.1338780901317334e+217, "n": 7, "corrupt_lambda": -3.384182484740786e+16},
@@ -345,7 +345,7 @@ _EMPTY_BANDS = [
         # h'' = G h with G about 1e6 leaves the float range past t = 1.07
         *((dict(GAUSSIAN_MANIFEST, params={"lambda0": -1e6, "n": 3}, suites=[suite],
                 grid={"interval": [0, 8], "resolution": 2001}),
-           f"suite '{suite}': comparison setup: non-finite value at t = 1.076") for suite in ("comparison", "oy")),
+           f"suite '{suite}': comparison setup: non-finite value at t = 1.072") for suite in ("comparison", "oy")),
         # the trusted band is empty: the edge bands (8 samples each for an
         # identity) and, on a pole model, the first 10 samples meet
         *((_demo_at(demo, suites, res), f"no trusted samples on a {res}-sample grid")
@@ -745,8 +745,17 @@ def test_cli_seed_override_recorded(tmp_path):
     out = tmp_path / "r.json"
     assert main(["run", path, "--format", "json", "--no-timings", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["seed"] == 7
-    assert rep["suite_results"][0]["seed"] == 7
+    assert rep["seed"] == 7  # echoed, though no suite reads it
+    assert "seed" not in rep["suite_results"][0]
+
+
+def test_suite_results_do_not_depend_on_the_seed():
+    demo = DEMO_MANIFESTS["gaussian.json"]  # every suite but oy, okumura included
+    results = [
+        json.dumps(run_suite(parse_manifest(manifest_bytes(dict(demo, seed=seed)))).suite_results)
+        for seed in (7, 42)
+    ]
+    assert results[0] == results[1]
 
 
 def test_run_suite_oy_requires_positive_bound_profile():

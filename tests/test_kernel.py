@@ -301,10 +301,11 @@ def test_ode_scan_matches_stepwise_rk4_on_a_cubic_potential(n):
 def test_ode_overflow_detection():
     # the scan returns whatever IEEE gives: its first non-finite sample lies
     # at or past the first sample past 1e300 of a step-by-step march.
-    # derive_setup owns h and names that sample; its G is q = -lambda0 / 2
+    # derive_setup owns h and h' and names the earlier of their first
+    # non-finite samples; its G is q = -lambda0 / 2
     for q, t1, n, where in ((400.0, 40.0, 2001, 34.58), (100.0, 80.0, 20001, 69.148)):
-        y = solve_linear_ode2(GridFn.constant(q, 0.0, t1, n), 0.0, 1.0)
-        first = np.flatnonzero(~np.isfinite(y.values))[0]
+        y, v = solve_linear_ode2_with_derivative(GridFn.constant(q, 0.0, t1, n), 0.0, 1.0)
+        first = min(np.flatnonzero(~np.isfinite(a.values))[0] for a in (y, v))
         assert y.grid[first] >= where
         with pytest.raises(NonFiniteValues, match=f"comparison setup: non-finite value at t = {y.grid[first]:.6g}$"):
             derive_setup(build_gaussian(-2.0 * q, 3, r_max=t1, resolution=n))

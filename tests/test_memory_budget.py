@@ -31,6 +31,8 @@ STAGES = (
     "derive_setup",
     "laplacian_comparison_check",
     "volume_bound_check",
+    "okumura_residual",
+    "okumura_attained_frac",
     "check_OY_hypotheses",
 )
 

@@ -80,3 +80,25 @@ def test_only_the_profile_and_volest_bound_judge_finiteness():
                     and "NonFiniteValues" in ast.unparse(node.exc).split("(")[0]
                 ]
     assert raisers == ["comparison.py:volest_bound", "geometry.py:require_finite"]
+
+
+def test_no_module_draws_random_numbers():
+    """solab run is deterministic and never loads numpy.random: no module
+    names np.random, numpy.random or default_rng."""
+    hits = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, (ast.Attribute, ast.Name)):
+                names = [ast.unparse(node)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            hits += [
+                f"{path.name}:{node.lineno}: {name}"
+                for name in names
+                if name in ("np.random", "numpy.random") or name.startswith(("numpy.random.", "np.random."))
+                or name.split(".")[-1] == "default_rng"
+            ]
+    assert hits == []

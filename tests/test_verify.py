@@ -36,7 +36,10 @@ from solab.verify import (
     classify_soliton,
     grad_T_norm2,
     identity_residual,
+    OKUMURA_TOL,
+    okumura_attained_frac,
     okumura_check,
+    okumura_residual,
     residual_report,
     soliton_residual,
     _oy_windows,
@@ -428,6 +431,46 @@ def test_okumura_equality_for_scaled_patterns():
             lhs, rhs, ok = okumura_check(tup)
             assert ok
             assert lhs == pytest.approx(rhs, abs=1e-10 * max(1.0, abs(rhs)))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_okumura_residual_is_sharp_on_a_general_warp(n):
+    # tau_f changes sign on 2 + sin t, so the bound is attained from below
+    # on part of the grid and from above on the rest (0.42 of it at n = 4)
+    s = general_sine(n=n)
+    rep = okumura_residual(s)
+    assert rep.identity_id == "okumura_equality" and not rep.one_sided
+    assert rep.passed and rep.tolerance_used == OKUMURA_TOL
+    assert rep.sup_norm < 1e-14
+    assert 0.0 < okumura_attained_frac(s) < 1.0
+
+
+@pytest.mark.parametrize("name", sorted(ALL_SPECS))
+def test_okumura_residual_passes_on_every_spec(name):
+    assert okumura_residual(ALL_SPECS[name]).sup_norm < 1e-14
+
+
+def test_okumura_attained_frac_is_none_when_every_sample_is_einstein():
+    # the flat gaussian has T = 0 up to rounding
+    assert okumura_attained_frac(gaussian_spec()) is None
+
+
+def test_okumura_residual_catches_a_perturbed_tau_r(monkeypatch):
+    # tau_r + eps (1 + t), with |T|^2 built from it: T is no longer trace-free
+    import solab.geometry as geometry
+
+    exact = geometry.curvature_grids
+
+    def perturbed(p):
+        out = dict(exact(p))
+        out["tau_r"] = out["tau_r"] + 1e-9 * (1.0 + p.grid)
+        out["T_norm2"] = p.d * out["tau_f"] ** 2 + out["tau_r"] ** 2
+        return out
+
+    assert okumura_residual(general_sine(n=4)).passed
+    monkeypatch.setattr(geometry, "curvature_grids", perturbed)
+    rep = okumura_residual(general_sine(n=4))
+    assert not rep.passed and rep.sup_norm > 1e-9
 
 
 # ---------------------------------------------------------------------------
