@@ -45,23 +45,24 @@ VOLUME_BOUND_SLACK = 1e-6
 class ComparisonSetup:
     """Bound data derived from a spec: G and theta (both forced
     nondecreasing by a running max), the comparison solution h and its
-    slope hp = h', and the pole-calibrated volume constant."""
+    slope hp = h' (arrays on the profile's grid, G a GridFn for reads
+    between samples), and the pole-calibrated volume constant."""
 
     G: GridFn
-    theta: GridFn
-    h: GridFn
-    hp: GridFn
+    theta: np.ndarray
+    h: np.ndarray
+    hp: np.ndarray
     D_calibration: float
 
     def __post_init__(self):
-        if abs(self.h.values[0]) > 1e-10:
+        if abs(self.h[0]) > 1e-10:
             raise ValueError("comparison solution must vanish at the pole")
-        if np.any(np.diff(self.theta.values) < -1e-12):
+        if np.any(np.diff(self.theta) < -1e-12):
             raise ValueError("theta must be nondecreasing")
 
 
 def derive_setup(s: SolitonSpec) -> ComparisonSetup:
-    """Extract (G, theta, h, h') from a spec.
+    """Extract (G, theta, h, h') from a spec, theta, h and h' read-only.
 
     The Bakry-Emery eigenvalues are rho_fib + f' g'/g and rho_rad + f''
     (both equal lambda on a true soliton); G is the running max of
@@ -76,8 +77,10 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     G = GridFn(p.t0, p.t1, np.maximum.accumulate(np.maximum(0.0, -min_eig / (p.n - 1))))
     del min_eig
     h, hp = solve_linear_ode2_with_derivative(G, 0.0, 1.0)
-    theta = GridFn(p.t0, p.t1, np.maximum.accumulate(np.maximum(0.0, -s.fp)))
-    p.require_finite("comparison setup", G.values, theta.values, h.values, hp.values)
+    theta = np.maximum.accumulate(np.maximum(0.0, -s.fp))
+    p.require_finite("comparison setup", G.values, theta, h, hp)
+    for a in (theta, h, hp):
+        a.setflags(write=False)
     with np.errstate(over="ignore"):  # an infinite D sends volume_bound_check to its log path
         D = p.fiber_volume * float(np.exp(-s.f.values[0]))
     return ComparisonSetup(G=G, theta=theta, h=h, hp=hp, D_calibration=D)
@@ -97,9 +100,9 @@ def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualR
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # left to residual_report
         per = p.d * p.g_ratio
         per -= s.fp
-        bound = (p.n - 1) * cs.hp.values
-        bound /= cs.h.values
-        bound += cs.theta.values
+        bound = (p.n - 1) * cs.hp
+        bound /= cs.h
+        bound += cs.theta
         per -= bound  # actual - bound
     del bound
     return residual_report("laplacian_comparison", p, per, LAPLACIAN_COMPARISON_TOL, one_sided=True)
@@ -126,18 +129,18 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     p = s.profile
     p.require_model()
     actual = weighted_ball_volume(p, s.f, r)
-    Theta = integrate_cumulative(cs.theta).values
+    Theta = integrate_cumulative(cs.theta, p.h)
     D, bound = cs.D_calibration, None
     if 0.0 < D < math.inf:  # the direct path, unless the prefix integral_to reads leaves the float range
         with np.errstate(over="ignore", invalid="ignore"):  # left to integral_to
-            integrand = cs.h.values ** (p.n - 1)
+            integrand = cs.h ** (p.n - 1)
             integrand *= np.exp(Theta)
         try:
             bound = D * integral_to(p, "volume_bound", integrand, r).eval(r)
         except NonFiniteValues:
             pass
     if bound is None:  # D h^(n-1) e^Theta as one density, in logs where a factor leaves the float range
-        integrand = sphere_volume_density(p, cs.h.values, s.f.values[0] - Theta)
+        integrand = sphere_volume_density(p, cs.h, s.f.values[0] - Theta)
         bound = integral_to(p, "volume_bound", integrand, r).eval(r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
@@ -169,7 +172,7 @@ def volume_bound_omega(
         raise ValueError("omega must be nondecreasing")
     if np.min(np.diff(omega.values - xi.values)) / omega.h < -1e-9:
         raise ValueError("need xi' <= omega'")
-    h_r0 = float(cs.h.eval(r0))
+    h_r0 = float(GridFn(p.t0, p.t1, cs.h).eval(r0))
     if h_r0 < 1.0:
         raise ValueError("need h(r0) >= 1; move the calibration radius outward")
 
@@ -180,7 +183,7 @@ def volume_bound_omega(
     wt_r0 = float(GridFn(p.t0, p.t1, omega_tilde).eval(r0))
     B_cal = sphere_r0 / h_r0 ** ((p.n - 1) + 2.0 * wt_r0)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # left to require_finite
-        integrand = cs.h.values ** exponent
+        integrand = cs.h ** exponent
     F = integral_to(p, "volume_bound_omega", integrand, max(r0, r))
     bound = C + B_cal * (float(F.eval(r)) - float(F.eval(r0)))
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
@@ -224,16 +227,15 @@ def volest_bound(D: float, mu: float, constants: VolestConstants, r: float) -> t
         return constants.sphere_vol_r0, constants.ball_vol_r0
 
     t = np.linspace(r0, r, 2001)
+    h = (r - r0) / (t.size - 1)
     with np.errstate(over="ignore", invalid="ignore"):  # a bound past the float range is refused below
         if mu == 1.0:
             inner = D * (np.log1p(t) - math.log1p(r0))
         else:
             inner = D * ((1.0 + t) ** (1.0 - mu) - (1.0 + r0) ** (1.0 - mu)) / (1.0 - mu)
-        J = integrate_cumulative(GridFn(r0, r, inner)).values
+        J = integrate_cumulative(inner, h)
         sphere_vals = constants.sphere_vol_r0 * np.exp(constants.C * (t - r0) - J)
-    ball = constants.ball_vol_r0 + float(
-        integrate_cumulative(GridFn(r0, r, sphere_vals)).values[-1]
-    )
+    ball = constants.ball_vol_r0 + float(integrate_cumulative(sphere_vals, h)[-1])
     if not (np.isfinite(J).all() and math.isfinite(ball)):  # an infinite J reads as a sphere volume of 0
         raise NonFiniteValues(f"volest_bound: the bound leaves the float range on [{r0:g}, {r:g}]")
     return float(sphere_vals[-1]), ball

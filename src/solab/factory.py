@@ -106,10 +106,12 @@ class SolitonSpec:
 
     @cached_property
     def _derivatives(self) -> tuple:
-        """f', f'', lambda', lambda'' by stencil, computed and judged together
-        on first use (a tiny h overflows; the stencils spread a NaN pole sample)."""
-        out = tuple(derivative(u, order).values for u in (self.f, self.lam) for order in (1, 2))
+        """f', f'', lambda', lambda'' by stencil, read-only, computed and judged
+        together on first use (a tiny h overflows; stencils spread a NaN pole)."""
+        out = tuple(derivative(u.values, self.profile.h, order) for u in (self.f, self.lam) for order in (1, 2))
         self.profile.require_finite("derivatives of f and lambda", *out)
+        for a in out:
+            a.setflags(write=False)
         return out
 
     fp = property(lambda self: self._derivatives[0])
@@ -144,8 +146,7 @@ class SolitonSpec:
         samples; u_values is read, not copied, and must not change during
         the call."""
         p = self.profile
-        u = GridFn(p.t0, p.t1, u_values)
-        return radial_laplacian(p, derivative(u, 1).values, derivative(u, 2).values, self.fp)
+        return radial_laplacian(p, derivative(u_values, p.h, 1), derivative(u_values, p.h, 2), self.fp)
 
 
 def build_einstein_family(
@@ -182,8 +183,7 @@ def build_einstein_family(
         fiber_constant_curvature=True,
     )
     g, gp, _ = profile.warp_values
-    F = integrate_cumulative(GridFn(t0, t1, g))
-    f = F.with_values(a * F.values + b)
+    f = GridFn(t0, t1, a * integrate_cumulative(g, profile.h) + b)
     lam = GridFn(t0, t1, a * gp - d * c)
     return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.EINSTEIN_WARPED)
 
@@ -227,14 +227,10 @@ def build_general_family(
         raise InvalidWarp("general family needs g > 0 on the closed interval")
     a = -float(rho_sigma) / (d - 1)
     h = (gpp * gv - gp * gp - a) / gv**3
-    H = integrate_cumulative(GridFn(t0, t1, h))
-    inner = A + (d - 1) * H.values
-    F = integrate_cumulative(GridFn(t0, t1, gv * inner))
-    f = F.with_values(F.values + B)
-    lam_vals = -(d - 1) * (gp * gp + a) / gv**2 - gpp / gv + gp * inner
-    return SolitonSpec(
-        profile=profile, f=f, lam=GridFn(t0, t1, lam_vals), family_tag=FamilyTag.GENERAL_WARPED
-    )
+    inner = A + (d - 1) * integrate_cumulative(h, profile.h)
+    f = GridFn(t0, t1, integrate_cumulative(gv * inner, profile.h) + B)
+    lam = GridFn(t0, t1, -(d - 1) * (gp * gp + a) / gv**2 - gpp / gv + gp * inner)
+    return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.GENERAL_WARPED)
 
 
 def _build_flat(lambda0: float, n: int, r_max: float, resolution: int, tag: FamilyTag) -> SolitonSpec:

@@ -386,6 +386,6 @@ def integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float | np.
         m += 1
     prefix = integrand[:m]
     p.require_finite(what, prefix)
-    F = integrate_cumulative(GridFn(p.t0, p.grid_at(m - 1), prefix))
-    p.require_finite(what, F.values)
-    return F
+    F = integrate_cumulative(prefix, p.h)
+    p.require_finite(what, F)
+    return GridFn(p.t0, p.grid_at(m - 1), F)

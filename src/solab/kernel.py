@@ -1,11 +1,11 @@
 """One-dimensional numerical substrate.
 
-Uniform-grid functions with 4th-order differentiation and cumulative
-quadrature, the generalized sine/cosine pair sn_k / cn_k, and a fixed-step
-RK4 solver for y'' = Q(t) y.  Everything downstream (curvature, soliton
-residuals, volume comparison) is built on these primitives, so the accuracy
-contracts here are the binding ones: O(h^4) for derivatives and integrals on
-smooth data, including second derivatives of composed integrals.
+4th-order differentiation and cumulative quadrature take an array and its
+spacing h and return a fresh array; the RK4 solver for y'' = Q(t) y returns
+arrays too.  GridFn is a function read between samples (cubic eval), as Q
+is.  Also sn_k / cn_k.  The accuracy contracts here bind everything
+downstream: O(h^4) for derivatives and integrals on smooth data, including
+second derivatives of composed integrals.
 """
 
 from __future__ import annotations
@@ -221,15 +221,13 @@ def _edge_weight_table(order: int) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def derivative(f: GridFn, order: int = 1) -> GridFn:
-    """Differentiate on the grid: 4th-order centered stencils in the
-    interior, one-sided 4th-order stencils at the 4 boundary points of
-    each side.  An overflow (a tiny h) is returned as inf or NaN."""
+def derivative(v: np.ndarray, h: float, order: int = 1) -> np.ndarray:
+    """Differentiate samples v of spacing h into a fresh array: 4th-order
+    centered stencils inside, one-sided 4th-order stencils at the 4 points
+    of each end.  An overflow (a tiny h) is returned as inf or NaN."""
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
-    v = f.values
     n = v.size
-    h = f.h
     scale = h ** order
     out = np.empty(n)
 
@@ -257,7 +255,7 @@ def derivative(f: GridFn, order: int = 1) -> GridFn:
     # index n-1-i, with the axis flip negating odd derivative orders)
     sign = -1.0 if order % 2 else 1.0
     out[n - EDGE_WIDTH :] = (sign * (edge @ v[: n - width - 1 : -1]) / scale)[::-1]
-    return GridFn(f.t0, f.t1, out)
+    return out
 
 
 def nan_fill(arr: np.ndarray) -> np.ndarray:
@@ -276,8 +274,9 @@ def nan_fill(arr: np.ndarray) -> np.ndarray:
 # cumulative quadrature
 # ---------------------------------------------------------------------------
 
-def integrate_cumulative(f: GridFn) -> GridFn:
-    """Running integral F with F(t0) = 0 and F' = f, O(h^4) on smooth data.
+def integrate_cumulative(v: np.ndarray, h: float) -> np.ndarray:
+    """Running integral F of samples v of spacing h, a fresh array with
+    F[0] = 0 and F' = v, O(h^4) on smooth data.
 
     Even-index prefixes are composite Simpson.  Odd-index prefixes append a
     corrected trapezoid over the final subinterval (cubic through the two
@@ -285,9 +284,7 @@ def integrate_cumulative(f: GridFn) -> GridFn:
     even/odd sawtooth that second derivatives of the result amplify to
     O(h), which the identity suite cannot afford.
     """
-    v = f.values
     n = v.size
-    h = f.h
     F = np.zeros(n)
     # near the float limit, sum scaled by an exact power of two: 4 v must not overflow
     shift = max(0, math.frexp(max(abs(float(v.max())), abs(float(v.min()))))[1] - 1000)
@@ -320,7 +317,7 @@ def integrate_cumulative(f: GridFn) -> GridFn:
             F[i] = F[i - 1] + (h / 24.0) * (v[i - 3] - 5.0 * v[i - 2] + 19.0 * v[i - 1] + 9.0 * v[i])
         if shift:
             F *= 2.0**shift
-    return GridFn(f.t0, f.t1, F)
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -416,14 +413,9 @@ def _transfer_scan(m00, m01, m10, m11, y0: float, yp0: float):
     return y, v
 
 
-def _rk4_linear(Q: GridFn, y0: float, yp0: float):
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, v = _transfer_scan(*_rk4_step_matrices(Q), y0, yp0)
-    return GridFn(Q.t0, Q.t1, y), GridFn(Q.t0, Q.t1, v)
-
-
-def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> GridFn:
-    """Solve y'' = Q(t) y with y(t0) = y0, y'(t0) = yp0.
+@np.errstate(over="ignore", invalid="ignore")
+def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> np.ndarray:
+    """Solve y'' = Q(t) y with y(t0) = y0, y'(t0) = yp0: y on Q's grid.
 
     Classical RK4 on the grid spacing, with Q interpolated cubically at
     half steps; global error O(h^4).  Each step is a 2x2 matrix acting on
@@ -431,11 +423,11 @@ def solve_linear_ode2(Q: GridFn, y0: float, yp0: float) -> GridFn:
     work.  A solution that leaves the float range is returned as it is,
     with inf or NaN samples for the caller to judge.
     """
-    y, _ = _rk4_linear(Q, y0, yp0)
-    return y
+    return _transfer_scan(*_rk4_step_matrices(Q), y0, yp0)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def solve_linear_ode2_with_derivative(Q: GridFn, y0: float, yp0: float):
-    """Like solve_linear_ode2 but also returns y' on the grid (from the
-    integrated system, not a stencil)."""
-    return _rk4_linear(Q, y0, yp0)
+    """Like solve_linear_ode2 but returns the arrays (y, y'), y' from the
+    integrated system, not a stencil."""
+    return _transfer_scan(*_rk4_step_matrices(Q), y0, yp0)

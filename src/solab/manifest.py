@@ -137,28 +137,27 @@ def _integer(value, path: str) -> int:
     return value
 
 
+# closed-form kind -> its keys, every one required
+_CLOSED_FORM_KEYS = {"sn": ("k", "c1", "c2"), "poly": ("coeffs",), "sin": ("offset", "amplitude", "frequency")}
+
+
 def _closed_form(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError(f"expected a closed-form object at {path}")
     kind = value.get("kind")
-    if kind == "sn":
-        _require_keys(value, {"kind", "k", "c1", "c2"}, path)
-        return {"kind": "sn", **{k: _number(value[k], f"{path}.{k}") for k in ("k", "c1", "c2")}}
+    keys = _CLOSED_FORM_KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise SchemaError(f"unknown closed-form kind at {path}.kind")
+    _require_keys(value, {"kind", *keys}, path)
+    for key in keys:
+        if key not in value:
+            raise SchemaError(f"missing required key {path}.{key}")
     if kind == "poly":
-        _require_keys(value, {"kind", "coeffs"}, path)
-        coeffs = value.get("coeffs")
+        coeffs = value["coeffs"]
         if not isinstance(coeffs, list) or not coeffs:
             raise SchemaError(f"expected a coefficient list at {path}.coeffs")
         return {"kind": "poly", "coeffs": [_number(c, f"{path}.coeffs") for c in coeffs]}
-    if kind == "sin":
-        _require_keys(value, {"kind", "offset", "amplitude", "frequency"}, path)
-        return {
-            "kind": "sin",
-            "offset": _number(value.get("offset", 0.0), f"{path}.offset"),
-            "amplitude": _number(value.get("amplitude", 1.0), f"{path}.amplitude"),
-            "frequency": _number(value.get("frequency", 1.0), f"{path}.frequency"),
-        }
-    raise SchemaError(f"unknown closed-form kind at {path}.kind")
+    return {"kind": kind, **{k: _number(value[k], f"{path}.{k}") for k in keys}}
 
 
 def parse_manifest(text) -> Manifest:

@@ -226,7 +226,7 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
     elif ident == "trace":
         per = c["S"] - n * lam + radial_laplacian(p, s.fp, s.fpp)
     elif ident == "scalar_gradient":
-        S_prime = derivative(GridFn(p.t0, p.t1, nan_fill(c["S"])), 1).values
+        S_prime = derivative(nan_fill(c["S"]), p.h, 1)
         per = S_prime - 2 * (n - 1) * s.lamp - 2 * s.fp * c["rho_rad"]
     elif ident == "scalar_laplacian":
         per = s.f_laplacian(nan_fill(c["S"]))
@@ -242,13 +242,13 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
         per -= 2.0 * (lam - c["S"] * (n - 2) / (n * (n - 1))) * c["T_norm2"]
         per -= (n - 2) * s.hess_lam_T
         per -= 4.0 / (n - 2) * trace_free_cube(p)
-        per -= grad_T_norm2(s).values
+        per -= grad_T_norm2(s)
     # composed stencils pollute twice the band
     return residual_report(ident, p, per, IDENTITY_TOL if tol is None else tol, edge=2 * EDGE_WIDTH)
 
 
-def grad_T_norm2(s: SolitonSpec) -> GridFn:
-    """|grad T|^2 from the first derivatives of the trace-free eigenvalues:
+def grad_T_norm2(s: SolitonSpec) -> np.ndarray:
+    """|grad T|^2 (an array) from the trace-free eigenvalues' derivatives:
 
         d (tau_f')^2 + (tau_r')^2 + 2 d (g'/g)^2 (tau_f - tau_r)^2
 
@@ -261,12 +261,12 @@ def grad_T_norm2(s: SolitonSpec) -> GridFn:
     tr = nan_fill(p.curvature["tau_r"])
     with np.errstate(over="ignore", invalid="ignore"):  # left to residual_report's check
         # term by term, so each derivative is freed once it is squared
-        vals = p.d * derivative(GridFn(p.t0, p.t1, tf), 1).values ** 2
-        vals += derivative(GridFn(p.t0, p.t1, tr), 1).values ** 2
+        vals = p.d * derivative(tf, p.h, 1) ** 2
+        vals += derivative(tr, p.h, 1) ** 2
         cross = (tf - tr) ** 2
         cross *= 2.0 * p.d * p.g_ratio**2
         vals += cross
-    return GridFn(p.t0, p.t1, vals)
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -300,17 +300,24 @@ def okumura_residual(s: SolitonSpec) -> ResidualReport:
     """Okumura's bound tr T^3 >= -k |T|^3, k = (n-2)/sqrt(n(n-1)), on the
     spec's own trace-free Ricci tensor.  T has eigenvalues tau_f (d times)
     and tau_r = -d tau_f, so |tr T^3| = k |T|^3 at every sample: per_point
-    is the two-sided defect (|tr T^3| - k |T|^3) / max(1, k |T|^3)."""
+    is the two-sided defect (|tr T^3| - k |T|^3) / max(1, k |T|^3), formed
+    on T scaled by an exact power of two where a cube leaves the float range."""
     p = s.profile
-    T_norm2 = p.curvature["T_norm2"]
+    c = p.curvature
+    k = (p.n - 2) / math.sqrt(p.n * (p.n - 1))
     with np.errstate(over="ignore", invalid="ignore"):  # left to residual_report's check
-        bound = np.sqrt(T_norm2)
-        bound *= T_norm2
-        bound *= (p.n - 2) / math.sqrt(p.n * (p.n - 1))  # k |T|^3
+        bound = np.sqrt(c["T_norm2"])
+        bound *= c["T_norm2"]
+        bound *= k  # k |T|^3
         per = trace_free_cube(p)
         np.abs(per, out=per)
         per -= bound
         per /= np.maximum(bound, 1.0, out=bound)
+        bad = np.flatnonzero(~np.isfinite(per))  # a pole sample stays NaN; elsewhere k |T|^3 > 1
+        T, e = np.frexp(np.sqrt(c["T_norm2"][bad]))  # |T| = T 2^e, exactly
+        tf, tr = np.ldexp(c["tau_f"][bad], -e), np.ldexp(c["tau_r"][bad], -e)
+        bound = T * np.ldexp(c["T_norm2"][bad], -2 * e) * k
+        per[bad] = (np.abs(p.d * (tf * tf * tf) + tr * tr * tr) - bound) / bound
     return residual_report("okumura_equality", p, per, OKUMURA_TOL)
 
 
@@ -562,7 +569,7 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     worst = float(np.min(np.diff(G.values))) / G.h
     hyps["nondecreasing"] = Flag(worst >= -_NULL_THRESHOLD, worst)
 
-    inv_sqrt = integrate_cumulative(GridFn(G.t0, G.t1, G.values**-0.5))
+    inv_sqrt = GridFn(G.t0, G.t1, integrate_cumulative(G.values**-0.5, G.h))
     full = float(inv_sqrt.eval(t_max))
     half = float(inv_sqrt.eval(t_max / 2))
     increment = (full - half) / full if full > 0 else 0.0

@@ -272,6 +272,10 @@ _EMPTY_BANDS = [
     "payload, message",
     [
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 1}), "gaussian needs n >= 2"),
+        # every closed-form kind requires all of its keys: sin has no defaults
+        *((dict(GAUSSIAN_MANIFEST, family="general", params={"g": g, "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3}),
+           f"missing required key $.params.g.{key}")
+          for g, key in (({"kind": "sn", "k": 1, "c2": 2}, "c1"), ({"kind": "sin", "offset": 2, "amplitude": 1}, "frequency"))),
         # cosh(100 t) overflows on [0, 10], and g'' = 1e4 cosh(100 t) first
         (dict(GAUSSIAN_MANIFEST, family="einstein", params={"c": 1e4, "g0": 1, "gp0": 0, "a": 1, "b": 0, "n": 4},
               grid={"interval": [0, 10], "resolution": 201}), "warp: non-finite value at t = 7.05"),
@@ -351,7 +355,7 @@ _EMPTY_BANDS = [
         *((_demo_at(demo, suites, res), f"no trusted samples on a {res}-sample grid")
           for demo, suites, res, _ in _EMPTY_BANDS),
     ],
-    ids=["gaussian_n1", "einstein_overflowing_warp",
+    ids=["gaussian_n1", "closed_form_missing_sn_key", "closed_form_missing_sin_key", "einstein_overflowing_warp",
          "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
          "general_warp_powers_underflow", "space_form_grad_f_square_overflow", "tiny_grid_stencil_overflow",
          "tiny_grid_curvature_overflow", "triviality_gradient_overflow", "subnormal_grid_no_finite_eigenvalue",
@@ -365,6 +369,22 @@ def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["run", write_manifest(tmp_path, payload)]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_cli_okumura_holds_where_the_cubes_of_T_overflow(tmp_path):
+    # with g = t^2 + 1e-60, |T|^* is near 1e120 and |T|^3 leaves the float
+    # range; the defect there is formed on T scaled by a power of two, and
+    # reads what it reads with g = t^2 + 1e-40, where no cube overflows
+    results = []
+    for c0 in (1e-60, 1e-40):
+        payload = dict(GAUSSIAN_MANIFEST, family="general", suites=["okumura"],
+                       params={"g": {"kind": "poly", "coeffs": [c0, 0, 1]}, "rho_sigma": 1, "A": 0.5, "B": 0, "n": 4},
+                       grid={"interval": [-1, 1], "resolution": 2001})
+        out = tmp_path / "report.json"
+        assert main(["run", write_manifest(tmp_path, payload), "--format", "json", "--no-timings", "--out", str(out)]) == 0
+        results.append(json.loads(out.read_text())["suite_results"][0]["checks"][0])
+    assert results[0] == results[1]
+    assert results[0]["sup_norm"] == pytest.approx(1.1175636086264652e-14, rel=1e-12)
 
 
 def test_cli_volume_bound_reads_only_the_samples_up_to_its_radius(tmp_path):
@@ -444,10 +464,12 @@ def _param_value(kind):
     if kind == "int":
         return st.integers(min_value=0, max_value=12)
     number = st.floats(allow_nan=False, allow_infinity=False)
+    # each key may be missing, a schema error
     return st.one_of(
-        st.fixed_dictionaries({"kind": st.just("sn"), "k": number, "c1": number, "c2": number}),
-        st.fixed_dictionaries({"kind": st.just("poly"), "coeffs": st.lists(number, min_size=1, max_size=4)}),
-        st.fixed_dictionaries({"kind": st.just("sin"), "offset": number, "amplitude": number, "frequency": number}),
+        st.fixed_dictionaries({"kind": st.just("sn")}, optional={"k": number, "c1": number, "c2": number}),
+        st.fixed_dictionaries({"kind": st.just("poly")}, optional={"coeffs": st.lists(number, min_size=1, max_size=4)}),
+        st.fixed_dictionaries({"kind": st.just("sin")},
+                              optional={"offset": number, "amplitude": number, "frequency": number}),
     )
 
 

@@ -44,22 +44,22 @@ def test_setup_hyperbolic():
     s = hyperbolic_model()
     cs = derive_setup(s)
     np.testing.assert_allclose(cs.G.values, 1.0, atol=1e-9)
-    np.testing.assert_allclose(cs.theta.values, 0.0, atol=1e-12)
-    assert np.max(np.abs(cs.h.values - np.sinh(cs.h.grid))) < 1e-8
+    np.testing.assert_allclose(cs.theta, 0.0, atol=1e-12)
+    assert np.max(np.abs(cs.h - np.sinh(s.profile.grid))) < 1e-8
 
 
 def test_setup_euclidean():
     s = euclidean_model()
     cs = derive_setup(s)
     np.testing.assert_allclose(cs.G.values, 0.0, atol=1e-10)
-    assert np.max(np.abs(cs.h.values - cs.h.grid)) < 1e-10
+    assert np.max(np.abs(cs.h - s.profile.grid)) < 1e-10
 
 
 def test_setup_gaussian_shrinker():
     # Ric_f = lambda0 > 0, f' = lambda0 r >= 0: both bound profiles vanish
     cs = derive_setup(gaussian_model())
     np.testing.assert_allclose(cs.G.values, 0.0, atol=1e-9)
-    np.testing.assert_allclose(cs.theta.values, 0.0, atol=1e-12)
+    np.testing.assert_allclose(cs.theta, 0.0, atol=1e-12)
 
 
 def test_setup_requires_model():
@@ -71,8 +71,8 @@ def test_setup_requires_model():
 def test_setup_theta_tracks_negative_gradient():
     s = build_gaussian(-0.5, 3, r_max=4.0)  # f' = -0.5 r <= 0
     cs = derive_setup(s)
-    t = cs.theta.grid
-    np.testing.assert_allclose(cs.theta.values, 0.5 * t, atol=1e-9)
+    t = s.profile.grid
+    np.testing.assert_allclose(cs.theta, 0.5 * t, atol=1e-9)
     # Ric_f = -0.5: G = 0.5/(n-1) = 0.25
     np.testing.assert_allclose(cs.G.values[50:], 0.25, atol=1e-8)
 
@@ -206,7 +206,7 @@ def test_sturm_domination():
     t = np.linspace(0.0, 2.0, 2001)
     Q = GridFn(0.0, 2.0, 1.0 + t**2)
     h = solve_linear_ode2(Q, 0.0, 1.0)
-    assert np.all(h.values >= sn(-1.0, h.grid) - 1e-9)
+    assert np.all(h >= sn(-1.0, t) - 1e-9)
 
 
 def test_omega_bound_degenerate_envelope_matches_plain():
@@ -280,7 +280,7 @@ def test_prefix_integral_reads_the_whole_grid_values(res, r_max):
     # interior-rule values the whole grid's bit for bit
     p = build_gaussian(1.0, 3, r_max=r_max, resolution=res).profile
     integrand = np.exp(np.sin(p.grid))
-    whole = integrate_cumulative(GridFn(p.t0, p.t1, integrand))
+    whole = GridFn(p.t0, p.t1, integrate_cumulative(integrand, p.h))
     for r in np.linspace(0.1, r_max, 61):
         part = integral_to(p, "test", integrand, r)
         radii = np.array([0.3 * r, 0.77 * r, r])
@@ -309,10 +309,10 @@ def test_volume_bound_path_depends_only_on_the_samples_up_to_its_radius():
     s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": -1.0, "b": 60.0}, 3,
                          interval=(0.0, 7.3), resolution=201)
     cs = derive_setup(s)
-    flat = cs.theta.values.copy()
+    flat = cs.theta.copy()
     flat[161:] = flat[160]
     radii = np.array([1.825, 3.65, 5.475])
-    bounds = [volume_bound_check(s, c, radii).bound for c in (cs, replace(cs, theta=cs.theta.with_values(flat)))]
+    bounds = [volume_bound_check(s, c, radii).bound for c in (cs, replace(cs, theta=flat))]
     np.testing.assert_array_equal(bounds[0], bounds[1])
 
 
@@ -479,7 +479,7 @@ def test_sturm_domination_on_derived_setup():
     cs = derive_setup(build_gaussian(-0.5, 3, r_max=4.0))
     c_min = float(np.min(cs.G.values))
     assert c_min > 0.2
-    assert np.all(cs.h.values >= sn(-c_min, cs.h.grid) - 1e-9)
+    assert np.all(cs.h >= sn(-c_min, cs.G.grid) - 1e-9)
 
 
 def test_parabolicity_rejects_short_domain():

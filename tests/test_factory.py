@@ -63,8 +63,8 @@ def test_einstein_soliton_function_gradient_relation():
     # c f' = lambda' in the radial variable whenever c != 0
     for c in (-1.0, 0.5, 2.0):
         s = build_einstein_family(c=c, g0=1.0, gp0=0.0, a=0.7, b=0.0, n=5, interval=(0.0, 1.2))
-        fp = derivative(s.f, 1).values
-        lamp = derivative(s.lam, 1).values
+        fp = derivative(s.f.values, s.profile.h, 1)
+        lamp = derivative(s.lam.values, s.profile.h, 1)
         band = s.profile.trusted_band("gradients", fp, lamp)
         assert np.max(np.abs(c * fp[band] - lamp[band])) < 1e-7
 
@@ -247,6 +247,7 @@ def test_derived_fields_are_cached_read_only_and_free_with_the_spec(monkeypatch)
     from dataclasses import replace
 
     from solab import factory, geometry
+    from solab.comparison import derive_setup
 
     calls = {"derivative": 0, "curvature_grids": 0}
 
@@ -263,10 +264,12 @@ def test_derived_fields_are_cached_read_only_and_free_with_the_spec(monkeypatch)
         s.bakry_emery, s.lap_lam, s.hess_lam_T, s.lampp
     # f', f'', lambda', lambda'' together, once; the curvature once
     assert calls == {"derivative": 4, "curvature_grids": 1}
-    np.testing.assert_array_equal(s.fp, derivative(s.f, 1).values)
     p = s.profile
+    np.testing.assert_array_equal(s.fp, derivative(s.f.values, p.h, 1))
     assert p.curvature is p.curvature
-    for arr in (s.fp, s.fpp, s.lamp, s.lampp, p.g_ratio, p.curvature["T_norm2"]):
+    # derive_setup owns theta, h and h', and sets them read-only too
+    cs = derive_setup(s)
+    for arr in (s.fp, s.fpp, s.lamp, s.lampp, p.g_ratio, p.curvature["T_norm2"], cs.theta, cs.h, cs.hp):
         with pytest.raises(ValueError):
             arr[5] = 0.0
     with pytest.raises(TypeError):
@@ -283,7 +286,7 @@ def test_derived_fields_are_cached_read_only_and_free_with_the_spec(monkeypatch)
     refs = [weakref.ref(s.fp), weakref.ref(p.curvature["S"])]
     gc.disable()
     try:
-        del s, p, shifted
+        del s, p, shifted, cs
         assert [r() for r in refs] == [None, None]
     finally:
         gc.enable()

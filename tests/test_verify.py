@@ -169,7 +169,7 @@ def test_one_sided_trace_free_balance(name):
     # statement of the paper: it never goes below zero past the old slack
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
-    balance = rep.per_point + grad_T_norm2(s).values
+    balance = rep.per_point + grad_T_norm2(s)
     band = s.profile.trusted_band("trace-free balance", balance, edge=2 * EDGE_WIDTH)
     assert np.min(balance[band]) >= -1e-5, f"trace-free balance on {name}: min {np.min(balance[band]):.3e}"
 
@@ -289,8 +289,8 @@ def brute_force_grad_T_norm2(spec, t_eval):
     curv = curvature_grids(p)
     tau_f = GridFn(p.t0, p.t1, curv["tau_f"])
     tau_r = GridFn(p.t0, p.t1, curv["tau_r"])
-    dtau_f = derivative(tau_f, 1)
-    dtau_r = derivative(tau_r, 1)
+    dtau_f = GridFn(p.t0, p.t1, derivative(tau_f.values, p.h, 1))
+    dtau_r = GridFn(p.t0, p.t1, derivative(tau_r.values, p.h, 1))
 
     th = 1.1  # arbitrary latitude away from the coordinate axis
     sin, cos = math.sin(th), math.cos(th)
@@ -336,15 +336,16 @@ def brute_force_grad_T_norm2(spec, t_eval):
 def test_grad_T_closed_form_vanishes_on_space_forms():
     s = hyperbolic_trivial()
     gt = grad_T_norm2(s)
-    band = s.profile.trusted_band("grad_T", gt.values)
-    assert np.max(np.abs(gt.values[band])) < 1e-12
+    band = s.profile.trusted_band("grad_T", gt)
+    assert np.max(np.abs(gt[band])) < 1e-12
     for t in (0.8, 1.5, 2.5):
         assert brute_force_grad_T_norm2(s, t) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_grad_T_closed_form_matches_brute_force_off_einstein():
     s = general_sine()
-    gt = grad_T_norm2(s)
+    p = s.profile
+    gt = GridFn(p.t0, p.t1, grad_T_norm2(s))
     for t in (1.0, 2.0, 3.5, 5.0):
         assert float(gt.eval(t)) == pytest.approx(
             brute_force_grad_T_norm2(s, t), rel=1e-6, abs=1e-9
@@ -358,9 +359,9 @@ def test_trace_free_balance_defect_equals_grad_T(name):
     s = ALL_SPECS[name]
     rep = identity_residual(s, "trace_free_balance")
     gt = grad_T_norm2(s)
-    defect = rep.per_point + gt.values
+    defect = rep.per_point + gt
     band = s.profile.trusted_band("trace-free balance", defect)
-    assert np.max(np.abs(defect[band] - gt.values[band])) < 2e-5
+    assert np.max(np.abs(defect[band] - gt[band])) < 2e-5
 
 
 # ---------------------------------------------------------------------------
