@@ -21,7 +21,7 @@ import numpy as np
 from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand, NonFiniteValues
 from .factory import SolitonSpec
 from .geometry import integral_to, sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
-from .kernel import GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
+from .kernel import GridFn, integrate_cumulative, interpolate, nan_fill, solve_linear_ode2_with_derivative
 from .verify import ResidualReport, residual_report
 
 __all__ = [
@@ -124,7 +124,7 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
 
     with D calibrated so the two densities agree at the pole
     (D = fiber_volume * e^(-f(pole)), exact for models).  r is one radius
-    or an array of radii (as for GridFn.eval); the volume curves are
+    or an array of radii (as for interpolate); the volume curves are
     integrated once either way, up to the largest radius (integral_to)."""
     p = s.profile
     p.require_model()
@@ -136,20 +136,20 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
             integrand = cs.h ** (p.n - 1)
             integrand *= np.exp(Theta)
         try:
-            bound = D * integral_to(p, "volume_bound", integrand, r).eval(r)
+            bound = D * integral_to(p, "volume_bound", integrand, r)
         except NonFiniteValues:
             pass
     if bound is None:  # D h^(n-1) e^Theta as one density, in logs where a factor leaves the float range
         integrand = sphere_volume_density(p, cs.h, s.f.values[0] - Theta)
-        bound = integral_to(p, "volume_bound", integrand, r).eval(r)
+        bound = integral_to(p, "volume_bound", integrand, r)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 
 def volume_bound_omega(
     s: SolitonSpec,
     cs: ComparisonSetup,
-    xi: GridFn,
-    omega: GridFn,
+    xi: np.ndarray,
+    omega: np.ndarray,
     r0: float,
     r: float,
 ) -> VolumeBound:
@@ -159,33 +159,35 @@ def volume_bound_omega(
         vol_f(B_r) <= C + B_cal * integral_{r0}^r h(t)^((n-1) + 2 (omega - xi)(t)) dt
 
     with C the actual ball volume at r0 and B_cal matching the sphere
-    density at r0.  Requires omega nondecreasing, xi' <= omega', and
-    h(r0) >= 1 (so larger exponents weaken the bound monotonically)."""
+    density at r0.  xi and omega are arrays on the profile's grid.
+    Requires omega nondecreasing, xi' <= omega', and h(r0) >= 1 (so larger
+    exponents weaken the bound monotonically)."""
     p = s.profile
     p.require_model()
     r0, r = float(r0), float(r)
-    p.require_finite("volume_bound_omega", xi.values, omega.values)
+    if np.shape(xi) != (p.n_samples,) or np.shape(omega) != (p.n_samples,):
+        raise ValueError(f"xi and omega must be arrays on the profile grid of {p.n_samples} samples")
+    p.require_finite("volume_bound_omega", xi, omega)
     fv = s.f.values
-    if np.any(fv < xi.values - 1e-12) or np.any(fv > omega.values + 1e-12):
+    if np.any(fv < xi - 1e-12) or np.any(fv > omega + 1e-12):
         raise EnvelopeViolation("potential leaves the envelope xi <= f <= omega")
-    if np.any(np.diff(omega.values) < -1e-12):
+    if np.any(np.diff(omega) < -1e-12):
         raise ValueError("omega must be nondecreasing")
-    if np.min(np.diff(omega.values - xi.values)) / omega.h < -1e-9:
+    omega_tilde = omega - xi
+    if np.min(np.diff(omega_tilde)) / p.h < -1e-9:
         raise ValueError("need xi' <= omega'")
-    h_r0 = float(GridFn(p.t0, p.t1, cs.h).eval(r0))
+    h_r0 = interpolate(cs.h, p.t0, p.h, r0)
     if h_r0 < 1.0:
         raise ValueError("need h(r0) >= 1; move the calibration radius outward")
 
-    omega_tilde = omega.values - xi.values
     exponent = (p.n - 1) + 2.0 * omega_tilde
     C, actual = weighted_ball_volume(p, s.f, np.array([r0, r])).tolist()
     sphere_r0 = weighted_sphere_volume(p, s.f, r0)
-    wt_r0 = float(GridFn(p.t0, p.t1, omega_tilde).eval(r0))
-    B_cal = sphere_r0 / h_r0 ** ((p.n - 1) + 2.0 * wt_r0)
+    B_cal = sphere_r0 / h_r0 ** ((p.n - 1) + 2.0 * interpolate(omega_tilde, p.t0, p.h, r0))
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # left to require_finite
         integrand = cs.h ** exponent
-    F = integral_to(p, "volume_bound_omega", integrand, max(r0, r))
-    bound = C + B_cal * (float(F.eval(r)) - float(F.eval(r0)))
+    F_r0, F_r = integral_to(p, "volume_bound_omega", integrand, np.array([r0, r])).tolist()
+    bound = C + B_cal * (F_r - F_r0)
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 
@@ -265,9 +267,8 @@ def f_parabolic_test(s: SolitonSpec, r_max: float) -> ParabolicVerdict:
     with np.errstate(divide="ignore", over="ignore"):  # left to require_finite
         integrand = 1.0 / dens
     integrand[0] = 0.0  # the pole, 1/0, lies below the test's start at t = 2
-    F = integral_to(p, "f_parabolic", integrand, r_max)
-    base = float(F.eval(2.0))
-    partials = tuple(float(F.eval(T)) - base for T in (r_max / 4, r_max / 2, r_max))
+    F = integral_to(p, "f_parabolic", integrand, np.array([2.0, r_max / 4, r_max / 2, r_max]))
+    partials = tuple((F[1:] - F[0]).tolist())
     total = partials[-1]
     last_increment = partials[-1] - partials[-2]
     verdict = "LikelyParabolic" if last_increment > 0.25 * total else "LikelyNonParabolic"

@@ -245,7 +245,7 @@ def _build_flat(lambda0: float, n: int, r_max: float, resolution: int, tag: Fami
     )
     t = profile.grid
     f = GridFn(0.0, float(r_max), 0.5 * lambda0 * t * t)
-    lam = GridFn.constant(lambda0, 0.0, float(r_max), resolution)
+    lam = GridFn(0.0, float(r_max), np.full(resolution, float(lambda0)))
     return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=tag)
 
 

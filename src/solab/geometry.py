@@ -32,7 +32,7 @@ from .errors import (
     NoTrustedSamples,
     NotAModel,
 )
-from .kernel import EDGE_WIDTH, MIN_SAMPLES, GridFn, cn, integrate_cumulative, sn
+from .kernel import EDGE_WIDTH, MIN_SAMPLES, GridFn, cn, integrate_cumulative, interpolate, sn
 
 __all__ = [
     "SnCombination",
@@ -367,25 +367,22 @@ def weighted_ball_volume(p: WarpProfile, f: GridFn | None, r: float | np.ndarray
     """vol_f of the geodesic ball of radius r about the pole, by composite
     Simpson of the sphere-volume density over the grid prefix that
     integral_to reads.  r may be one radius (returns a float) or an array
-    of radii (returns an array), as for GridFn.eval."""
+    of radii (returns an array), as for interpolate."""
     p.require_model()
     dens = sphere_volume_density(p, p.g_values, None if f is None else f.values)
-    return integral_to(p, "ball_volume", dens, r).eval(r)
+    return integral_to(p, "ball_volume", dens, r)
 
 
-def integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float | np.ndarray) -> GridFn:
-    """Running integral of integrand over the grid prefix that eval reads
-    at radii up to r (the largest of an array), after require_finite on
-    that prefix alone, so samples past r can neither enter nor refuse it,
-    and on the integral (a sum of finite samples can overflow).  The prefix
-    ends at least 3 samples past the cell of r, at the first sample where
-    its spacing rounds back to the grid's h: eval then reads the whole
-    grid's values, bit for bit."""
+def integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float | np.ndarray):
+    """Running integral of integrand from t0, interpolated at r (a float for
+    a float, an array for an array).  It is integrated over the grid prefix
+    that ends 3 or more samples past the cell of the largest radius, after
+    require_finite on that prefix alone, so samples past r can neither
+    enter nor refuse it, and on the integral (a sum of finite samples can
+    overflow).  The values read are then the whole grid's, bit for bit."""
     m = int(np.clip((np.max(r) - p.t0) / p.h + 4, MIN_SAMPLES, p.n_samples))
-    while (p.grid_at(m - 1) - p.t0) / (m - 1) != p.h:  # ends by m = n_samples, where grid_at is t1
-        m += 1
     prefix = integrand[:m]
     p.require_finite(what, prefix)
     F = integrate_cumulative(prefix, p.h)
     p.require_finite(what, F)
-    return GridFn(p.t0, p.grid_at(m - 1), F)
+    return interpolate(F, p.t0, p.h, r)

@@ -1,9 +1,11 @@
 """One-dimensional numerical substrate.
 
-4th-order differentiation and cumulative quadrature take an array and its
-spacing h and return a fresh array; the RK4 solver for y'' = Q(t) y returns
-arrays too.  GridFn is a function read between samples (cubic eval), as Q
-is.  Also sn_k / cn_k.  The accuracy contracts here bind everything
+4th-order differentiation, cumulative quadrature and cubic interpolation
+take an array and its spacing h; the first two return a fresh array, and
+the RK4 solver for y'' = Q(t) y returns arrays too.  GridFn is the record
+of a spec's f and lambda and of the bound profile G (the solver's Q): an
+array with its [t0, t1], read between samples by interpolate.  Also
+sn_k / cn_k.  The accuracy contracts here bind everything
 downstream: O(h^4) for derivatives and integrals on smooth data, including
 second derivatives of composed integrals.
 """
@@ -18,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "GridFn",
+    "interpolate",
     "sn",
     "cn",
     "derivative",
@@ -76,37 +79,29 @@ class GridFn:
     def grid(self) -> np.ndarray:
         return np.linspace(self.t0, self.t1, self.n_samples)
 
-    @classmethod
-    def constant(cls, value: float, t0: float, t1: float, n_samples: int) -> "GridFn":
-        return cls(t0, t1, np.full(n_samples, float(value)))
-
-    def with_values(self, values: np.ndarray) -> "GridFn":
-        """Same grid, new samples."""
-        return GridFn(self.t0, self.t1, values)
-
     def eval(self, t):
-        """Evaluate at arbitrary points by 4-point (cubic) Lagrange interpolation.
+        return interpolate(self.values, self.t0, self.h, t)
 
-        O(h^4) accurate on smooth data.  Points may sit anywhere in
-        [t0, t1] (a 1e-9-relative slack beyond the ends is tolerated and
-        clamped).
-        """
-        tq = np.asarray(t, dtype=float)
-        scalar = tq.ndim == 0
-        tq = np.atleast_1d(tq)
-        slack = 1e-9 * (self.t1 - self.t0)
-        if (tq < self.t0 - slack).any() or (tq > self.t1 + slack).any():
-            raise ValueError("evaluation point outside the grid domain")
-        s = (np.clip(tq, self.t0, self.t1) - self.t0) / self.h
-        i = np.clip(np.floor(s).astype(int), 1, self.n_samples - 3)
-        u = s - i
-        v = self.values
-        w_m1 = -u * (u - 1.0) * (u - 2.0) / 6.0
-        w_0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
-        w_1 = -(u + 1.0) * u * (u - 2.0) / 2.0
-        w_2 = (u + 1.0) * u * (u - 1.0) / 6.0
-        out = w_m1 * v[i - 1] + w_0 * v[i] + w_1 * v[i + 1] + w_2 * v[i + 2]
-        return float(out[0]) if scalar else out
+
+def interpolate(v: np.ndarray, t0: float, h: float, t):
+    """Samples v of spacing h from t0, read at t (a float for a float, an
+    array for an array) by 4-point (cubic) Lagrange interpolation, O(h^4)
+    on smooth data.  t must lie in [t0, t0 + (v.size - 1) h], up to a
+    1e-9-relative slack past the ends, where the end cubic is read."""
+    tq = np.asarray(t, dtype=float)
+    scalar = tq.ndim == 0
+    s = (np.atleast_1d(tq) - t0) / h
+    last = v.size - 1
+    if (s < -1e-9 * last).any() or (s > last * (1.0 + 1e-9)).any():
+        raise ValueError("evaluation point outside the grid domain")
+    i = np.clip(np.floor(s).astype(int), 1, v.size - 3)
+    u = s - i
+    w_m1 = -u * (u - 1.0) * (u - 2.0) / 6.0
+    w_0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
+    w_1 = -(u + 1.0) * u * (u - 2.0) / 2.0
+    w_2 = (u + 1.0) * u * (u - 1.0) / 6.0
+    out = w_m1 * v[i - 1] + w_0 * v[i] + w_1 * v[i + 1] + w_2 * v[i + 2]
+    return float(out[0]) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -314,7 +314,5 @@ def build_spec(m: Manifest) -> SolitonSpec:
         raise SchemaError(f"unknown family {m.family!r}")
 
     if corrupt is not None:
-        from dataclasses import replace
-
-        spec = replace(spec, lam=spec.lam.with_values(spec.lam.values + corrupt))
+        spec = replace(spec, lam=replace(spec.lam, values=spec.lam.values + corrupt))
     return spec

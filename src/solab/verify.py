@@ -32,7 +32,7 @@ from .errors import (
 )
 from .factory import SolitonSpec
 from .geometry import radial_laplacian, ric_norm2, trace_free_cube
-from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, nan_fill
+from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, interpolate, nan_fill
 
 __all__ = [
     "IDENTITY_IDS",
@@ -569,9 +569,8 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     worst = float(np.min(np.diff(G.values))) / G.h
     hyps["nondecreasing"] = Flag(worst >= -_NULL_THRESHOLD, worst)
 
-    inv_sqrt = GridFn(G.t0, G.t1, integrate_cumulative(G.values**-0.5, G.h))
-    full = float(inv_sqrt.eval(t_max))
-    half = float(inv_sqrt.eval(t_max / 2))
+    inv_sqrt = integrate_cumulative(G.values**-0.5, G.h)
+    half, full = interpolate(inv_sqrt, G.t0, G.h, np.array([t_max / 2, t_max])).tolist()
     increment = (full - half) / full if full > 0 else 0.0
     hyps["inverse_sqrt_not_integrable"] = Flag(increment > 0.05, increment)
 

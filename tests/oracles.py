@@ -42,3 +42,25 @@ def rk4_scalar_ode2(qfun, y0: float, yp0: float, a: float, b: float, steps: int)
         v += (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
         t += h
     return y, v
+
+
+def cubic_eval_reference(t0: float, t1: float, v: np.ndarray, t):
+    """The cubic Lagrange read of samples v on [t0, t1] as GridFn.eval wrote
+    it before the rule moved to kernel.interpolate: a point within the
+    1e-9-relative slack past an end is clamped to that end."""
+    tq = np.asarray(t, dtype=float)
+    scalar = tq.ndim == 0
+    tq = np.atleast_1d(tq)
+    slack = 1e-9 * (t1 - t0)
+    if (tq < t0 - slack).any() or (tq > t1 + slack).any():
+        raise ValueError("evaluation point outside the grid domain")
+    h = (t1 - t0) / (v.size - 1)
+    s = (np.clip(tq, t0, t1) - t0) / h
+    i = np.clip(np.floor(s).astype(int), 1, v.size - 3)
+    u = s - i
+    w_m1 = -u * (u - 1.0) * (u - 2.0) / 6.0
+    w_0 = (u + 1.0) * (u - 1.0) * (u - 2.0) / 2.0
+    w_1 = -(u + 1.0) * u * (u - 2.0) / 2.0
+    w_2 = (u + 1.0) * u * (u - 1.0) / 6.0
+    out = w_m1 * v[i - 1] + w_0 * v[i] + w_1 * v[i + 1] + w_2 * v[i + 2]
+    return float(out[0]) if scalar else out

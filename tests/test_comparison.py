@@ -18,7 +18,15 @@ from solab.comparison import (
 from solab.errors import EnvelopeViolation, NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
 from solab.geometry import integral_to, weighted_ball_volume, weighted_sphere_volume
-from solab.kernel import GridFn, integrate_cumulative, sn, solve_linear_ode2, solve_linear_ode2_with_derivative
+from solab.kernel import (
+    MIN_SAMPLES,
+    GridFn,
+    integrate_cumulative,
+    interpolate,
+    sn,
+    solve_linear_ode2,
+    solve_linear_ode2_with_derivative,
+)
 
 
 def hyperbolic_model(n=3, r_max=4.0):
@@ -109,7 +117,7 @@ def test_laplacian_strict_on_gaussian():
 
 def _f_mutants(s, eps):
     t = s.profile.grid
-    return {sign: replace(s, f=s.f.with_values(s.f.values + sign * eps * t * t)) for sign in (-1, 1)}
+    return {sign: replace(s, f=replace(s.f, values=s.f.values + sign * eps * t * t)) for sign in (-1, 1)}
 
 
 def test_laplacian_comparison_catches_a_mutant_against_the_fixed_setup():
@@ -212,7 +220,7 @@ def test_sturm_domination():
 def test_omega_bound_degenerate_envelope_matches_plain():
     s = hyperbolic_model()
     cs = derive_setup(s)
-    zero = GridFn.constant(0.0, 0.0, 4.0, 2001)
+    zero = np.zeros(2001)
     actual, bound, ok = volume_bound_omega(s, cs, zero, zero, r0=1.0, r=2.0)
     assert ok
     assert actual == pytest.approx(bound, rel=1e-6)
@@ -221,16 +229,16 @@ def test_omega_bound_degenerate_envelope_matches_plain():
 def test_omega_bound_gaussian_envelope():
     s = gaussian_model()
     cs = derive_setup(s)
-    zero = GridFn.constant(0.0, 0.0, 8.0, 2001)
-    actual, bound, ok = volume_bound_omega(s, cs, zero, s.f, r0=1.0, r=3.0)
+    actual, bound, ok = volume_bound_omega(s, cs, np.zeros(2001), s.f.values, r0=1.0, r=3.0)
     assert ok and actual <= bound
 
 
 def test_omega_bound_weakens_with_wider_envelope():
     s = gaussian_model()
     cs = derive_setup(s)
-    _, tight, _ = volume_bound_omega(s, cs, s.f, s.f, r0=1.0, r=3.0)
-    _, wide, ok = volume_bound_omega(s, cs, s.f, s.f.with_values(s.f.values + 1.0), r0=1.0, r=3.0)
+    f = s.f.values
+    _, tight, _ = volume_bound_omega(s, cs, f, f, r0=1.0, r=3.0)
+    _, wide, ok = volume_bound_omega(s, cs, f, f + 1.0, r0=1.0, r=3.0)
     assert ok
     assert wide >= tight
 
@@ -239,15 +247,30 @@ def test_omega_bound_rejects_xi_rising_faster_than_omega():
     s = gaussian_model()
     cs = derive_setup(s)
     # xi = 2 f - max f stays below f, but xi' = 2 f' exceeds omega' = f' for r > 0
-    xi = s.f.with_values(2.0 * s.f.values - s.f.values.max())
+    f = s.f.values
     with pytest.raises(ValueError, match="xi' <= omega'"):
-        volume_bound_omega(s, cs, xi, s.f, r0=1.0, r=3.0)
+        volume_bound_omega(s, cs, 2.0 * f - f.max(), f, r0=1.0, r=3.0)
+
+
+def test_omega_bound_reads_its_envelopes_on_the_profile_grid():
+    # xi' - omega' = 5e-7 everywhere: the slope check divides by the
+    # profile's h, whatever grid the caller made the envelopes on
+    s = hyperbolic_model()
+    cs = derive_setup(s)
+    f, t = s.f.values, s.profile.grid
+    assert s.profile.n_samples == 2001
+    with pytest.raises(ValueError, match="xi' <= omega'"):
+        volume_bound_omega(s, cs, f - 5e-7 * (4.0 - t), f, r0=1.0, r=2.0)
+    # an envelope sampled on another grid is refused by name, not by broadcasting
+    coarse = np.zeros(1001)
+    with pytest.raises(ValueError, match="profile grid of 2001 samples"):
+        volume_bound_omega(s, cs, coarse, coarse, r0=1.0, r=2.0)
 
 
 def test_omega_bound_envelope_violation():
     s = gaussian_model()
     cs = derive_setup(s)
-    zero = GridFn.constant(0.0, 0.0, 8.0, 2001)
+    zero = np.zeros(2001)
     with pytest.raises(EnvelopeViolation):
         volume_bound_omega(s, cs, zero, zero, r0=1.0, r=3.0)  # f > 0 leaves [0, 0]
 
@@ -257,34 +280,40 @@ def test_omega_bound_rejects_overflowing_integrand():
     # integrating those samples as 0 would cap the bound at its r = 3.95 value
     s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0}, 3)
     cs = derive_setup(s)
-    omega = s.f.with_values(s.f.values + 27.5 * s.profile.grid)
+    omega = s.f.values + 27.5 * s.profile.grid
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NonFiniteValues, match="volume_bound_omega: non-finite value at t = 3.94"):
-            volume_bound_omega(s, cs, s.f, omega, r0=1.0, r=4.0)
+            volume_bound_omega(s, cs, s.f.values, omega, r0=1.0, r=4.0)
 
 
 def test_omega_bound_integrates_only_up_to_its_radius():
     # the same integrand leaves the float range at t = 3.94, past r = 2
     s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0}, 3)
     cs = derive_setup(s)
-    omega = s.f.with_values(s.f.values + 27.5 * s.profile.grid)
-    _, bound, ok = volume_bound_omega(s, cs, s.f, omega, r0=1.0, r=2.0)
+    omega = s.f.values + 27.5 * s.profile.grid
+    _, bound, ok = volume_bound_omega(s, cs, s.f.values, omega, r0=1.0, r=2.0)
     assert ok and bound == pytest.approx(4.36441164288078e57, rel=1e-12)
 
 
 @pytest.mark.parametrize("res, r_max", [(2001, 8.0), (1001, 3.0), (1002, 3.0), (20001, 8.0), (200001, 16.0)])
 def test_prefix_integral_reads_the_whole_grid_values(res, r_max):
-    # the prefix ends 3 or more samples past the cell of r, where its
-    # spacing rounds back to the grid's h, so eval reads Simpson and
-    # interior-rule values the whole grid's bit for bit
+    # the prefix ends 3 or more samples past the cell of the largest
+    # radius, so the Simpson and interior-rule values read there are the
+    # whole grid's, and so is the spacing they are read with: bit for bit
     p = build_gaussian(1.0, 3, r_max=r_max, resolution=res).profile
     integrand = np.exp(np.sin(p.grid))
-    whole = GridFn(p.t0, p.t1, integrate_cumulative(integrand, p.h))
-    for r in np.linspace(0.1, r_max, 61):
-        part = integral_to(p, "test", integrand, r)
-        radii = np.array([0.3 * r, 0.77 * r, r])
-        np.testing.assert_allclose(part.eval(radii), whole.eval(radii), rtol=0, atol=0)
+    whole = integrate_cumulative(integrand, p.h)
+    radii = [np.array([0.3 * r, 0.77 * r, r]) for r in np.linspace(0.1, r_max, 61)]
+    if res == 1001:
+        # prefix lengths m whose own spacing (grid[m - 1] - t0) / (m - 1)
+        # misses h, each read at grid[m - 4], the radius that ends its
+        # prefix at m (or m - 1, where (grid[m - 4] - t0) / h rounds down)
+        misses = [m for m in range(MIN_SAMPLES, res) if (p.grid_at(m - 1) - p.t0) / (m - 1) != p.h]
+        assert len(misses) == 121
+        radii += [p.grid_at(m - 4) for m in misses]
+    for r in radii:
+        np.testing.assert_allclose(integral_to(p, "test", integrand, r), interpolate(whole, p.t0, p.h, r), rtol=0, atol=0)
 
 
 def test_prefix_integral_names_an_infinite_sample_and_an_overflowing_sum():
@@ -502,6 +531,6 @@ def test_diameter_rejects_bad_mu0():
 def test_omega_bound_requires_unit_comparison_solution():
     s = hyperbolic_model()
     cs = derive_setup(s)
-    zero = GridFn.constant(0.0, 0.0, 4.0, 2001)
+    zero = np.zeros(2001)
     with pytest.raises(ValueError, match="h\\(r0\\)"):
         volume_bound_omega(s, cs, zero, zero, r0=0.2, r=2.0)  # sinh(0.2) < 1

@@ -187,14 +187,14 @@ def test_spec_names_the_first_infinite_sample_of_f_or_lambda():
         v = u.values.copy()
         v[3] = np.inf
         with pytest.raises(NonFiniteValues, match="f and lambda: non-finite value at t = 0.12$"):
-            replace(s, **{field: u.with_values(v)})
+            replace(s, **{field: replace(u, values=v)})
 
 
 def test_spec_refuses_derivatives_that_overflow_on_a_tiny_grid():
     # h^2 underflows to 0, and the second-derivative stencil divides by it
     p = WarpProfile(n=3, rho_sigma=0.0, g=SnCombination(k=0.0, c1=0.0, c2=1.0), t0=0.0, t1=1e-300, n_samples=11)
     f = GridFn(0.0, 1e-300, np.linspace(0.0, 1.0, 11) ** 2)
-    s = SolitonSpec(profile=p, f=f, lam=GridFn.constant(0.0, 0.0, 1e-300, 11), family_tag=FamilyTag.GENERAL_WARPED)
+    s = SolitonSpec(profile=p, f=f, lam=GridFn(0.0, 1e-300, np.zeros(11)), family_tag=FamilyTag.GENERAL_WARPED)
     with pytest.raises(NonFiniteValues, match="derivatives of f and lambda: non-finite value at t = 0$"):
         s.fp
 
@@ -205,7 +205,7 @@ def test_spec_refuses_a_nan_pole_sample_of_f_in_its_derivatives():
     s = build_gaussian(1.0, 3, r_max=4.0, resolution=101)
     v = s.f.values.copy()
     v[0] = np.nan
-    s = replace(s, f=s.f.with_values(v))
+    s = replace(s, f=replace(s.f, values=v))
     with pytest.raises(NonFiniteValues, match="derivatives of f and lambda: non-finite value at t = 0.04$"):
         s.fp
 
@@ -276,7 +276,7 @@ def test_derived_fields_are_cached_read_only_and_free_with_the_spec(monkeypatch)
         p.curvature["S"] = p.curvature["T_norm2"]
 
     # the curvature belongs to the profile, the derivatives to the spec
-    shifted = replace(s, lam=s.lam.with_values(s.lam.values + 1.0))
+    shifted = replace(s, lam=replace(s.lam, values=s.lam.values + 1.0))
     assert shifted.profile.curvature is p.curvature
     assert shifted.lamp is not s.lamp
     assert calls == {"derivative": 8, "curvature_grids": 1}

@@ -13,13 +13,14 @@ from solab.kernel import (
     derivative,
     fd_weights,
     integrate_cumulative,
+    interpolate,
     nan_fill,
     sn,
     solve_linear_ode2,
     solve_linear_ode2_with_derivative,
 )
 
-from .oracles import cosh_series, rk4_scalar_ode2, sinh_series
+from .oracles import cosh_series, cubic_eval_reference, rk4_scalar_ode2, sinh_series
 
 # frozen via the exponential-series oracle (see oracles.py)
 SINH_1 = 1.1752011936438016
@@ -109,7 +110,7 @@ def test_sn_solves_its_ode_against_rk4():
     rng = np.random.default_rng(11)
     for _ in range(8):
         k = rng.uniform(-4.0, 4.0)
-        Q = GridFn.constant(-k, 0.0, 2.0, 2001)
+        Q = GridFn(0.0, 2.0, np.full(2001, -k))
         y = solve_linear_ode2(Q, 0.0, 1.0)
         assert np.max(np.abs(y - sn(k, Q.grid))) < 1e-8
 
@@ -260,18 +261,18 @@ def test_second_derivative_of_cumulative_is_smooth():
 # ---------------------------------------------------------------------------
 
 def test_ode_zero_potential_gives_line():
-    Q = GridFn.constant(0.0, 0.0, 1.0, 101)
+    Q = GridFn(0.0, 1.0, np.zeros(101))
     y = solve_linear_ode2(Q, 0.0, 1.0)
     assert np.max(np.abs(y - Q.grid)) < 1e-12
 
 
 def test_ode_unit_potential_gives_sinh():
-    y = solve_linear_ode2(GridFn.constant(1.0, 0.0, 2.0, 2001), 0.0, 1.0)
+    y = solve_linear_ode2(GridFn(0.0, 2.0, np.ones(2001)), 0.0, 1.0)
     assert y[-1] == pytest.approx(SINH_2, abs=1e-9)
 
 
 def test_ode_negative_potential_gives_cos():
-    y = solve_linear_ode2(GridFn.constant(-1.0, 0.0, np.pi, 2001), 1.0, 0.0)
+    y = solve_linear_ode2(GridFn(0.0, np.pi, np.full(2001, -1.0)), 1.0, 0.0)
     assert y[-1] == pytest.approx(-1.0, abs=1e-8)
 
 
@@ -303,7 +304,7 @@ def test_ode_overflow_detection():
     # derive_setup owns h and h' and names the earlier of their first
     # non-finite samples; its G is q = -lambda0 / 2
     for q, t1, n, where in ((400.0, 40.0, 2001, 34.58), (100.0, 80.0, 20001, 69.148)):
-        Q = GridFn.constant(q, 0.0, t1, n)
+        Q = GridFn(0.0, t1, np.full(n, q))
         y, v = solve_linear_ode2_with_derivative(Q, 0.0, 1.0)
         first = min(np.flatnonzero(~np.isfinite(a))[0] for a in (y, v))
         assert Q.grid[first] >= where
@@ -325,7 +326,7 @@ def test_ode_peak_memory_stays_within_eleven_grid_arrays():
 
 
 def test_ode_derivative_channel():
-    y, v = solve_linear_ode2_with_derivative(GridFn.constant(1.0, 0.0, 2.0, 2001), 0.0, 1.0)
+    y, v = solve_linear_ode2_with_derivative(GridFn(0.0, 2.0, np.ones(2001)), 0.0, 1.0)
     assert v[0] == 1.0
     assert v[-1] == pytest.approx(np.cosh(2.0), abs=1e-9)
 
@@ -389,3 +390,32 @@ def test_gridfn_interpolation_accuracy():
     t = np.linspace(0.1, 3.0, 77)
     assert np.max(np.abs(f.eval(t) - np.sin(t))) < 1e-11
     assert f.eval(0.5) == pytest.approx(np.sin(0.5), abs=1e-11)
+
+
+GRIDS = [(0.0, 2.0 * np.pi, 2001), (0.0, 8.0, 20001), (-1.0, 1.0, 1002)]
+
+
+@pytest.mark.parametrize("t0, t1, n", GRIDS)
+def test_interpolate_is_the_gridfn_rule_bit_for_bit(t0, t1, n):
+    # inside [t0, t1], both ends included, the read takes the spacing of
+    # the grid and no clamp: every value keeps the old rule's bits
+    grid = np.linspace(t0, t1, n)
+    v = np.exp(np.sin(3.0 * grid))
+    h = (t1 - t0) / (n - 1)
+    t = np.concatenate([grid, np.linspace(t0, t1, 7919), 0.5 * (grid[1:] + grid[:-1])])
+    np.testing.assert_allclose(interpolate(v, t0, h, t), cubic_eval_reference(t0, t1, v, t), rtol=0, atol=0)
+    for end in (t0, t1):
+        assert interpolate(v, t0, h, end) == cubic_eval_reference(t0, t1, v, end)
+    assert GridFn(t0, t1, v).eval(t1) == interpolate(v, t0, h, t1)
+
+
+@pytest.mark.parametrize("t0, t1, n", GRIDS)
+def test_interpolate_accepts_the_slack_past_each_end_and_no_more(t0, t1, n):
+    grid = np.linspace(t0, t1, n)
+    v, h, span = np.cos(grid), (t1 - t0) / (n - 1), t1 - t0
+    # read off the end cubic, so within |cos'| 1e-10 (t1 - t0) of the end samples
+    inside = interpolate(v, t0, h, np.array([t0 - 1e-10 * span, t1 + 1e-10 * span]))
+    np.testing.assert_allclose(inside, [v[0], v[-1]], rtol=0, atol=2e-10 * span)
+    for t in (t0 - 1e-8 * span, t1 + 1e-8 * span):
+        with pytest.raises(ValueError, match="outside the grid domain"):
+            interpolate(v, t0, h, t)

@@ -83,7 +83,7 @@ ALL_SPECS = {
 
 def test_corrupted_lambda_is_detected():
     s = gaussian_spec()
-    bad = replace(s, lam=s.lam.with_values(s.lam.values + 0.1))
+    bad = replace(s, lam=replace(s.lam, values=s.lam.values + 0.1))
     rep = soliton_residual(bad)
     assert not rep.passed
     assert rep.sup_norm == pytest.approx(0.1, rel=1e-6)
@@ -176,7 +176,7 @@ def test_one_sided_trace_free_balance(name):
 
 def test_identity_suite_catches_corruption():
     s = einstein_cosh()
-    bad = replace(s, lam=s.lam.with_values(s.lam.values * 1.02))
+    bad = replace(s, lam=replace(s.lam, values=s.lam.values * 1.02))
     assert not identity_residual(bad, "trace").passed
 
 
@@ -205,10 +205,10 @@ def _mutants(s, eps):
     and shifting its k keeps a pole a pole."""
     p, t = s.profile, s.profile.grid
     return {
-        "lambda + eps": replace(s, lam=s.lam.with_values(s.lam.values + eps)),
-        "lambda - eps": replace(s, lam=s.lam.with_values(s.lam.values - eps)),
-        "lambda + eps t": replace(s, lam=s.lam.with_values(s.lam.values + eps * t)),
-        "f + eps t^2": replace(s, f=s.f.with_values(s.f.values + eps * t * t)),
+        "lambda + eps": replace(s, lam=replace(s.lam, values=s.lam.values + eps)),
+        "lambda - eps": replace(s, lam=replace(s.lam, values=s.lam.values - eps)),
+        "lambda + eps t": replace(s, lam=replace(s.lam, values=s.lam.values + eps * t)),
+        "f + eps t^2": replace(s, f=replace(s.f, values=s.f.values + eps * t * t)),
         "warp k + eps": replace(s, profile=replace(p, g=replace(p.g, k=p.g.k + eps))),
     }
 
@@ -576,7 +576,7 @@ def test_oy_gaussian_growth_fails_integrability_condition():
 
 
 def test_oy_constant_profile_passes():
-    G = GridFn.constant(1.0, 0.0, 100.0, 2001)
+    G = GridFn(0.0, 100.0, np.ones(2001))
     rep = check_OY_hypotheses(G, 100.0)
     assert rep.verdict is Verdict.CONSISTENT
 
@@ -586,7 +586,7 @@ def test_oy_windows_match_the_mask_reference(t1, res, t_max):
     # the windows are grid slices found by searchsorted; the boolean masks
     # they replaced are the reference.  On [0, 16] with step 1/8 every
     # window end for t_max = 11 (6, 7, 10 and 11) is a grid point
-    G = GridFn.constant(1.0, 0.0, t1, res)
+    G = GridFn(0.0, t1, np.ones(res))
     tw = G.grid
     tw = tw[(tw >= 1.0) & (tw <= t_max)]
     t_last = tw[tw >= t_max - 0.1 * (t_max - 1.0)]
@@ -616,8 +616,8 @@ def test_audit_violation_on_inconsistent_spec():
     # the scalar-curvature conclusion measures false -> VIOLATION, the
     # state the suite exists to catch
     base = hyperbolic_trivial()
-    fake = replace(base, lam=base.lam.with_values(np.ones(base.lam.n_samples)),
-                   f=base.f.with_values(1e-6 * base.f.grid**2))
+    fake = replace(base, lam=replace(base.lam, values=np.ones(base.lam.n_samples)),
+                   f=replace(base.f, values=1e-6 * base.f.grid**2))
     assert not soliton_residual(fake).passed
     rep = audit_theorem(fake, "scalar_bounds")
     assert rep.verdict is Verdict.VIOLATION
@@ -648,5 +648,5 @@ def test_identity_unknown_id_rejected():
 
 def test_residual_detects_corrupted_potential():
     s = gaussian_spec()
-    bad = replace(s, f=s.f.with_values(s.f.values + 0.05 * np.sin(s.f.grid)))
+    bad = replace(s, f=replace(s.f, values=s.f.values + 0.05 * np.sin(s.f.grid)))
     assert not soliton_residual(bad).passed
