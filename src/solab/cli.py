@@ -120,8 +120,8 @@ def cmd_run(args) -> int:
 def cmd_families(_args) -> int:
     for name, (desc, schema) in FAMILIES.items():
         print(f"{name}: {desc}")
-        for pname, (kind, required, default) in schema.items():
-            req = "required" if required else f"default {default}"
+        for pname, (kind, default) in schema.items():
+            req = "required" if default is None else f"default {default}"
             print(f"  {pname}: {kind} ({req})")
         print("  corrupt_lambda: float (optional fault injection, shifts lambda)")
     return 0

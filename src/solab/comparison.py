@@ -46,13 +46,12 @@ class ComparisonSetup:
     """Bound data derived from a spec: G and theta (both forced
     nondecreasing by a running max), the comparison solution h and its
     slope hp = h' (arrays on the profile's grid, G a GridFn for reads
-    between samples), and the pole-calibrated volume constant."""
+    between samples)."""
 
     G: GridFn
     theta: np.ndarray
     h: np.ndarray
     hp: np.ndarray
-    D_calibration: float
 
     def __post_init__(self):
         if abs(self.h[0]) > 1e-10:
@@ -81,9 +80,7 @@ def derive_setup(s: SolitonSpec) -> ComparisonSetup:
     p.require_finite("comparison setup", G.values, theta, h, hp)
     for a in (theta, h, hp):
         a.setflags(write=False)
-    with np.errstate(over="ignore"):  # an infinite D sends volume_bound_check to its log path
-        D = p.fiber_volume * float(np.exp(-s.f.values[0]))
-    return ComparisonSetup(G=G, theta=theta, h=h, hp=hp, D_calibration=D)
+    return ComparisonSetup(G=G, theta=theta, h=h, hp=hp)
 
 
 def laplacian_comparison_check(s: SolitonSpec, cs: ComparisonSetup) -> ResidualReport:
@@ -130,7 +127,9 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     p.require_model()
     actual = weighted_ball_volume(p, s.f, r)
     Theta = integrate_cumulative(cs.theta, p.h)
-    D, bound = cs.D_calibration, None
+    with np.errstate(over="ignore"):  # an infinite D sends the bound to its log path
+        D = p.fiber_volume * float(np.exp(-s.f.values[0]))
+    bound = None
     if 0.0 < D < math.inf:  # the direct path, unless the prefix integral_to reads leaves the float range
         with np.errstate(over="ignore", invalid="ignore"):  # left to integral_to
             integrand = cs.h ** (p.n - 1)
@@ -165,6 +164,8 @@ def volume_bound_omega(
     p = s.profile
     p.require_model()
     r0, r = float(r0), float(r)
+    if r < r0:
+        raise ValueError("evaluation radius below the calibration radius")
     if np.shape(xi) != (p.n_samples,) or np.shape(omega) != (p.n_samples,):
         raise ValueError(f"xi and omega must be arrays on the profile grid of {p.n_samples} samples")
     p.require_finite("volume_bound_omega", xi, omega)

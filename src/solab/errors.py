@@ -45,7 +45,7 @@ class InvalidCase(SolabError):
 
 
 class NotConformallyFlat(SolabError):
-    """Check requires a declared constant-curvature (space form) fiber."""
+    """Check requires a locally conformally flat metric: a space-form fiber and n >= 3."""
 
 
 class NotTraceFree(SolabError):

@@ -180,7 +180,6 @@ def build_einstein_family(
         t0=t0,
         t1=t1,
         n_samples=resolution,
-        fiber_constant_curvature=True,
     )
     g, gp, _ = profile.warp_values
     f = GridFn(t0, t1, a * integrate_cumulative(g, profile.h) + b)
@@ -220,7 +219,6 @@ def build_general_family(
         t0=t0,
         t1=t1,
         n_samples=resolution,
-        fiber_constant_curvature=True,
     )
     gv, gp, gpp = profile.warp_values
     if np.min(gv) <= 0:
@@ -241,7 +239,6 @@ def _build_flat(lambda0: float, n: int, r_max: float, resolution: int, tag: Fami
         t0=0.0,
         t1=float(r_max),
         n_samples=resolution,
-        fiber_constant_curvature=True,
     )
     t = profile.grid
     f = GridFn(0.0, float(r_max), 0.5 * lambda0 * t * t)
@@ -266,7 +263,10 @@ def build_classified(
     Einstein family (whose soliton function a g' - (n-1) c is the one the
     defining equation forces).
     """
-    case = ClassifiedCase(case)
+    try:
+        case = ClassifiedCase(case)
+    except ValueError:
+        raise InvalidCase(f"unknown classified case {case!r}") from None
     r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
     if case is ClassifiedCase.FLAT:
         return _build_flat(float(params.get("lambda0", 1.0)), n, r_max, resolution,
@@ -285,30 +285,27 @@ def build_classified(
             t0=0.0,
             t1=r_max,
             n_samples=resolution,
-            fiber_constant_curvature=True,
         )
         cn_c = profile.warp_values[1]  # g = sn_{-c}, so g' = cn_{-c}
         lam = GridFn(0.0, r_max, a * cn_c - (n - 1) * c)
         f = GridFn(0.0, r_max, (a / c) * cn_c + b)
         return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.CLASSIFIED_SPACE_FORM)
 
-    if case is ClassifiedCase.HYPERBOLIC_WARPED:
-        c = float(params["c"])
-        if c <= 0.0:
-            raise InvalidCase("hyperbolic warped case requires c > 0")
-        spec = build_einstein_family(
-            c=c,
-            g0=float(params.get("g0", 1.0)),
-            gp0=float(params.get("gp0", 0.0)),
-            a=float(params.get("a", 0.0)),
-            b=float(params.get("b", 0.0)),
-            n=n,
-            interval=interval if interval is not None else DEFAULT_INTERVAL,
-            resolution=resolution,
-        )
-        return replace(spec, family_tag=FamilyTag.CLASSIFIED_HYPERBOLIC_WARPED)
-
-    raise InvalidCase(f"unknown classified case {case!r}")
+    # the one case left: HYPERBOLIC_WARPED
+    c = float(params["c"])
+    if c <= 0.0:
+        raise InvalidCase("hyperbolic warped case requires c > 0")
+    spec = build_einstein_family(
+        c=c,
+        g0=float(params.get("g0", 1.0)),
+        gp0=float(params.get("gp0", 0.0)),
+        a=float(params.get("a", 0.0)),
+        b=float(params.get("b", 0.0)),
+        n=n,
+        interval=interval if interval is not None else DEFAULT_INTERVAL,
+        resolution=resolution,
+    )
+    return replace(spec, family_tag=FamilyTag.CLASSIFIED_HYPERBOLIC_WARPED)
 
 
 def build_gaussian(lambda0: float, n: int, r_max: float = 8.0, resolution: int = DEFAULT_RESOLUTION) -> SolitonSpec:

@@ -118,17 +118,17 @@ ClosedForm = SnCombination | Polynomial
 
 @dataclass(frozen=True)
 class WarpProfile:
-    """A warped-product geometry I x_g Sigma^d with Einstein fiber.
+    """A warped-product geometry I x_g Sigma^d over a space-form fiber.
 
     Parameters
     ----------
     n : total dimension (>= 2; the d = 1 fiber case only arises for the
         flat plane used by the parabolicity checks and forces rho_sigma = 0)
-    rho_sigma : fiber Ricci eigenvalue
+    rho_sigma : fiber Ricci eigenvalue; the fiber is the space form with
+        this eigenvalue (sectional curvature rho_sigma / (d - 1)), so the
+        warped metric is locally conformally flat
     g : warping function, a closed form
     t0, t1, n_samples : working grid
-    fiber_constant_curvature : the fiber is declared a space form, which is
-        exactly the conformal-flatness condition for the warped metric
 
     Whether t0 is a pole is worked out from the warp and fiber (`pole`).
     """
@@ -139,7 +139,6 @@ class WarpProfile:
     t0: float
     t1: float
     n_samples: int
-    fiber_constant_curvature: bool = False
 
     def __post_init__(self):
         if self.n < 2:
@@ -163,10 +162,7 @@ class WarpProfile:
         return bool(at_pole and self._unit_sphere_fiber())
 
     def _unit_sphere_fiber(self) -> bool:
-        return (
-            abs(self.rho_sigma - (self.d - 1)) <= 1e-12
-            and (self.fiber_constant_curvature or self.d == 1)
-        )
+        return abs(self.rho_sigma - (self.d - 1)) <= 1e-12
 
     def require_model(self) -> None:
         """Raise NotAModel unless t0 is a model-manifold pole."""

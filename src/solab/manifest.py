@@ -35,56 +35,56 @@ DEFAULT_SEED = 42
 # arrays, about 1.8 GB at this size (README, Conventions)
 MAX_SAMPLES = 10**7
 
-# family name -> (description, {param: (kind, required, default)})
+# family name -> (description, {param: (kind, default, None if required)})
 # every family also accepts the fault-injection key "corrupt_lambda"
 FAMILIES = {
     "gaussian": (
         "flat model with f = lambda0 r^2/2 (shrinking for lambda0 > 0)",
-        {"lambda0": ("float", True, None), "n": ("int", True, None)},
+        {"lambda0": ("float", None), "n": ("int", None)},
     ),
     "classified_flat": (
         "same construction as gaussian, tagged as the classified flat case",
-        {"lambda0": ("float", True, None), "n": ("int", True, None)},
+        {"lambda0": ("float", None), "n": ("int", None)},
     ),
     "einstein": (
         "Einstein warp g = gp0 sn_{-c} + g0 cn_{-c} with f = a int g + b",
         {
-            "c": ("float", True, None),
-            "g0": ("float", True, None),
-            "gp0": ("float", True, None),
-            "a": ("float", True, None),
-            "b": ("float", True, None),
-            "n": ("int", True, None),
+            "c": ("float", None),
+            "g0": ("float", None),
+            "gp0": ("float", None),
+            "a": ("float", None),
+            "b": ("float", None),
+            "n": ("int", None),
         },
     ),
     "classified_space_form": (
         "constant-curvature model, lambda = a cn_{-c}(r) - (n-1) c",
         {
-            "c": ("float", True, None),
-            "a": ("float", False, 0.0),
-            "b": ("float", False, 0.0),
-            "n": ("int", True, None),
+            "c": ("float", None),
+            "a": ("float", 0.0),
+            "b": ("float", 0.0),
+            "n": ("int", None),
         },
     ),
     "classified_hyperbolic": (
         "warped line over an Einstein hypersurface (c > 0), Einstein-family formulas",
         {
-            "c": ("float", True, None),
-            "g0": ("float", False, 1.0),
-            "gp0": ("float", False, 0.0),
-            "a": ("float", False, 0.0),
-            "b": ("float", False, 0.0),
-            "n": ("int", True, None),
+            "c": ("float", None),
+            "g0": ("float", 1.0),
+            "gp0": ("float", 0.0),
+            "a": ("float", 0.0),
+            "b": ("float", 0.0),
+            "n": ("int", None),
         },
     ),
     "general": (
         "arbitrary positive warp; f and lambda by nested quadrature",
         {
-            "g": ("closed_form", True, None),
-            "rho_sigma": ("float", True, None),
-            "A": ("float", True, None),
-            "B": ("float", True, None),
-            "n": ("int", True, None),
+            "g": ("closed_form", None),
+            "rho_sigma": ("float", None),
+            "A": ("float", None),
+            "B": ("float", None),
+            "n": ("int", None),
         },
     ),
 }
@@ -189,9 +189,9 @@ def parse_manifest(text) -> Manifest:
         raise SchemaError("expected an object at $.params")
     _require_keys(raw_params, set(schema) | {"corrupt_lambda"}, "$.params")
     params = {}
-    for name, (kind, required, default) in schema.items():
+    for name, (kind, default) in schema.items():
         if name not in raw_params:
-            if required:
+            if default is None:
                 raise SchemaError(f"missing required key $.params.{name}")
             params[name] = default
             continue

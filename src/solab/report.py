@@ -55,10 +55,13 @@ class RunReport:
     manifest_echo: dict
     spec_summary: dict
     suite_results: list
-    overall: bool
-    seed: int
     timings: dict | None
     table: Callable[[], dict]  # builds the profile-table columns; the csv format alone calls it
+
+    @property
+    def overall(self) -> bool:
+        """Every suite passed."""
+        return all(r["passed"] for r in self.suite_results)
 
     def to_dict(self) -> dict:
         out = {
@@ -66,7 +69,7 @@ class RunReport:
             "spec_summary": self.spec_summary,
             "suite_results": self.suite_results,
             "overall": "pass" if self.overall else "fail",
-            "seed": self.seed,
+            "seed": self.manifest_echo["seed"],
         }
         if self.timings is not None:
             out["timings"] = self.timings
@@ -99,7 +102,6 @@ def run_suite(m: Manifest) -> RunReport:
     results: list = []
     timings: dict = {}
     cs = None  # comparison setup, shared by the comparison and oy suites
-    overall = True
 
     for name in m.suites:
         start = time.perf_counter()
@@ -154,15 +156,12 @@ def run_suite(m: Manifest) -> RunReport:
         except SolabError as exc:
             raise type(exc)(f"suite '{name}': {exc}") from exc
         timings[name] = time.perf_counter() - start
-        overall = overall and result["passed"]
         results.append(result)
 
     return RunReport(
         manifest_echo=m.echo(),
         spec_summary=_spec_summary(spec),
         suite_results=results,
-        overall=overall,
-        seed=m.seed,
         timings=timings,
         table=partial(_profile_table, spec, "residual" in m.suites),
     )
@@ -187,8 +186,6 @@ def _profile_table(spec: SolitonSpec, with_residual: bool) -> dict:
 
 
 def _fmt_cell(x) -> str:
-    if x is None:
-        return ""
     x = float(x)
     if not math.isfinite(x):
         return ""

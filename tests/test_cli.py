@@ -354,6 +354,24 @@ _EMPTY_BANDS = [
         # identity) and, on a pole model, the first 10 samples meet
         *((_demo_at(demo, suites, res), f"no trusted samples on a {res}-sample grid")
           for demo, suites, res, _ in _EMPTY_BANDS),
+        # sections of the wrong shape
+        *((dict(GAUSSIAN_MANIFEST, **{key: value}), message) for key, value, message in (
+            ("params", [1, 3], "expected an object at $.params"),
+            ("grid", [0, 8], "expected an object at $.grid"),
+            ("tolerances", 1e-8, "expected an object at $.tolerances"),
+            ("grid", {"interval": [0, 4, 8]}, "expected [start, end] at $.grid.interval"),
+            ("suites", [], "expected a non-empty list at $.suites"),
+        )),
+        *((dict(GAUSSIAN_MANIFEST, family="general", params={"g": g, "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3}),
+           message) for g, message in (
+            ("t", "expected a closed-form object at $.params.g"),
+            ({"kind": "poly", "coeffs": []}, "expected a coefficient list at $.params.g.coeffs"),
+        )),
+        # g = t has a pole at t = 0, where the general family's g vanishes
+        (dict(GAUSSIAN_MANIFEST, family="general",
+              params={"g": {"kind": "sn", "k": 0, "c1": 1, "c2": 0}, "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3},
+              grid={"interval": [0, 4], "resolution": 201}),
+         "general family needs g > 0 on the closed interval"),
     ],
     ids=["gaussian_n1", "closed_form_missing_sn_key", "closed_form_missing_sin_key", "einstein_overflowing_warp",
          "space_form_calibration_overflow", "oy_empty_mid_window", "oy_interval_below_one",
@@ -362,7 +380,9 @@ _EMPTY_BANDS = [
          "pole_family_interval_before_pole", "volume_bound_zero_times_infinity", "bochner_infinity_minus_infinity",
          "oy_profile_with_nan", "unresolved_sin_frequency", "okumura_profile_with_nan",
          "comparison_solution_overflow", "oy_comparison_solution_overflow",
-         *(f"empty_band_{demo}_{res}" for demo, _, res, _ in _EMPTY_BANDS)],
+         *(f"empty_band_{demo}_{res}" for demo, _, res, _ in _EMPTY_BANDS),
+         "params_not_object", "grid_not_object", "tolerances_not_object", "interval_not_a_pair", "empty_suites",
+         "closed_form_not_object", "closed_form_empty_coeffs", "general_warp_vanishes_at_pole"],
 )
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
     with warnings.catch_warnings():
@@ -477,8 +497,8 @@ def _param_value(kind):
 def manifests(draw):
     family = draw(st.sampled_from(sorted(FAMILIES)))
     params = {}
-    for name, (kind, required, _) in FAMILIES[family][1].items():
-        if required or draw(st.booleans()):
+    for name, (kind, default) in FAMILIES[family][1].items():
+        if default is None or draw(st.booleans()):
             params[name] = draw(_param_value(kind))
     if draw(st.booleans()):
         params["corrupt_lambda"] = draw(st.floats(allow_nan=False, allow_infinity=False))
@@ -518,6 +538,7 @@ def test_cli_suite_failure_exit_one(tmp_path):
         pytest.param(b"{", "malformed JSON", id="truncated"),
         pytest.param(b'\xff\xfe{"version": "1"}', "not UTF-8", id="not_utf8"),
         pytest.param(b"[" * 100000 + b"]" * 100000, "nested too deeply", id="nested_too_deeply"),
+        pytest.param(b"[]", "manifest root must be an object", id="root_not_object"),
     ],
 )
 def test_cli_malformed_manifest_exit_two(tmp_path, capsys, payload, message):
@@ -555,6 +576,12 @@ def test_cli_families(capsys):
     out = capsys.readouterr().out
     for fam in ("gaussian", "einstein", "general", "classified_space_form"):
         assert fam in out
+
+
+def test_cli_families_matches_golden(capsys):
+    # every family's parameter rows, with their kinds and defaults
+    assert main(["families"]) == 0
+    assert capsys.readouterr().out == (GOLDEN_DIR / "families.txt").read_text(encoding="utf-8")
 
 
 def test_cli_demo_writes_manifests(tmp_path, monkeypatch, capsys):

@@ -56,6 +56,20 @@ def test_setup_hyperbolic():
     assert np.max(np.abs(cs.h - np.sinh(s.profile.grid))) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "field, bad, message",
+    [
+        ("h", lambda a: a + 1e-3, "comparison solution must vanish at the pole"),
+        ("theta", lambda a: -a - np.linspace(0.0, 1.0, a.size), "theta must be nondecreasing"),
+    ],
+    ids=["h_nonzero_at_pole", "decreasing_theta"],
+)
+def test_comparison_setup_rejects_bad_data(field, bad, message):
+    cs = derive_setup(gaussian_model())
+    with pytest.raises(ValueError, match=message):
+        replace(cs, **{field: bad(getattr(cs, field))})
+
+
 def test_setup_euclidean():
     s = euclidean_model()
     cs = derive_setup(s)
@@ -202,7 +216,7 @@ def test_volume_bound_monotone_in_G():
     from solab.comparison import ComparisonSetup
 
     h, hp = solve_linear_ode2_with_derivative(bigger, 0.0, 1.0)
-    cs2 = ComparisonSetup(G=bigger, theta=cs.theta, h=h, hp=hp, D_calibration=cs.D_calibration)
+    cs2 = ComparisonSetup(G=bigger, theta=cs.theta, h=h, hp=hp)
     for r in (0.5, 1.0, 2.0, 3.0):
         _, b1, _ = volume_bound_check(s, cs, r)
         _, b2, _ = volume_bound_check(s, cs2, r)
@@ -250,6 +264,22 @@ def test_omega_bound_rejects_xi_rising_faster_than_omega():
     f = s.f.values
     with pytest.raises(ValueError, match="xi' <= omega'"):
         volume_bound_omega(s, cs, 2.0 * f - f.max(), f, r0=1.0, r=3.0)
+
+
+@pytest.mark.parametrize(
+    "omega, r0, r, message",
+    [
+        (lambda t: 10.0 - t, 1.0, 2.0, "omega must be nondecreasing"),
+        # the bound would integrate backwards, from r0 down to r
+        (lambda t: np.zeros_like(t), 2.0, 1.0, "evaluation radius below the calibration radius"),
+    ],
+    ids=["decreasing_omega", "radius_below_calibration"],
+)
+def test_omega_bound_rejects_bad_arguments(omega, r0, r, message):
+    s = hyperbolic_model()
+    cs = derive_setup(s)
+    with pytest.raises(ValueError, match=message):
+        volume_bound_omega(s, cs, np.zeros(2001), omega(s.profile.grid), r0=r0, r=r)
 
 
 def test_omega_bound_reads_its_envelopes_on_the_profile_grid():
@@ -480,6 +510,11 @@ def test_diameter_degenerate_inputs():
 def test_diameter_rejects_negative_radicand():
     with pytest.raises(NegativeRadicand):
         diameter_bound(1.0, 0.1, -10.0, 3)
+
+
+def test_diameter_rejects_negative_F():
+    with pytest.raises(ValueError, match="F must be nonnegative"):
+        diameter_bound(1.0, -0.1, 1.0, 3)
 
 
 def test_diameter_monotonicities():

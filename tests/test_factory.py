@@ -156,6 +156,11 @@ def test_classified_space_form_rejects_flat():
         build_classified(ClassifiedCase.SPACE_FORM, {"c": 0.0, "a": 1.0}, n=3)
 
 
+def test_classified_rejects_an_unknown_case():
+    with pytest.raises(InvalidCase, match="unknown classified case 'nope'"):
+        build_classified("nope", {}, 3)
+
+
 def test_classified_hyperbolic_matches_einstein_builder():
     params = {"c": 1.0, "g0": 1.0, "gp0": 0.5, "a": 0.4, "b": 0.1}
     s = build_classified(ClassifiedCase.HYPERBOLIC_WARPED, params, n=4, interval=(0.0, 2.0))

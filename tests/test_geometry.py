@@ -32,7 +32,6 @@ def euclidean_profile(n=3, r_max=4.0, res=2001):
         t0=0.0,
         t1=r_max,
         n_samples=res,
-        fiber_constant_curvature=True,
     )
 
 
@@ -44,7 +43,6 @@ def hyperbolic_profile(n=3, r_max=4.0, res=2001):
         t0=0.0,
         t1=r_max,
         n_samples=res,
-        fiber_constant_curvature=True,
     )
 
 
@@ -56,7 +54,6 @@ def cylinder_profile(n=3, length=4.0, res=2001):
         t0=0.0,
         t1=length,
         n_samples=res,
-        fiber_constant_curvature=True,
     )
 
 
@@ -100,7 +97,7 @@ def test_pole_sample_is_nan_and_excluded():
     # a value at every other sample.  g = t + 0.1 t^2 has g''(0) != 0, so
     # -d g''/g is -inf at its pole until the pole sample is set
     poly = WarpProfile(n=3, rho_sigma=1.0, g=Polynomial(coeffs=(0.0, 1.0, 0.1)), t0=0.0, t1=4.0,
-                       n_samples=2001, fiber_constant_curvature=True)
+                       n_samples=2001)
     for p in (hyperbolic_profile(), poly):
         assert p.pole
         t = p.grid
@@ -114,7 +111,7 @@ def test_pole_sample_is_nan_and_excluded():
 def test_sphere_model_positive_curvature():
     p = WarpProfile(
         n=3, rho_sigma=1.0, g=SnCombination(k=1.0, c1=1.0, c2=0.0),
-        t0=0.0, t1=3.0, n_samples=2001, fiber_constant_curvature=True,
+        t0=0.0, t1=3.0, n_samples=2001,
     )
     c = curvature_at(p, 1.2)
     assert c["rho_fib"] == pytest.approx(2.0, abs=1e-10)
@@ -128,7 +125,7 @@ def test_constant_curvature_models_across_grid(cc):
     r_max = 2.0 if cc <= 0 else 2.8
     p = WarpProfile(
         n=n, rho_sigma=n - 2, g=SnCombination(k=-cc, c1=1.0, c2=0.0),
-        t0=0.0, t1=r_max, n_samples=2001, fiber_constant_curvature=True,
+        t0=0.0, t1=r_max, n_samples=2001,
     )
     grids = curvature_grids(p)
     band = p.trusted_band("eigenvalues", grids["rho_fib"], grids["rho_rad"])
@@ -156,7 +153,7 @@ def test_einstein_criterion_separates_profiles():
     n = 4
     ein = WarpProfile(
         n=n, rho_sigma=-(n - 2), g=SnCombination(k=-1.0, c1=0.0, c2=1.0),
-        t0=0.0, t1=2.0, n_samples=2001, fiber_constant_curvature=True,
+        t0=0.0, t1=2.0, n_samples=2001,
     )
     grids = curvature_grids(ein)
     band = ein.trusted_band("eigenvalues", grids["rho_fib"], grids["rho_rad"])
@@ -165,7 +162,7 @@ def test_einstein_criterion_separates_profiles():
     # a perturbed warp is visibly not Einstein
     pert = WarpProfile(
         n=n, rho_sigma=-(n - 2), g=Polynomial((1.0, 0.0, 0.6, 0.0, 1.0 / 24.0)),
-        t0=0.0, t1=2.0, n_samples=2001, fiber_constant_curvature=True,
+        t0=0.0, t1=2.0, n_samples=2001,
     )
     grids = curvature_grids(pert)
     band = pert.trusted_band("eigenvalues", grids["rho_fib"], grids["rho_rad"])
@@ -297,13 +294,18 @@ def test_nonpositive_warp_rejected():
     with pytest.raises(InvalidWarp):
         WarpProfile(
             n=3, rho_sigma=1.0, g=SnCombination(k=1.0, c1=1.0, c2=0.0),
-            t0=0.0, t1=4.0, n_samples=2001, fiber_constant_curvature=True,
+            t0=0.0, t1=4.0, n_samples=2001,
         )  # sin t vanishes at pi < 4
     with pytest.raises(InvalidWarp):
         WarpProfile(
             n=3, rho_sigma=1.0, g=Polynomial(coeffs=(-1.0, 1.0)),
-            t0=1.0, t1=3.0, n_samples=201, fiber_constant_curvature=True,
+            t0=1.0, t1=3.0, n_samples=201,
         )  # g(1) = 0 and g'(1) = 1, but a pole sits at t = 0
+
+
+def test_one_dimensional_fiber_must_be_ricci_flat():
+    with pytest.raises(ValueError, match="rho_sigma must be 0"):
+        WarpProfile(n=2, rho_sigma=1.0, g=Polynomial(coeffs=(1.0,)), t0=0.0, t1=1.0, n_samples=11)
 
 
 def test_pole_requires_unit_sphere_fiber():
@@ -312,14 +314,14 @@ def test_pole_requires_unit_sphere_fiber():
     with pytest.raises(InvalidWarp):
         WarpProfile(
             n=3, rho_sigma=0.5, g=SnCombination(k=0.0, c1=1.0, c2=0.0),
-            t0=0.0, t1=4.0, n_samples=2001, fiber_constant_curvature=True,
+            t0=0.0, t1=4.0, n_samples=2001,
         )
 
 
 def test_pole_requires_vanishing_warp():
     p = WarpProfile(
         n=3, rho_sigma=1.0, g=SnCombination(k=0.0, c1=1.0, c2=1.0),
-        t0=0.0, t1=4.0, n_samples=2001, fiber_constant_curvature=True,
+        t0=0.0, t1=4.0, n_samples=2001,
     )  # g = 1 + t
     assert not p.pole
     with pytest.raises(NotAModel):
@@ -339,7 +341,7 @@ def test_pole_requires_vanishing_warp():
 def test_pole_is_worked_out_from_the_warp(k, c1, c2, t0, t1, pole):
     p = WarpProfile(
         n=3, rho_sigma=1.0, g=SnCombination(k=k, c1=c1, c2=c2),
-        t0=t0, t1=t1, n_samples=201, fiber_constant_curvature=True,
+        t0=t0, t1=t1, n_samples=201,
     )
     assert p.pole is pole
 
@@ -384,7 +386,7 @@ def test_sphere_volume_density_in_large_dimensions():
     # density is representable at every g
     p = WarpProfile(
         n=500, rho_sigma=498.0, g=SnCombination(k=0.0, c1=1.0, c2=0.0),
-        t0=0.0, t1=8.0, n_samples=201, fiber_constant_curvature=True,
+        t0=0.0, t1=8.0, n_samples=201,
     )
     assert p.fiber_volume == 0.0
 
@@ -427,7 +429,7 @@ def test_unit_sphere_volume_in_large_dimensions():
 
 def test_trace_free_cube_by_multiplication_matches_pow():
     g = SnCombination(k=1.0, c1=1.0, c2=0.0, c0=2.0)  # 2 + sin t
-    p = WarpProfile(n=3, rho_sigma=1.0, g=g, t0=0.0, t1=2 * np.pi, n_samples=2001, fiber_constant_curvature=True)
+    p = WarpProfile(n=3, rho_sigma=1.0, g=g, t0=0.0, t1=2 * np.pi, n_samples=2001)
     c = curvature_grids(p)
     assert (c["tau_f"] < 0).any()
     np.testing.assert_allclose(trace_free_cube(p), p.d * c["tau_f"] ** 3 + c["tau_r"] ** 3, rtol=1e-15, atol=0)

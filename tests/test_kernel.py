@@ -340,6 +340,19 @@ def test_gridfn_rejects_too_few_samples():
         GridFn(0.0, 1.0, np.zeros(8))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: GridFn(0.0, 1.0, np.zeros((2, 11))), "values must be one-dimensional"),
+        (lambda: derivative(np.zeros(11), 0.1, 3), "order must be 1 or 2"),
+    ],
+    ids=["gridfn_2d_values", "derivative_order_3"],
+)
+def test_kernel_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_gridfn_owns_a_copy_and_kernel_outputs_keep_the_checks():
     v = np.linspace(0.0, 1.0, 11)
     f = GridFn(0.0, 1.0, v)

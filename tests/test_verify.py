@@ -30,6 +30,7 @@ from solab.verify import (
     IDENTITY_IDS,
     TrivialityAuditParams,
     Classification,
+    Flag,
     Verdict,
     audit_theorem,
     check_OY_hypotheses,
@@ -187,17 +188,10 @@ def test_trace_identity_on_gaussian_is_exact():
     assert rep.sup_norm < 1e-8
 
 
-def test_i2_26r_requires_space_form_fiber():
-    from solab.geometry import WarpProfile
-
-    s = einstein_cosh()
-    p = s.profile
-    bare = WarpProfile(
-        n=p.n, rho_sigma=p.rho_sigma, g=p.g, t0=p.t0, t1=p.t1, n_samples=p.n_samples,
-        fiber_constant_curvature=False,
-    )
-    with pytest.raises(NotConformallyFlat):
-        identity_residual(replace(s, profile=bare), "trace_free_balance")
+def test_i2_26r_requires_n_at_least_3():
+    # every fiber is a space form, so only the plane (n = 2) is refused
+    with pytest.raises(NotConformallyFlat, match=r"needs a space-form fiber and n >= 3$"):
+        identity_residual(build_gaussian(1.0, 2), "trace_free_balance")
 
 
 def _mutants(s, eps):
@@ -392,6 +386,12 @@ def test_okumura_rejects_nonzero_trace():
         okumura_check([1.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("eigenvalues", [[0.0], 0.0])
+def test_okumura_rejects_fewer_than_two_eigenvalues(eigenvalues):
+    with pytest.raises(ValueError, match="need at least two eigenvalues"):
+        okumura_check(eigenvalues)
+
+
 def test_okumura_random_tuples_and_equality_classifier():
     rng = np.random.default_rng(42)
     for n in range(3, 9):
@@ -510,6 +510,27 @@ def test_audit_scalar_bounds_trivial_expanding_equality():
     assert rep.conclusion_flags["lower_bound_n_lambda"]
 
 
+@pytest.mark.parametrize(
+    "spec, sign, conclusions",
+    [
+        # the unit sphere with constant potential: lambda = n - 1 > 0
+        (lambda: build_classified(ClassifiedCase.SPACE_FORM, {"c": -1.0}, n=3, interval=(0.0, 3.0)),
+         Classification.SHRINKING, {"scalar_infimum_nonnegative", "upper_bound_n_lambda"}),
+        # flat space with f = 0
+        (lambda: gaussian_spec(lambda0=0.0), Classification.STEADY, {"scalar_infimum_zero"}),
+        (hyperbolic_trivial, Classification.EXPANDING, {"lower_bound_n_lambda", "scalar_curvature_negative"}),
+    ],
+    ids=["shrinking", "steady", "expanding"],
+)
+def test_audit_scalar_bounds_audits_a_trivial_spec_by_the_sign_of_lambda(spec, sign, conclusions):
+    s = spec()
+    assert classify_soliton(s) is Classification.TRIVIAL
+    rep = audit_theorem(s, "scalar_bounds")
+    assert rep.hypothesis_flags["definite_sign"] == Flag(True, sign.value)
+    assert set(rep.conclusion_flags) == conclusions
+    assert rep.verdict is Verdict.CONSISTENT
+
+
 def test_audit_triviality_requires_params():
     with pytest.raises(MissingParams):
         audit_theorem(gaussian_spec(), "triviality")
@@ -593,6 +614,15 @@ def test_oy_windows_match_the_mask_reference(t1, res, t_max):
     t_mid = tw[(tw >= 1.0 + 0.5 * (t_max - 1.0)) & (tw <= 1.0 + 0.6 * (t_max - 1.0))]
     got_last, got_mid = _oy_windows(G, t_max)
     assert np.array_equal(got_last, t_last) and np.array_equal(got_mid, t_mid)
+
+
+@pytest.mark.parametrize("t0, t1, t_max", [(-3.0, 4.0, 4.0), (0.5, 4.0, 4.0), (0.0, 4.0, 4.5)],
+                         ids=["starts_before_zero", "starts_after_zero", "ends_before_t_max"])
+def test_oy_rejects_a_profile_off_zero_to_t_max(t0, t1, t_max):
+    # on [-3, 4] the checks would read G(-3) as G(0) and integrate from -3
+    G = GridFn(t0, t1, np.linspace(5.0, 6.0, 2001))
+    with pytest.raises(ValueError, match=r"need G sampled on \[0, t_max\]"):
+        check_OY_hypotheses(G, t_max)
 
 
 def test_oy_rejects_nonpositive_profile():
