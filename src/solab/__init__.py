@@ -16,7 +16,6 @@ from .comparison import (
     laplacian_comparison_check,
     volest_bound,
     volume_bound_check,
-    volume_bound_omega,
 )
 from .factory import (
     ClassifiedCase,

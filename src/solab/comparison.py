@@ -18,10 +18,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import EnvelopeViolation, InvalidRegime, NegativeRadicand, NonFiniteValues
+from .errors import InvalidRegime, NegativeRadicand, NonFiniteValues
 from .factory import SolitonSpec
-from .geometry import integral_to, sphere_volume_density, weighted_ball_volume, weighted_sphere_volume
-from .kernel import GridFn, integrate_cumulative, interpolate, nan_fill, solve_linear_ode2_with_derivative
+from .geometry import integral_to, sphere_volume_density, weighted_ball_volume
+from .kernel import GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
 from .verify import ResidualReport, residual_report
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "derive_setup",
     "laplacian_comparison_check",
     "volume_bound_check",
-    "volume_bound_omega",
     "volest_bound",
     "f_parabolic_test",
     "diameter_bound",
@@ -144,54 +143,6 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
     return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
 
 
-def volume_bound_omega(
-    s: SolitonSpec,
-    cs: ComparisonSetup,
-    xi: np.ndarray,
-    omega: np.ndarray,
-    r0: float,
-    r: float,
-) -> VolumeBound:
-    """Volume bound driven by an envelope xi <= f <= omega instead of a
-    bound on -f':
-
-        vol_f(B_r) <= C + B_cal * integral_{r0}^r h(t)^((n-1) + 2 (omega - xi)(t)) dt
-
-    with C the actual ball volume at r0 and B_cal matching the sphere
-    density at r0.  xi and omega are arrays on the profile's grid.
-    Requires omega nondecreasing, xi' <= omega', and h(r0) >= 1 (so larger
-    exponents weaken the bound monotonically)."""
-    p = s.profile
-    p.require_model()
-    r0, r = float(r0), float(r)
-    if r < r0:
-        raise ValueError("evaluation radius below the calibration radius")
-    if np.shape(xi) != (p.n_samples,) or np.shape(omega) != (p.n_samples,):
-        raise ValueError(f"xi and omega must be arrays on the profile grid of {p.n_samples} samples")
-    p.require_finite("volume_bound_omega", xi, omega)
-    fv = s.f.values
-    if np.any(fv < xi - 1e-12) or np.any(fv > omega + 1e-12):
-        raise EnvelopeViolation("potential leaves the envelope xi <= f <= omega")
-    if np.any(np.diff(omega) < -1e-12):
-        raise ValueError("omega must be nondecreasing")
-    omega_tilde = omega - xi
-    if np.min(np.diff(omega_tilde)) / p.h < -1e-9:
-        raise ValueError("need xi' <= omega'")
-    h_r0 = interpolate(cs.h, p.t0, p.h, r0)
-    if h_r0 < 1.0:
-        raise ValueError("need h(r0) >= 1; move the calibration radius outward")
-
-    exponent = (p.n - 1) + 2.0 * omega_tilde
-    C, actual = weighted_ball_volume(p, s.f, np.array([r0, r])).tolist()
-    sphere_r0 = weighted_sphere_volume(p, s.f, r0)
-    B_cal = sphere_r0 / h_r0 ** ((p.n - 1) + 2.0 * interpolate(omega_tilde, p.t0, p.h, r0))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # left to require_finite
-        integrand = cs.h ** exponent
-    F_r0, F_r = integral_to(p, "volume_bound_omega", integrand, np.array([r0, r])).tolist()
-    bound = C + B_cal * (F_r - F_r0)
-    return VolumeBound(actual, bound, actual <= bound * (1 + VOLUME_BOUND_SLACK))
-
-
 # ---------------------------------------------------------------------------
 # decay-rate volume estimates
 # ---------------------------------------------------------------------------
@@ -215,7 +166,7 @@ def volest_bound(D: float, mu: float, constants: VolestConstants, r: float) -> t
 
         Delta_f r <= C - integral_{r0}^r D (1+s)^(-mu) ds,
 
-    and exponentiating the double integral yields the bound familes
+    and exponentiating the double integral yields the bound families
     e^(-C2 r^(2-mu)) (0 <= mu < 1), e^(-C2 r log(1+r)) (mu = 1) for D > 0,
     e^(C r) for D = 0, and the growing counterparts for D < 0.  The inner
     integral is closed-form; the outer ones are evaluated by quadrature.

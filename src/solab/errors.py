@@ -11,7 +11,6 @@ __all__ = [
     "NotTraceFree",
     "MissingParams",
     "NonPositiveG",
-    "EnvelopeViolation",
     "InvalidRegime",
     "NegativeRadicand",
     "NoTrustedSamples",
@@ -53,15 +52,11 @@ class NotTraceFree(SolabError):
 
 
 class MissingParams(SolabError):
-    """A theorem audit was requested without its required parameter set."""
+    """A theorem audit or a classified case was requested without a parameter it needs."""
 
 
 class NonPositiveG(SolabError):
     """Ricci lower-bound profile must be strictly positive."""
-
-
-class EnvelopeViolation(SolabError):
-    """Potential leaves the requested envelope xi <= f <= omega."""
 
 
 class InvalidRegime(SolabError):

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCase, InvalidDimension, InvalidWarp
+from .errors import InvalidCase, InvalidDimension, InvalidWarp, MissingParams
 from .geometry import SnCombination, WarpProfile, radial_laplacian
 from .kernel import GridFn, derivative, integrate_cumulative
 
@@ -49,14 +49,12 @@ DEFAULT_INTERVAL = (0.0, 4.0)
 class FamilyTag(Enum):
     EINSTEIN_WARPED = "einstein_warped"
     GENERAL_WARPED = "general_warped"
-    CLASSIFIED_FLAT = "classified_flat"
     CLASSIFIED_SPACE_FORM = "classified_space_form"
     CLASSIFIED_HYPERBOLIC_WARPED = "classified_hyperbolic_warped"
     GAUSSIAN = "gaussian"
 
 
 class ClassifiedCase(Enum):
-    FLAT = "flat"
     SPACE_FORM = "space_form"
     HYPERBOLIC_WARPED = "hyperbolic_warped"
 
@@ -231,21 +229,6 @@ def build_general_family(
     return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.GENERAL_WARPED)
 
 
-def _build_flat(lambda0: float, n: int, r_max: float, resolution: int, tag: FamilyTag) -> SolitonSpec:
-    profile = WarpProfile(
-        n=n,
-        rho_sigma=float(n - 2),
-        g=SnCombination(k=0.0, c1=1.0, c2=0.0),
-        t0=0.0,
-        t1=float(r_max),
-        n_samples=resolution,
-    )
-    t = profile.grid
-    f = GridFn(0.0, float(r_max), 0.5 * lambda0 * t * t)
-    lam = GridFn(0.0, float(r_max), np.full(resolution, float(lambda0)))
-    return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=tag)
-
-
 def build_classified(
     case: ClassifiedCase | str,
     params: dict,
@@ -253,11 +236,11 @@ def build_classified(
     interval=None,
     resolution: int = DEFAULT_RESOLUTION,
 ) -> SolitonSpec:
-    """Radial representatives of the classified Einstein almost solitons.
+    """Radial representatives of the classified Einstein almost solitons
+    other than the flat one, which is build_gaussian.  Both cases read
+    params["c"], and raise MissingParams without it.
 
-    FLAT: Euclidean model with f = lambda0 r^2 / 2 and constant soliton
-    function (the affine term of the general flat solution breaks radial
-    symmetry and is omitted).  SPACE_FORM: constant-curvature model with
+    SPACE_FORM: constant-curvature model with
     lambda = a cn_{-c}(r) - (n-1) c and f = a cn_{-c}(r) / c + b; rejects
     c = 0.  HYPERBOLIC_WARPED: the c > 0 warped line, delegated to the
     Einstein family (whose soliton function a g' - (n-1) c is the one the
@@ -267,15 +250,13 @@ def build_classified(
         case = ClassifiedCase(case)
     except ValueError:
         raise InvalidCase(f"unknown classified case {case!r}") from None
-    r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
-    if case is ClassifiedCase.FLAT:
-        return _build_flat(float(params.get("lambda0", 1.0)), n, r_max, resolution,
-                           FamilyTag.CLASSIFIED_FLAT)
-
+    if "c" not in params:
+        raise MissingParams(f"classified case {case.value!r} needs the parameter 'c'")
+    c = float(params["c"])
     if case is ClassifiedCase.SPACE_FORM:
-        c = float(params["c"])
         if c == 0.0:
             raise InvalidCase("space-form case requires c != 0")
+        r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
         a = float(params.get("a", 0.0))
         b = float(params.get("b", 0.0))
         profile = WarpProfile(
@@ -292,7 +273,6 @@ def build_classified(
         return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.CLASSIFIED_SPACE_FORM)
 
     # the one case left: HYPERBOLIC_WARPED
-    c = float(params["c"])
     if c <= 0.0:
         raise InvalidCase("hyperbolic warped case requires c > 0")
     spec = build_einstein_family(
@@ -313,4 +293,16 @@ def build_gaussian(lambda0: float, n: int, r_max: float = 8.0, resolution: int =
     steady (and trivial) for lambda0 = 0, expanding for lambda0 < 0."""
     if n < 2:
         raise InvalidDimension("gaussian needs n >= 2")
-    return _build_flat(float(lambda0), n, float(r_max), resolution, FamilyTag.GAUSSIAN)
+    lambda0, r_max = float(lambda0), float(r_max)
+    profile = WarpProfile(
+        n=n,
+        rho_sigma=float(n - 2),
+        g=SnCombination(k=0.0, c1=1.0, c2=0.0),
+        t0=0.0,
+        t1=r_max,
+        n_samples=resolution,
+    )
+    t = profile.grid
+    f = GridFn(0.0, r_max, 0.5 * lambda0 * t * t)
+    lam = GridFn(0.0, r_max, np.full(resolution, lambda0))
+    return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.GAUSSIAN)

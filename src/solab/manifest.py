@@ -42,10 +42,6 @@ FAMILIES = {
         "flat model with f = lambda0 r^2/2 (shrinking for lambda0 > 0)",
         {"lambda0": ("float", None), "n": ("int", None)},
     ),
-    "classified_flat": (
-        "same construction as gaussian, tagged as the classified flat case",
-        {"lambda0": ("float", None), "n": ("int", None)},
-    ),
     "einstein": (
         "Einstein warp g = gp0 sn_{-c} + g0 cn_{-c} with f = a int g + b",
         {
@@ -218,7 +214,7 @@ def parse_manifest(text) -> Manifest:
     if not b > a:
         raise SchemaError("$.grid.interval must satisfy start < end")
     # pole families anchor their grid at the pole, t = 0 (see build_spec)
-    if family in ("gaussian", "classified_flat", "classified_space_form") and not b > 0:
+    if family in ("gaussian", "classified_space_form") and not b > 0:
         raise SchemaError("$.grid.interval must end past the pole, t = 0, for a pole family")
     resolution = _integer(grid.get("resolution", DEFAULT_RESOLUTION), "$.grid.resolution")
     if resolution < MIN_SAMPLES:
@@ -283,11 +279,6 @@ def build_spec(m: Manifest) -> SolitonSpec:
     corrupt = p.pop("corrupt_lambda", None)
     if m.family == "gaussian":
         spec = build_gaussian(p["lambda0"], p["n"], r_max=m.interval[1], resolution=m.resolution)
-    elif m.family == "classified_flat":
-        spec = build_classified(
-            ClassifiedCase.FLAT, {"lambda0": p["lambda0"]}, p["n"],
-            interval=(0.0, m.interval[1]), resolution=m.resolution,
-        )
     elif m.family == "einstein":
         spec = build_einstein_family(
             c=p["c"], g0=p["g0"], gp0=p["gp0"], a=p["a"], b=p["b"], n=p["n"],

@@ -59,7 +59,7 @@ def closed_form_specs():
         "einstein c=-1": build_einstein_family(c=-1.0, g0=1.0, gp0=0.0, a=1.0, b=0.0, n=4, interval=(0.0, 1.5)),
         "einstein c=0": build_einstein_family(c=0.0, g0=1.0, gp0=0.0, a=2.0, b=0.0, n=3, interval=(0.0, 4.0)),
         "einstein c=1": build_einstein_family(c=1.0, g0=1.0, gp0=0.0, a=1.0, b=0.0, n=4, interval=(0.0, 2.0)),
-        "classified flat": build_classified(ClassifiedCase.FLAT, {"lambda0": 1.0}, n=3, interval=(0.0, 8.0)),
+        "gaussian": build_gaussian(1.0, 3, r_max=8.0),
         "classified space form": build_classified(
             ClassifiedCase.SPACE_FORM, {"c": -1.0, "a": 0.5, "b": 0.0}, n=3, interval=(0.0, 3.0)
         ),
@@ -80,7 +80,6 @@ def general_spec():
 def all_factory_specs():
     specs = closed_form_specs()
     specs["general sine"] = general_spec()
-    specs["gaussian"] = build_gaussian(1.0, 3, r_max=8.0)
     return specs
 
 

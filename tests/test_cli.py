@@ -61,8 +61,9 @@ def test_parse_rejects_unknown_keys_with_path():
         parse_manifest(manifest_bytes(bad))
 
 
-def test_parse_rejects_unknown_family():
-    bad = dict(GAUSSIAN_MANIFEST, family="kahler")
+@pytest.mark.parametrize("family", ["kahler", "classified_flat"])
+def test_parse_rejects_unknown_family(family):
+    bad = dict(GAUSSIAN_MANIFEST, family=family)
     with pytest.raises(SchemaError, match="family"):
         parse_manifest(manifest_bytes(bad))
 
@@ -196,9 +197,6 @@ def write_manifest(tmp_path, payload, name="m.json"):
 # optional params are omitted, so parse_manifest fills in the schema defaults
 PASSING_MANIFESTS = {
     "gaussian": GAUSSIAN_MANIFEST,
-    "classified_flat": dict(
-        GAUSSIAN_MANIFEST, family="classified_flat", grid={"interval": [0, 8], "resolution": 2001}
-    ),
     "classified_space_form": dict(
         GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "n": 3},
         grid={"interval": [0, 4], "resolution": 2001},
@@ -312,12 +310,12 @@ _EMPTY_BANDS = [
               suites=["residual"], grid={"interval": [0, 7.1007136801990635e-217], "resolution": 9}),
          "suite 'residual': derivatives of f and lambda: non-finite value at t = 0"),
         # |grad f|^2 overflows in the triviality audit
-        (dict(GAUSSIAN_MANIFEST, family="classified_flat",
+        (dict(GAUSSIAN_MANIFEST, family="gaussian",
               params={"lambda0": 2.1338780901317334e+217, "n": 7, "corrupt_lambda": -3.384182484740786e+16},
               suites=["audits"], grid={"interval": [1.5, 6.871177016932034], "resolution": 44}),
          "suite 'audits': triviality: non-finite value at t = 0"),
         # a subnormal interval: h^2 underflows to 0, so f'' and lambda'' are 0/0
-        (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 2.2250738585e-313, "n": 11},
+        (dict(GAUSSIAN_MANIFEST, family="gaussian", params={"lambda0": 2.2250738585e-313, "n": 11},
               suites=["comparison"], grid={"interval": [0, 2.2250738585e-313], "resolution": 11}),
          "suite 'comparison': derivatives of f and lambda: non-finite value at t = 2.22507e-314"),
         # a pole family's grid starts at t = 0, past this interval's end
@@ -325,7 +323,7 @@ _EMPTY_BANDS = [
               suites=["audits"], grid={"interval": [-19, -14.9], "resolution": 9}),
          "$.grid.interval must end past the pole, t = 0, for a pole family"),
         # h^(n-1) e^Theta is 0 * inf in the volume bound
-        (dict(GAUSSIAN_MANIFEST, family="classified_flat", params={"lambda0": 5.910216486567447e+185, "n": 9},
+        (dict(GAUSSIAN_MANIFEST, family="gaussian", params={"lambda0": 5.910216486567447e+185, "n": 9},
               suites=["comparison"], grid={"interval": [-4.4e-249, 3.0775457320025937e-55], "resolution": 258}),
          "suite 'comparison': volume_bound: non-finite value at t = 1.19749e-57"),
         # inf - inf in the grad_f_bochner residual, away from the pole

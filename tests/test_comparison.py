@@ -13,9 +13,8 @@ from solab.comparison import (
     laplacian_comparison_check,
     volest_bound,
     volume_bound_check,
-    volume_bound_omega,
 )
-from solab.errors import EnvelopeViolation, NegativeRadicand, NonFiniteValues, NotAModel
+from solab.errors import NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
 from solab.geometry import integral_to, weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import (
@@ -229,101 +228,6 @@ def test_sturm_domination():
     Q = GridFn(0.0, 2.0, 1.0 + t**2)
     h = solve_linear_ode2(Q, 0.0, 1.0)
     assert np.all(h >= sn(-1.0, t) - 1e-9)
-
-
-def test_omega_bound_degenerate_envelope_matches_plain():
-    s = hyperbolic_model()
-    cs = derive_setup(s)
-    zero = np.zeros(2001)
-    actual, bound, ok = volume_bound_omega(s, cs, zero, zero, r0=1.0, r=2.0)
-    assert ok
-    assert actual == pytest.approx(bound, rel=1e-6)
-
-
-def test_omega_bound_gaussian_envelope():
-    s = gaussian_model()
-    cs = derive_setup(s)
-    actual, bound, ok = volume_bound_omega(s, cs, np.zeros(2001), s.f.values, r0=1.0, r=3.0)
-    assert ok and actual <= bound
-
-
-def test_omega_bound_weakens_with_wider_envelope():
-    s = gaussian_model()
-    cs = derive_setup(s)
-    f = s.f.values
-    _, tight, _ = volume_bound_omega(s, cs, f, f, r0=1.0, r=3.0)
-    _, wide, ok = volume_bound_omega(s, cs, f, f + 1.0, r0=1.0, r=3.0)
-    assert ok
-    assert wide >= tight
-
-
-def test_omega_bound_rejects_xi_rising_faster_than_omega():
-    s = gaussian_model()
-    cs = derive_setup(s)
-    # xi = 2 f - max f stays below f, but xi' = 2 f' exceeds omega' = f' for r > 0
-    f = s.f.values
-    with pytest.raises(ValueError, match="xi' <= omega'"):
-        volume_bound_omega(s, cs, 2.0 * f - f.max(), f, r0=1.0, r=3.0)
-
-
-@pytest.mark.parametrize(
-    "omega, r0, r, message",
-    [
-        (lambda t: 10.0 - t, 1.0, 2.0, "omega must be nondecreasing"),
-        # the bound would integrate backwards, from r0 down to r
-        (lambda t: np.zeros_like(t), 2.0, 1.0, "evaluation radius below the calibration radius"),
-    ],
-    ids=["decreasing_omega", "radius_below_calibration"],
-)
-def test_omega_bound_rejects_bad_arguments(omega, r0, r, message):
-    s = hyperbolic_model()
-    cs = derive_setup(s)
-    with pytest.raises(ValueError, match=message):
-        volume_bound_omega(s, cs, np.zeros(2001), omega(s.profile.grid), r0=r0, r=r)
-
-
-def test_omega_bound_reads_its_envelopes_on_the_profile_grid():
-    # xi' - omega' = 5e-7 everywhere: the slope check divides by the
-    # profile's h, whatever grid the caller made the envelopes on
-    s = hyperbolic_model()
-    cs = derive_setup(s)
-    f, t = s.f.values, s.profile.grid
-    assert s.profile.n_samples == 2001
-    with pytest.raises(ValueError, match="xi' <= omega'"):
-        volume_bound_omega(s, cs, f - 5e-7 * (4.0 - t), f, r0=1.0, r=2.0)
-    # an envelope sampled on another grid is refused by name, not by broadcasting
-    coarse = np.zeros(1001)
-    with pytest.raises(ValueError, match="profile grid of 2001 samples"):
-        volume_bound_omega(s, cs, coarse, coarse, r0=1.0, r=2.0)
-
-
-def test_omega_bound_envelope_violation():
-    s = gaussian_model()
-    cs = derive_setup(s)
-    zero = np.zeros(2001)
-    with pytest.raises(EnvelopeViolation):
-        volume_bound_omega(s, cs, zero, zero, r0=1.0, r=3.0)  # f > 0 leaves [0, 0]
-
-
-def test_omega_bound_rejects_overflowing_integrand():
-    # h^(2 + 55 t) = sinh(t)^(2 + 55 t) leaves the float range at t = 3.94;
-    # integrating those samples as 0 would cap the bound at its r = 3.95 value
-    s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0}, 3)
-    cs = derive_setup(s)
-    omega = s.f.values + 27.5 * s.profile.grid
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NonFiniteValues, match="volume_bound_omega: non-finite value at t = 3.94"):
-            volume_bound_omega(s, cs, s.f.values, omega, r0=1.0, r=4.0)
-
-
-def test_omega_bound_integrates_only_up_to_its_radius():
-    # the same integrand leaves the float range at t = 3.94, past r = 2
-    s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0}, 3)
-    cs = derive_setup(s)
-    omega = s.f.values + 27.5 * s.profile.grid
-    _, bound, ok = volume_bound_omega(s, cs, s.f.values, omega, r0=1.0, r=2.0)
-    assert ok and bound == pytest.approx(4.36441164288078e57, rel=1e-12)
 
 
 @pytest.mark.parametrize("res, r_max", [(2001, 8.0), (1001, 3.0), (1002, 3.0), (20001, 8.0), (200001, 16.0)])
@@ -561,11 +465,3 @@ def test_volest_rejects_radius_below_calibration():
 def test_diameter_rejects_bad_mu0():
     with pytest.raises(ValueError):
         diameter_bound(0.0, 1.0, 1.0, 3)
-
-
-def test_omega_bound_requires_unit_comparison_solution():
-    s = hyperbolic_model()
-    cs = derive_setup(s)
-    zero = np.zeros(2001)
-    with pytest.raises(ValueError, match="h\\(r0\\)"):
-        volume_bound_omega(s, cs, zero, zero, r0=0.2, r=2.0)  # sinh(0.2) < 1

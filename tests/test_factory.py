@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from solab.errors import InvalidCase, InvalidWarp, NonFiniteValues
+from solab.errors import InvalidCase, InvalidWarp, MissingParams, NonFiniteValues
 from solab.factory import (
     ClassifiedCase,
     FamilyTag,
@@ -125,8 +125,8 @@ def test_general_rejects_nonpositive_warp():
 # classified cases and the Gaussian
 # ---------------------------------------------------------------------------
 
-def test_classified_flat_is_gaussian_shrinker():
-    s = build_classified(ClassifiedCase.FLAT, {"lambda0": 1.0}, n=3, interval=(0.0, 8.0))
+def test_gaussian_shrinker():
+    s = build_gaussian(1.0, 3, r_max=8.0)
     rep = soliton_residual(s)
     # analytically exact; the measured value is the double-precision floor
     # of stencil second derivatives (~ eps |f| / h^2)
@@ -159,6 +159,15 @@ def test_classified_space_form_rejects_flat():
 def test_classified_rejects_an_unknown_case():
     with pytest.raises(InvalidCase, match="unknown classified case 'nope'"):
         build_classified("nope", {}, 3)
+    # the flat case is build_gaussian
+    with pytest.raises(InvalidCase, match="unknown classified case 'flat'"):
+        build_classified("flat", {"lambda0": 1.0}, 3)
+
+
+@pytest.mark.parametrize("case", [ClassifiedCase.SPACE_FORM, ClassifiedCase.HYPERBOLIC_WARPED], ids=lambda c: c.value)
+def test_classified_names_a_missing_c(case):
+    with pytest.raises(MissingParams, match=f"classified case '{case.value}' needs the parameter 'c'"):
+        build_classified(case, {"a": 0.5}, 3)
 
 
 def test_classified_hyperbolic_matches_einstein_builder():
