@@ -18,7 +18,6 @@ from .comparison import (
     volume_bound_check,
 )
 from .factory import (
-    ClassifiedCase,
     FamilyTag,
     SolitonSpec,
     build_classified,

@@ -40,7 +40,7 @@ class InvalidWarp(SolabError):
 
 
 class InvalidCase(SolabError):
-    """Parameters do not select a valid classified-solution case."""
+    """Parameters select no classified space form (c = 0 is the flat gaussian)."""
 
 
 class NotConformallyFlat(SolabError):
@@ -52,7 +52,7 @@ class NotTraceFree(SolabError):
 
 
 class MissingParams(SolabError):
-    """A theorem audit or a classified case was requested without a parameter it needs."""
+    """The triviality audit was requested without its TrivialityAuditParams."""
 
 
 class NonPositiveG(SolabError):

@@ -14,19 +14,18 @@ The verifier module re-checks this for every constructed spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidCase, InvalidDimension, InvalidWarp, MissingParams
+from .errors import InvalidCase, InvalidDimension, InvalidWarp
 from .geometry import SnCombination, WarpProfile, radial_laplacian
 from .kernel import GridFn, derivative, integrate_cumulative
 
 __all__ = [
     "FamilyTag",
-    "ClassifiedCase",
     "SolitonSpec",
     "build_einstein_family",
     "build_general_family",
@@ -50,13 +49,7 @@ class FamilyTag(Enum):
     EINSTEIN_WARPED = "einstein_warped"
     GENERAL_WARPED = "general_warped"
     CLASSIFIED_SPACE_FORM = "classified_space_form"
-    CLASSIFIED_HYPERBOLIC_WARPED = "classified_hyperbolic_warped"
     GAUSSIAN = "gaussian"
-
-
-class ClassifiedCase(Enum):
-    SPACE_FORM = "space_form"
-    HYPERBOLIC_WARPED = "hyperbolic_warped"
 
 
 @dataclass(frozen=True)
@@ -230,62 +223,27 @@ def build_general_family(
 
 
 def build_classified(
-    case: ClassifiedCase | str,
-    params: dict,
-    n: int,
-    interval=None,
-    resolution: int = DEFAULT_RESOLUTION,
+    c: float, a: float, b: float, n: int, r_max: float = 4.0, resolution: int = DEFAULT_RESOLUTION
 ) -> SolitonSpec:
-    """Radial representatives of the classified Einstein almost solitons
-    other than the flat one, which is build_gaussian.  Both cases read
-    params["c"], and raise MissingParams without it.
-
-    SPACE_FORM: constant-curvature model with
-    lambda = a cn_{-c}(r) - (n-1) c and f = a cn_{-c}(r) / c + b; rejects
-    c = 0.  HYPERBOLIC_WARPED: the c > 0 warped line, delegated to the
-    Einstein family (whose soliton function a g' - (n-1) c is the one the
-    defining equation forces).
-    """
-    try:
-        case = ClassifiedCase(case)
-    except ValueError:
-        raise InvalidCase(f"unknown classified case {case!r}") from None
-    if "c" not in params:
-        raise MissingParams(f"classified case {case.value!r} needs the parameter 'c'")
-    c = float(params["c"])
-    if case is ClassifiedCase.SPACE_FORM:
-        if c == 0.0:
-            raise InvalidCase("space-form case requires c != 0")
-        r_max = float(interval[1]) if interval is not None else DEFAULT_INTERVAL[1]
-        a = float(params.get("a", 0.0))
-        b = float(params.get("b", 0.0))
-        profile = WarpProfile(
-            n=n,
-            rho_sigma=float(n - 2),
-            g=SnCombination(k=-c, c1=1.0, c2=0.0),
-            t0=0.0,
-            t1=r_max,
-            n_samples=resolution,
-        )
-        cn_c = profile.warp_values[1]  # g = sn_{-c}, so g' = cn_{-c}
-        lam = GridFn(0.0, r_max, a * cn_c - (n - 1) * c)
-        f = GridFn(0.0, r_max, (a / c) * cn_c + b)
-        return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.CLASSIFIED_SPACE_FORM)
-
-    # the one case left: HYPERBOLIC_WARPED
-    if c <= 0.0:
-        raise InvalidCase("hyperbolic warped case requires c > 0")
-    spec = build_einstein_family(
-        c=c,
-        g0=float(params.get("g0", 1.0)),
-        gp0=float(params.get("gp0", 0.0)),
-        a=float(params.get("a", 0.0)),
-        b=float(params.get("b", 0.0)),
+    """Space-form model g = sn_{-c} with lambda = a cn_{-c}(r) - (n-1) c and
+    f = a cn_{-c}(r) / c + b, the classified Einstein almost soliton of
+    curvature -c; the flat one (c = 0) is build_gaussian, so c = 0 is
+    rejected."""
+    c, a, b, r_max = float(c), float(a), float(b), float(r_max)
+    if c == 0.0:
+        raise InvalidCase("space-form case requires c != 0")
+    profile = WarpProfile(
         n=n,
-        interval=interval if interval is not None else DEFAULT_INTERVAL,
-        resolution=resolution,
+        rho_sigma=float(n - 2),
+        g=SnCombination(k=-c, c1=1.0, c2=0.0),
+        t0=0.0,
+        t1=r_max,
+        n_samples=resolution,
     )
-    return replace(spec, family_tag=FamilyTag.CLASSIFIED_HYPERBOLIC_WARPED)
+    cn_c = profile.warp_values[1]  # g = sn_{-c}, so g' = cn_{-c}
+    lam = GridFn(0.0, r_max, a * cn_c - (n - 1) * c)
+    f = GridFn(0.0, r_max, (a / c) * cn_c + b)
+    return SolitonSpec(profile=profile, f=f, lam=lam, family_tag=FamilyTag.CLASSIFIED_SPACE_FORM)
 
 
 def build_gaussian(lambda0: float, n: int, r_max: float = 8.0, resolution: int = DEFAULT_RESOLUTION) -> SolitonSpec:

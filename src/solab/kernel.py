@@ -223,7 +223,7 @@ def derivative(v: np.ndarray, h: float, order: int = 1) -> np.ndarray:
     if order not in (1, 2):
         raise ValueError("order must be 1 or 2")
     n = v.size
-    scale = h ** order
+    scale = np.float64(h) ** order  # inf, not OverflowError, for a huge h
     out = np.empty(n)
 
     # integer-weight pairing so that constants cancel exactly before the
@@ -339,7 +339,7 @@ def _rk4_step_matrices(Q: GridFn):
     qh /= 16.0
 
     # m01 = h + h^3/6 qh
-    m01 = qh * (h**3 / 6.0)
+    m01 = qh * (np.float64(h) ** 3 / 6.0)  # inf, not OverflowError, for a huge h
     m01 += h
     # m10 = h/6 (q0 + 4 qh + q1 + h^2/2 qh (q0 + q1))
     s = q0 + q1

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ParseError, SchemaError
 from .factory import (
     DEFAULT_RESOLUTION,
-    ClassifiedCase,
     SolitonSpec,
     build_classified,
     build_einstein_family,
@@ -57,17 +56,6 @@ FAMILIES = {
         "constant-curvature model, lambda = a cn_{-c}(r) - (n-1) c",
         {
             "c": ("float", None),
-            "a": ("float", 0.0),
-            "b": ("float", 0.0),
-            "n": ("int", None),
-        },
-    ),
-    "classified_hyperbolic": (
-        "warped line over an Einstein hypersurface (c > 0), Einstein-family formulas",
-        {
-            "c": ("float", None),
-            "g0": ("float", 1.0),
-            "gp0": ("float", 0.0),
             "a": ("float", 0.0),
             "b": ("float", 0.0),
             "n": ("int", None),
@@ -197,6 +185,8 @@ def parse_manifest(text) -> Manifest:
             params[name] = _number(value, path)
         elif kind == "int":
             params[name] = _integer(value, path)
+            if params[name] > 2**53:  # past the integers a float holds exactly
+                raise SchemaError(f"{path} must be at most 2**53")
         else:
             params[name] = _closed_form(value, path)
     if "corrupt_lambda" in raw_params:
@@ -214,8 +204,11 @@ def parse_manifest(text) -> Manifest:
     if not b > a:
         raise SchemaError("$.grid.interval must satisfy start < end")
     # pole families anchor their grid at the pole, t = 0 (see build_spec)
-    if family in ("gaussian", "classified_space_form") and not b > 0:
-        raise SchemaError("$.grid.interval must end past the pole, t = 0, for a pole family")
+    if family in ("gaussian", "classified_space_form"):
+        if not b > 0:
+            raise SchemaError("$.grid.interval must end past the pole, t = 0, for a pole family")
+    elif not math.isfinite(b - a):
+        raise SchemaError("$.grid.interval must have a length within the float range")
     resolution = _integer(grid.get("resolution", DEFAULT_RESOLUTION), "$.grid.resolution")
     if resolution < MIN_SAMPLES:
         raise SchemaError(f"$.grid.resolution must be at least {MIN_SAMPLES}")
@@ -285,16 +278,7 @@ def build_spec(m: Manifest) -> SolitonSpec:
             interval=m.interval, resolution=m.resolution,
         )
     elif m.family == "classified_space_form":
-        spec = build_classified(
-            ClassifiedCase.SPACE_FORM, {"c": p["c"], "a": p["a"], "b": p["b"]}, p["n"],
-            interval=(0.0, m.interval[1]), resolution=m.resolution,
-        )
-    elif m.family == "classified_hyperbolic":
-        spec = build_classified(
-            ClassifiedCase.HYPERBOLIC_WARPED,
-            {k: p[k] for k in ("c", "g0", "gp0", "a", "b")},
-            p["n"], interval=m.interval, resolution=m.resolution,
-        )
+        spec = build_classified(p["c"], p["a"], p["b"], p["n"], r_max=m.interval[1], resolution=m.resolution)
     elif m.family == "general":
         form = _materialize_form(p["g"])
         spec = build_general_family(

@@ -393,7 +393,8 @@ def _gradient_growth_flag(p, fp, r, band, fit, sigma: float) -> Flag:
 def _lambda_bounds_flag(lam, r, band, n: int, params: TrivialityAuditParams) -> Flag:
     """-(n-1) B^2 (1+r^2)^(alpha/2) <= lambda <= -(n-1) A^2 (1+r^2)^(-mu/2)
     on the trusted samples, with the worst violation as the measure."""
-    q = r**2
+    with np.errstate(over="ignore"):  # r^2 may overflow to inf, whose powers are 0, 1 or inf
+        q = r**2
     q += 1.0
     lower = q ** (params.alpha / 2)
     lower *= -(n - 1) * params.B**2

@@ -22,7 +22,6 @@ from solab.comparison import (
     volume_bound_check,
 )
 from solab.factory import (
-    ClassifiedCase,
     build_classified,
     build_einstein_family,
     build_gaussian,
@@ -60,14 +59,9 @@ def closed_form_specs():
         "einstein c=0": build_einstein_family(c=0.0, g0=1.0, gp0=0.0, a=2.0, b=0.0, n=3, interval=(0.0, 4.0)),
         "einstein c=1": build_einstein_family(c=1.0, g0=1.0, gp0=0.0, a=1.0, b=0.0, n=4, interval=(0.0, 2.0)),
         "gaussian": build_gaussian(1.0, 3, r_max=8.0),
-        "classified space form": build_classified(
-            ClassifiedCase.SPACE_FORM, {"c": -1.0, "a": 0.5, "b": 0.0}, n=3, interval=(0.0, 3.0)
-        ),
-        "classified hyperbolic": build_classified(
-            ClassifiedCase.HYPERBOLIC_WARPED,
-            {"c": 1.0, "g0": 1.0, "gp0": 0.5, "a": 0.4, "b": 0.1},
-            n=4,
-            interval=(0.0, 2.0),
+        "classified space form": build_classified(c=-1.0, a=0.5, b=0.0, n=3, r_max=3.0),
+        "classified hyperbolic": build_einstein_family(
+            c=1.0, g0=1.0, gp0=0.5, a=0.4, b=0.1, n=4, interval=(0.0, 2.0)
         ),
     }
 
@@ -119,9 +113,7 @@ def test_criterion_3_okumura_bound():
 
 def test_criterion_4_comparison_sharpness():
     with criterion(4, "comparison sharpness on models"):
-        hyper = build_classified(
-            ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": 0.0, "b": 0.0}, n=3, interval=(0.0, 4.0)
-        )
+        hyper = build_classified(c=1.0, a=0.0, b=0.0, n=3, r_max=4.0)
         euclid = build_gaussian(0.0, 3, r_max=8.0)
         for spec, actual_lap in ((hyper, lambda r: 2.0 / math.tanh(r)), (euclid, lambda r: 2.0 / r)):
             cs = derive_setup(spec)

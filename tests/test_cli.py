@@ -61,7 +61,7 @@ def test_parse_rejects_unknown_keys_with_path():
         parse_manifest(manifest_bytes(bad))
 
 
-@pytest.mark.parametrize("family", ["kahler", "classified_flat"])
+@pytest.mark.parametrize("family", ["kahler", "classified_flat", "classified_hyperbolic"])
 def test_parse_rejects_unknown_family(family):
     bad = dict(GAUSSIAN_MANIFEST, family=family)
     with pytest.raises(SchemaError, match="family"):
@@ -194,15 +194,15 @@ def write_manifest(tmp_path, payload, name="m.json"):
     return str(path)
 
 
-# optional params are omitted, so parse_manifest fills in the schema defaults
+# classified_space_form omits a and b, so parse_manifest fills in the schema defaults
 PASSING_MANIFESTS = {
     "gaussian": GAUSSIAN_MANIFEST,
     "classified_space_form": dict(
         GAUSSIAN_MANIFEST, family="classified_space_form", params={"c": 1, "n": 3},
         grid={"interval": [0, 4], "resolution": 2001},
     ),
-    "classified_hyperbolic": dict(
-        GAUSSIAN_MANIFEST, family="classified_hyperbolic", params={"c": 1, "n": 4},
+    "einstein": dict(
+        GAUSSIAN_MANIFEST, family="einstein", params={"c": 1, "g0": 1, "gp0": 0, "a": 0, "b": 0, "n": 4},
         grid={"interval": [0, 2], "resolution": 2001},
     ),
 }
@@ -233,6 +233,10 @@ def test_cli_two_dimensional_identities_skip_trace_free_balance(tmp_path):
     }
 
 
+_CYLINDER = dict(GAUSSIAN_MANIFEST, family="einstein", params={"c": 0, "g0": 1, "gp0": 0, "a": 0, "b": 0, "n": 4},
+                 grid={"interval": [0, 2], "resolution": 2001}, suites=["identities"])
+
+
 @pytest.mark.parametrize(
     "payload, path",
     [
@@ -240,12 +244,32 @@ def test_cli_two_dimensional_identities_skip_trace_free_balance(tmp_path):
         (dict(GAUSSIAN_MANIFEST, grid={"interval": [0, float("inf")], "resolution": 2001}),
          "$.grid.interval[1]"),
         (dict(GAUSSIAN_MANIFEST, params={"lambda0": 10**400, "n": 3}), "$.params.lambda0"),
+        # float(n - 2) in the gaussian builder
+        (dict(GAUSSIAN_MANIFEST, params={"lambda0": 1, "n": 2**1024}), "$.params.n"),
+        # (n - 2) / (n (n - 1)) in trace_free_balance
+        (dict(_CYLINDER, params=dict(_CYLINDER["params"], n=10**300)), "$.params.n"),
+        # the spacing (t1 - t0) / (N - 1) overflows
+        (dict(_CYLINDER, grid={"interval": [-1e308, 1e308], "resolution": 2001}), "$.grid.interval"),
     ],
-    ids=["nan_param", "infinite_interval_end", "integer_beyond_float_range"],
+    ids=["nan_param", "infinite_interval_end", "integer_beyond_float_range", "gaussian_n_beyond_exact_floats",
+         "einstein_n_beyond_exact_floats", "interval_length_overflows"],
 )
 def test_cli_non_finite_number_exit_two(tmp_path, capsys, payload, path):
     assert main(["run", write_manifest(tmp_path, payload)]) == 2
     assert path in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        dict(_CYLINDER, params=dict(_CYLINDER["params"], n=2**53)),
+        # a pole family reads only the interval end
+        dict(GAUSSIAN_MANIFEST, grid={"interval": [-1e308, 8], "resolution": 2001}),
+    ],
+    ids=["largest_exact_n", "pole_family_interval_start"],
+)
+def test_cli_values_at_the_schema_bounds_pass(tmp_path, payload):
+    assert main(["run", write_manifest(tmp_path, payload), "--no-timings"]) == 0
 
 
 def _demo_at(demo, suites, res):
@@ -301,7 +325,8 @@ _EMPTY_BANDS = [
               suites=["identities"], grid={"interval": [0, 1], "resolution": 9}),
          "suite 'identities': grad_f_bochner: non-finite value at t = 0.125"),
         # h ~ 7e-249: the stencils' 1/h^2 overflows
-        (dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic", params={"c": 1.1823376650284692e+70, "n": 11},
+        (dict(GAUSSIAN_MANIFEST, family="einstein",
+              params={"c": 1.1823376650284692e+70, "g0": 1, "gp0": 0, "a": 0, "b": 0, "n": 11},
               suites=["residual"], grid={"interval": [-6.746121076280463e-248, 0], "resolution": 9}),
          "suite 'residual': derivatives of f and lambda: non-finite value at t = -6.74612e-248"),
         # (g'/g)^2 ~ 1e432 in the curvature, but h^2 underflows to 0 first,
@@ -457,12 +482,12 @@ def test_cli_overflowing_samples_exit_two_without_warning(tmp_path, capsys):
     # second, |Ric|^2 and |T|^2 overflow at t = 0, which is no pole.  Only a
     # pole sample may lack a value, so an overflow ends the run as a
     # precondition error, not in checks on the samples left
-    laplacian = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
+    laplacian = dict(GAUSSIAN_MANIFEST, family="einstein",
                      params={"c": 5e-324, "g0": 2.3111355340550108e+16, "gp0": 5.479446372782705e+137,
-                             "b": 5e-324, "n": 10},
+                             "a": 0, "b": 5e-324, "n": 10},
                      suites=["identities", "audits"],
                      grid={"interval": [3.558949814430625e-282, 3.390614269195102e-27], "resolution": 52})
-    curvature = dict(GAUSSIAN_MANIFEST, family="classified_hyperbolic",
+    curvature = dict(GAUSSIAN_MANIFEST, family="einstein",
                      params={"c": 4.272687737249145e-200, "g0": 5.864881174664321e-39,
                              "gp0": 7.187825930577302e+55, "a": -2.1328874117530036e-277,
                              "b": -2.2234340695174332e-31, "n": 4},
@@ -474,6 +499,28 @@ def test_cli_overflowing_samples_exit_two_without_warning(tmp_path, capsys):
             warnings.simplefilter("error", RuntimeWarning)
             assert main(["run", write_manifest(tmp_path, payload)]) == 2
         assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "suite, t1, resolution, code, message",
+    [
+        # h^2 = 1.6e318 leaves the float range in the stencils' scale
+        ("residual", 1e160, 9, 2, "suite 'residual': soliton: no trusted samples on a 9-sample grid"),
+        # h^3 = 2.0e327 in the RK4 step matrices
+        ("comparison", 1e110, 9, 2, "suite 'comparison': comparison setup: non-finite value at t = 1.25e+109"),
+        # r^2 overflows in the triviality audit's lambda bounds, raised to the power 0
+        ("audits", 1e155, 101, 0, "audits: PASS"),
+    ],
+    ids=["derivative_scale", "rk4_step", "lambda_bounds"],
+)
+def test_cli_huge_spacing_ends_without_traceback_or_warning(tmp_path, capsys, suite, t1, resolution, code, message):
+    payload = dict(GAUSSIAN_MANIFEST, params={"lambda0": 0, "n": 3}, suites=[suite],
+                   grid={"interval": [0, t1], "resolution": resolution})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", write_manifest(tmp_path, payload), "--no-timings"]) == code
+    out, err = capsys.readouterr()
+    assert message in (err if code else out)
 
 
 def _param_value(kind):

@@ -15,7 +15,7 @@ from solab.comparison import (
     volume_bound_check,
 )
 from solab.errors import NegativeRadicand, NonFiniteValues, NotAModel
-from solab.factory import ClassifiedCase, build_classified, build_einstein_family, build_gaussian
+from solab.factory import build_classified, build_einstein_family, build_gaussian
 from solab.geometry import integral_to, weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import (
     MIN_SAMPLES,
@@ -30,9 +30,7 @@ from solab.kernel import (
 
 def hyperbolic_model(n=3, r_max=4.0):
     # trivial expander on the constant-curvature -1 model: f = 0
-    return build_classified(
-        ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": 0.0, "b": 0.0}, n=n, interval=(0.0, r_max)
-    )
+    return build_classified(c=1.0, a=0.0, b=0.0, n=n, r_max=r_max)
 
 
 def euclidean_model(n=3, r_max=8.0):
@@ -269,8 +267,7 @@ def test_volume_bound_path_depends_only_on_the_samples_up_to_its_radius():
     # largest radius 5.475.  Holding theta at its t = 5.84 value from there
     # on keeps e^Theta finite on the whole grid, and changes no sample the
     # bound reads, so the bound must not change in any bit
-    s = build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": -1.0, "b": 60.0}, 3,
-                         interval=(0.0, 7.3), resolution=201)
+    s = build_classified(c=1.0, a=-1.0, b=60.0, n=3, r_max=7.3, resolution=201)
     cs = derive_setup(s)
     flat = cs.theta.copy()
     flat[161:] = flat[160]

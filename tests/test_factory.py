@@ -4,9 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from solab.errors import InvalidCase, InvalidWarp, MissingParams, NonFiniteValues
+from solab.errors import InvalidCase, InvalidWarp, NonFiniteValues
 from solab.factory import (
-    ClassifiedCase,
     FamilyTag,
     SolitonSpec,
     build_classified,
@@ -135,48 +134,21 @@ def test_gaussian_shrinker():
 
 
 def test_classified_space_form_sphere():
-    s = build_classified(
-        ClassifiedCase.SPACE_FORM, {"c": -1.0, "a": 0.5, "b": 0.0}, n=3, interval=(0.0, 3.0)
-    )
+    s = build_classified(c=-1.0, a=0.5, b=0.0, n=3, r_max=3.0)
     t = s.profile.grid
     np.testing.assert_allclose(s.lam.values, 0.5 * np.cos(t) + 2.0, atol=1e-12)
     assert soliton_residual(s).sup_norm < 1e-8
 
 
 def test_classified_space_form_constant_lambda_is_trivial():
-    s = build_classified(
-        ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": 0.0, "b": 0.2}, n=3, interval=(0.0, 4.0)
-    )
+    s = build_classified(c=1.0, a=0.0, b=0.2, n=3, r_max=4.0)
     assert np.ptp(s.lam.values) == 0.0
     assert classify_soliton(s) is Classification.TRIVIAL
 
 
 def test_classified_space_form_rejects_flat():
     with pytest.raises(InvalidCase):
-        build_classified(ClassifiedCase.SPACE_FORM, {"c": 0.0, "a": 1.0}, n=3)
-
-
-def test_classified_rejects_an_unknown_case():
-    with pytest.raises(InvalidCase, match="unknown classified case 'nope'"):
-        build_classified("nope", {}, 3)
-    # the flat case is build_gaussian
-    with pytest.raises(InvalidCase, match="unknown classified case 'flat'"):
-        build_classified("flat", {"lambda0": 1.0}, 3)
-
-
-@pytest.mark.parametrize("case", [ClassifiedCase.SPACE_FORM, ClassifiedCase.HYPERBOLIC_WARPED], ids=lambda c: c.value)
-def test_classified_names_a_missing_c(case):
-    with pytest.raises(MissingParams, match=f"classified case '{case.value}' needs the parameter 'c'"):
-        build_classified(case, {"a": 0.5}, 3)
-
-
-def test_classified_hyperbolic_matches_einstein_builder():
-    params = {"c": 1.0, "g0": 1.0, "gp0": 0.5, "a": 0.4, "b": 0.1}
-    s = build_classified(ClassifiedCase.HYPERBOLIC_WARPED, params, n=4, interval=(0.0, 2.0))
-    e = build_einstein_family(n=4, interval=(0.0, 2.0), **params)
-    np.testing.assert_allclose(s.lam.values, e.lam.values, atol=1e-14)
-    assert s.family_tag is FamilyTag.CLASSIFIED_HYPERBOLIC_WARPED
-    assert soliton_residual(s).sup_norm < 1e-8
+        build_classified(c=0.0, a=1.0, b=0.0, n=3)
 
 
 def test_gaussian_total_weighted_volume():
@@ -241,7 +213,7 @@ def test_every_family_meets_its_residual_tolerance():
         build_einstein_family(c=-1.0, g0=1.0, gp0=0.0, a=1.0, b=0.0, n=4, interval=(0.0, 1.5)),
         build_einstein_family(c=0.0, g0=1.0, gp0=0.0, a=2.0, b=0.0, n=3),
         build_gaussian(1.0, 3, r_max=8.0),
-        build_classified(ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": -0.5}, n=4, interval=(0.0, 4.0)),
+        build_classified(c=1.0, a=-0.5, b=0.0, n=4, r_max=4.0),
         general_sine_spec(),
     ]
     for s in specs:

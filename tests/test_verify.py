@@ -9,7 +9,6 @@ from solab.cli import DEMO_MANIFESTS
 from solab.comparison import derive_setup, laplacian_comparison_check
 from solab.errors import MissingParams, NonFiniteValues, NonPositiveG, NotConformallyFlat, NotTraceFree
 from solab.factory import (
-    ClassifiedCase,
     build_classified,
     build_einstein_family,
     build_gaussian,
@@ -61,9 +60,7 @@ def general_sine(n=3):
 
 
 def hyperbolic_trivial(n=3):
-    return build_classified(
-        ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": 0.0, "b": 0.0}, n=n, interval=(0.0, 4.0)
-    )
+    return build_classified(c=1.0, a=0.0, b=0.0, n=n, r_max=4.0)
 
 
 ALL_SPECS = {
@@ -72,9 +69,7 @@ ALL_SPECS = {
     "cylinder": build_einstein_family(c=0.0, g0=1.0, gp0=0.0, a=2.0, b=0.0, n=3),
     "general_sine": general_sine(),
     "hyperbolic_trivial": hyperbolic_trivial(),
-    "space_form_sphere": build_classified(
-        ClassifiedCase.SPACE_FORM, {"c": -1.0, "a": 0.5, "b": 0.0}, n=3, interval=(0.0, 3.0)
-    ),
+    "space_form_sphere": build_classified(c=-1.0, a=0.5, b=0.0, n=3, r_max=3.0),
 }
 
 
@@ -514,7 +509,7 @@ def test_audit_scalar_bounds_trivial_expanding_equality():
     "spec, sign, conclusions",
     [
         # the unit sphere with constant potential: lambda = n - 1 > 0
-        (lambda: build_classified(ClassifiedCase.SPACE_FORM, {"c": -1.0}, n=3, interval=(0.0, 3.0)),
+        (lambda: build_classified(c=-1.0, a=0.0, b=0.0, n=3, r_max=3.0),
          Classification.SHRINKING, {"scalar_infimum_nonnegative", "upper_bound_n_lambda"}),
         # flat space with f = 0
         (lambda: gaussian_spec(lambda0=0.0), Classification.STEADY, {"scalar_infimum_zero"}),
@@ -539,9 +534,7 @@ def test_audit_triviality_requires_params():
 def test_audit_triviality_exponential_gradient_fails_growth():
     # space-form expander: f' grows like sinh, so the polynomial growth
     # hypothesis cannot hold and the nontrivial soliton is no counterexample
-    s = build_classified(
-        ClassifiedCase.SPACE_FORM, {"c": 1.0, "a": -0.5, "b": 0.0}, n=4, interval=(0.0, 6.0)
-    )
+    s = build_classified(c=1.0, a=-0.5, b=0.0, n=4, r_max=6.0)
     params = TrivialityAuditParams(alpha=0.0, sigma=0.5, mu=0.0, A=1.0, B=1.0)
     rep = audit_theorem(s, "triviality", params)
     assert rep.verdict is Verdict.HYPOTHESES_NOT_MET
