@@ -37,7 +37,6 @@ from .kernel import GridFn, cn, derivative, integrate_cumulative, sn, solve_line
 from .manifest import Manifest, build_spec, parse_manifest
 from .report import RunReport, emit_report, run_suite
 from .verify import (
-    TrivialityAuditParams,
     AuditReport,
     Classification,
     ResidualReport,

@@ -13,7 +13,7 @@ calibration radius) so the equality cases are testable rather than vacuous.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -147,6 +147,13 @@ def volume_bound_check(s: SolitonSpec, cs: ComparisonSetup, r: float | np.ndarra
 # decay-rate volume estimates
 # ---------------------------------------------------------------------------
 
+def _require_finite_args(**args: float) -> None:
+    """Refuse a non-finite scalar argument with a ValueError that names it."""
+    for name, x in args.items():
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be finite, not {x!r}")
+
+
 @dataclass(frozen=True)
 class VolestConstants:
     """Calibration data for the decay-rate sphere/ball bounds: the
@@ -171,8 +178,9 @@ def volest_bound(D: float, mu: float, constants: VolestConstants, r: float) -> t
     e^(C r) for D = 0, and the growing counterparts for D < 0.  The inner
     integral is closed-form; the outer ones are evaluated by quadrature.
     """
-    if mu < 0:
-        raise InvalidRegime("mu must be nonnegative")
+    if not 0 <= mu < math.inf:
+        raise InvalidRegime(f"mu must be finite and nonnegative, not {mu!r}")
+    _require_finite_args(D=D, r=r, **{f"constants.{k}": v for k, v in asdict(constants).items()})
     r = float(r)
     r0 = constants.r0
     if r < r0:
@@ -233,6 +241,7 @@ def diameter_bound(mu0: float, F: float, c: float, n: int) -> float:
     Sharp on the unit round sphere (mu0 = n-1, F = 0, c = n-1 gives pi).
     F = c = 0 returns 0, a degenerate bound reported as-is (it flags a
     vacuous curvature ceiling rather than an error)."""
+    _require_finite_args(mu0=mu0, F=F, c=c)
     if not mu0 > 0:
         raise ValueError("mu0 must be positive")
     if F < 0:

@@ -9,7 +9,6 @@ __all__ = [
     "InvalidCase",
     "NotConformallyFlat",
     "NotTraceFree",
-    "MissingParams",
     "NonPositiveG",
     "InvalidRegime",
     "NegativeRadicand",
@@ -49,10 +48,6 @@ class NotConformallyFlat(SolabError):
 
 class NotTraceFree(SolabError):
     """Eigenvalue tuple does not sum to zero."""
-
-
-class MissingParams(SolabError):
-    """The triviality audit was requested without its TrivialityAuditParams."""
 
 
 class NonPositiveG(SolabError):

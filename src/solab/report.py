@@ -18,7 +18,6 @@ from .geometry import ric_norm2
 from .manifest import Manifest, build_spec
 from .verify import (
     IDENTITY_IDS,
-    TrivialityAuditParams,
     ResidualReport,
     Verdict,
     audit_theorem,
@@ -33,11 +32,6 @@ from .verify import (
 __all__ = ["RunReport", "run_suite", "emit_report", "render_report"]
 
 CSV_COLUMNS = ("t", "g", "f", "lambda", "S", "ric_norm2", "T_norm2", "residual")
-
-# neutral default exponents for the expanding-triviality audit when a
-# manifest has no specific triviality hypotheses in mind
-_DEFAULT_TRIVIALITY_PARAMS = TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=0.0, A=1.0, B=1.0)
-
 
 def _residual_dict(rep: ResidualReport) -> dict:
     return {
@@ -121,10 +115,7 @@ def run_suite(m: Manifest) -> RunReport:
                 passed = all(c.get("passed", True) for c in checks)
                 result = {"suite": "identities", "passed": bool(passed), "checks": checks}
             elif name == "audits":
-                checks = [
-                    audit_theorem(spec, t, _DEFAULT_TRIVIALITY_PARAMS).to_dict()
-                    for t in ("triviality", "scalar_bounds", "trace_free_gap")
-                ]
+                checks = [audit_theorem(spec, t).to_dict() for t in ("triviality", "scalar_bounds", "trace_free_gap")]
                 passed = all(c["verdict"] != Verdict.VIOLATION.value for c in checks)
                 result = {"suite": "audits", "passed": bool(passed), "checks": checks}
             elif name == "comparison":

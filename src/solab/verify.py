@@ -23,13 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    MissingParams,
-    NonPositiveG,
-    NoTrustedSamples,
-    NotConformallyFlat,
-    NotTraceFree,
-)
+from .errors import NonPositiveG, NoTrustedSamples, NotConformallyFlat, NotTraceFree
 from .factory import SolitonSpec
 from .geometry import radial_laplacian, ric_norm2, trace_free_cube
 from .kernel import EDGE_WIDTH, GridFn, derivative, integrate_cumulative, interpolate, nan_fill
@@ -39,7 +33,6 @@ __all__ = [
     "ResidualReport",
     "Flag",
     "AuditReport",
-    "TrivialityAuditParams",
     "Verdict",
     "Classification",
     "residual_report",
@@ -132,33 +125,6 @@ class AuditReport:
             "verdict": self.verdict.value,
             "notes": list(self.notes),
         }
-
-
-@dataclass(frozen=True)
-class TrivialityAuditParams:
-    """Exponents and constants for the expanding-triviality audit.
-
-    alpha > -2 and 0 <= sigma <= 2/3; mu must satisfy
-    min{0, -alpha} <= mu <= 1 - 3 sigma/2 (sigma >= alpha) or
-    1 - sigma - alpha/2 (sigma < alpha); B >= A > 0.
-    """
-
-    alpha: float
-    sigma: float
-    mu: float
-    A: float
-    B: float
-
-    def __post_init__(self):
-        if not self.alpha > -2:
-            raise ValueError("alpha must exceed -2")
-        if not 0 <= self.sigma <= 2.0 / 3.0:
-            raise ValueError("sigma must lie in [0, 2/3]")
-        upper = 1 - 1.5 * self.sigma if self.sigma >= self.alpha else 1 - self.sigma - self.alpha / 2
-        if not min(0.0, -self.alpha) <= self.mu <= upper:
-            raise ValueError("mu outside the admissible window")
-        if not (self.B >= self.A > 0):
-            raise ValueError("need B >= A > 0")
 
 
 # ---------------------------------------------------------------------------
@@ -344,12 +310,8 @@ def okumura_attained_frac(s: SolitonSpec) -> float | None:
 _NULL_THRESHOLD = 1e-10
 
 
-def classify_soliton(s: SolitonSpec) -> Classification:
-    """Sign census of lambda; trivial when the potential is constant."""
-    fp = s.fp
-    if np.max(np.abs(fp)) < _NULL_THRESHOLD:
-        return Classification.TRIVIAL
-    lam = s.lam.values
+def _lambda_sign(lam: np.ndarray) -> Classification:
+    """Sign census of lambda over every sample: indefinite when it takes both signs."""
     pos = bool(np.any(lam > _NULL_THRESHOLD))
     neg = bool(np.any(lam < -_NULL_THRESHOLD))
     if pos and neg:
@@ -359,6 +321,13 @@ def classify_soliton(s: SolitonSpec) -> Classification:
     if neg:
         return Classification.EXPANDING
     return Classification.STEADY
+
+
+def classify_soliton(s: SolitonSpec) -> Classification:
+    """Sign census of lambda; trivial when the potential is constant."""
+    if np.max(np.abs(s.fp)) < _NULL_THRESHOLD:
+        return Classification.TRIVIAL
+    return _lambda_sign(s.lam.values)
 
 
 # ---------------------------------------------------------------------------
@@ -374,39 +343,22 @@ def _fit_growth_exponent(r: np.ndarray, y: np.ndarray) -> float:
     return float(np.polyfit(np.log(r[good]), np.log(y[good]), 1)[0])
 
 
-def _gradient_growth_flag(p, fp, r, band, fit, sigma: float) -> Flag:
-    """|grad f|^2 grows no faster than r^sigma, by the log-log slope over
-    the final third of the trusted samples (fit)."""
+def _gradient_growth_flag(p, fp, r, band, fit) -> Flag:
+    """|grad f|^2 does not grow: its log-log slope over the final third of
+    the trusted samples (fit) is at most 0.05, unless f is constant."""
     with np.errstate(over="ignore"):  # left to require_finite
         grad2 = fp**2
     p.require_finite("triviality", grad2)
     exponent = _fit_growth_exponent(r[fit], grad2[fit])
-    if np.max(grad2[band]) < 1e-20:
-        growth_ok = True
-    elif sigma == 0:
-        growth_ok = exponent <= 0.05
-    else:
-        growth_ok = exponent <= sigma - 0.05
-    return Flag(bool(growth_ok), exponent)
+    return Flag(bool(np.max(grad2[band]) < 1e-20 or exponent <= 0.05), exponent)
 
 
-def _lambda_bounds_flag(lam, r, band, n: int, params: TrivialityAuditParams) -> Flag:
-    """-(n-1) B^2 (1+r^2)^(alpha/2) <= lambda <= -(n-1) A^2 (1+r^2)^(-mu/2)
-    on the trusted samples, with the worst violation as the measure."""
-    with np.errstate(over="ignore"):  # r^2 may overflow to inf, whose powers are 0, 1 or inf
-        q = r**2
-    q += 1.0
-    lower = q ** (params.alpha / 2)
-    lower *= -(n - 1) * params.B**2
-    lower -= lam
-    q **= -params.mu / 2
-    q *= -(n - 1) * params.A**2  # the upper bound
-    np.subtract(lam, q, out=q)
-    violation = np.maximum(lower, q, out=q)[band]
-    return Flag(bool(np.max(violation) <= 1e-12), float(np.max(violation)))
-
-
-def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditReport:
+def _audit_triviality(s: SolitonSpec) -> AuditReport:
+    """Triviality of expanders at the exponents alpha = sigma = mu = 0 and
+    A = B = 1: lambda = -(n-1), |grad f|^2 not growing, and lambda' f' <= 0.
+    The pinching -(n-1) B^2 (1+r^2)^(alpha/2) <= lambda <= -(n-1) A^2
+    (1+r^2)^(-mu/2) is then lambda = -(n-1), measured by the worst
+    |lambda + (n-1)| on the trusted samples."""
     fp = s.fp
     p = s.profile
     n = p.n
@@ -418,8 +370,9 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
 
     hyps = {}
     hyps["expanding"] = Flag(bool(np.all(lam < 0)), float(np.max(lam)))
-    hyps["gradient_growth"] = _gradient_growth_flag(p, fp, r, band, fit, params.sigma)
-    hyps["lambda_bounds"] = _lambda_bounds_flag(lam, r, band, n, params)
+    hyps["gradient_growth"] = _gradient_growth_flag(p, fp, r, band, fit)
+    pinch = float(np.max(np.abs(lam[band] + (n - 1))))
+    hyps["lambda_bounds"] = Flag(pinch <= 1e-12, pinch)
 
     if n == 2:
         hyps["sign_condition"] = Flag(True, "n = 2, condition waived")
@@ -440,23 +393,13 @@ def _audit_triviality(s: SolitonSpec, params: TrivialityAuditParams) -> AuditRep
 def _audit_scalar_bounds(s: SolitonSpec) -> AuditReport:
     p = s.profile
     n = p.n
-    lam = s.lam.values
 
     plain_lap_lam = s.lap_lam
     worst = float(np.max(plain_lap_lam[p.trusted_band("scalar_bounds", plain_lap_lam)]))
     hyps = {"delta_lambda_nonpositive": Flag(worst <= _NULL_THRESHOLD, worst)}
 
-    cls = classify_soliton(s)
-    if cls is Classification.TRIVIAL:
-        # constant lambda: audit the sign it has
-        lam0 = float(np.mean(lam))
-        cls = (
-            Classification.EXPANDING if lam0 < -_NULL_THRESHOLD
-            else Classification.SHRINKING if lam0 > _NULL_THRESHOLD
-            else Classification.STEADY
-        )
-    definite = cls in (Classification.EXPANDING, Classification.STEADY, Classification.SHRINKING)
-    hyps["definite_sign"] = Flag(definite, cls.value)
+    cls = _lambda_sign(s.lam.values)  # the sign lambda has, also when f is constant
+    hyps["definite_sign"] = Flag(cls is not Classification.INDEFINITE, cls.value)
 
     S_star, _, _, lam_star, lam_sup = s.extrema
 
@@ -488,14 +431,9 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
 
     hess_lam_T = s.hess_lam_T
     worst = float(np.min(hess_lam_T[p.trusted_band("trace_free_gap", hess_lam_T)]))
-    hyps = {
-        "hess_lambda_T_nonnegative": Flag(worst >= -_NULL_THRESHOLD, worst),
-        # a warped product over a space form is locally conformally flat,
-        # so this holds by construction
-        "conformally_flat": Flag(True, "True"),
-    }
-    hyps["scalar_curvature_bounded_above"] = Flag(bool(np.isfinite(S_sup)), S_sup)
-    hyps["lambda_bounded_below"] = Flag(bool(np.isfinite(lam_star)), lam_star)
+    # conformal flatness holds by construction (every spec is warped over a
+    # space form), and S^* and lambda_* are finite once the band is trusted
+    hyps = {"hess_lambda_T_nonnegative": Flag(worst >= -_NULL_THRESHOLD, worst)}
 
     gap = 0.5 * (math.sqrt(n * (n - 1)) * lam_star - S_sup * (n - 2) / math.sqrt(n * (n - 1)))
     einstein = T_sup < _EINSTEIN_T
@@ -508,14 +446,12 @@ def _audit_trace_free_gap(s: SolitonSpec) -> AuditReport:
     )
 
 
-def audit_theorem(s: SolitonSpec, theorem: str, params: TrivialityAuditParams | None = None) -> AuditReport:
+def audit_theorem(s: SolitonSpec, theorem: str) -> AuditReport:
     """Audit one theorem on a spec: measure every hypothesis, measure the
     conclusion, and report VIOLATION only when the hypotheses all hold and
     the conclusion fails (that state failing is the point of the audit)."""
     if theorem == "triviality":
-        if params is None:
-            raise MissingParams("the triviality audit needs TrivialityAuditParams")
-        return _audit_triviality(s, params)
+        return _audit_triviality(s)
     if theorem == "scalar_bounds":
         return _audit_scalar_bounds(s)
     if theorem == "trace_free_gap":
@@ -547,7 +483,9 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     """Finite-domain checks of the four admissibility conditions on a
     Ricci lower-bound profile G.
 
-    (i) G(0) > 0; (ii) G nondecreasing; (iii) divergence of the integral
+    (i) G(0) > 0 is a precondition, not a flag: a G that is not positive
+    and finite everywhere raises NonPositiveG.  The flags are (ii) G
+    nondecreasing; (iii) divergence of the integral
     of G^(-1/2), proxied by the last-half increment of the partial
     integral exceeding 5%; (iv) boundedness of t G(sqrt t)/G(t), proxied
     by the max over the last tenth of [1, t_max] staying within 2x the max
@@ -562,8 +500,6 @@ def check_OY_hypotheses(G: GridFn, t_max: float) -> AuditReport:
     t_last, t_mid = _oy_windows(G, t_max)
 
     hyps = {}
-    hyps["positive_at_origin"] = Flag(bool(G.values[0] > 0), float(G.values[0]))
-
     # first-difference quotient: higher-order stencils ring on the
     # staircase a running-max preprocessing produces
     worst = float(np.min(np.diff(G.values))) / G.h

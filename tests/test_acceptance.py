@@ -32,7 +32,6 @@ from solab.kernel import GridFn
 from solab.verify import (
     IDENTITY_IDS,
     Verdict,
-    TrivialityAuditParams,
     audit_theorem,
     check_OY_hypotheses,
     identity_residual,
@@ -161,10 +160,9 @@ def test_criterion_6_scalar_curvature_audits():
         assert rep.verdict is Verdict.CONSISTENT
         assert rep.conclusion_flags["scalar_infimum_zero"]
 
-        params = TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=0.0, A=1.0, B=1.0)
         for name, spec in all_factory_specs().items():
             for theorem in ("triviality", "scalar_bounds", "trace_free_gap"):
-                rep = audit_theorem(spec, theorem, params)
+                rep = audit_theorem(spec, theorem)
                 assert rep.verdict is not Verdict.VIOLATION, f"{theorem} on {name}"
 
 

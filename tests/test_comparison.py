@@ -14,7 +14,7 @@ from solab.comparison import (
     volest_bound,
     volume_bound_check,
 )
-from solab.errors import NegativeRadicand, NonFiniteValues, NotAModel
+from solab.errors import InvalidRegime, NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import build_classified, build_einstein_family, build_gaussian
 from solab.geometry import integral_to, weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import (
@@ -346,6 +346,28 @@ def test_volest_rejects_a_bound_beyond_the_float_range():
             volest_bound(D, 0.0, consts, 8.0)
 
 
+@pytest.mark.parametrize(
+    "D, mu, constants, r, error, message",
+    [
+        (math.nan, 0.0, {}, 8.0, ValueError, "D must be finite"),
+        (math.inf, 0.0, {}, 8.0, ValueError, "D must be finite"),
+        (1.0, math.nan, {}, 8.0, InvalidRegime, "mu must be finite and nonnegative"),
+        (1.0, math.inf, {}, 8.0, InvalidRegime, "mu must be finite and nonnegative"),
+        (1.0, 0.0, {}, math.inf, ValueError, "r must be finite"),
+        (1.0, 0.0, {}, math.nan, ValueError, "r must be finite"),
+        (1.0, 0.0, {"C": math.nan}, 8.0, ValueError, r"constants\.C must be finite"),
+        (1.0, 0.0, {"sphere_vol_r0": math.inf}, 8.0, ValueError, r"constants\.sphere_vol_r0 must be finite"),
+    ],
+)
+def test_volest_refuses_a_non_finite_argument(D, mu, constants, r, error, message):
+    # named up front, not as a bound past the float range or a numpy warning
+    consts = VolestConstants(**{"r0": 2.0, "C": 0.0, "sphere_vol_r0": 1.0, "ball_vol_r0": 1.0, **constants})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(error, match=message):
+            volest_bound(D, mu, consts, r)
+
+
 def test_volest_growing_regimes_for_negative_D():
     consts = VolestConstants(r0=2.0, C=0.0, sphere_vol_r0=1.0, ball_vol_r0=1.0)
     for mu, label in ((2.0, "e^{C2 r}"), (1.0, "e^{C2 r log r}"), (0.5, "e^{C2 r^{3/2}}")):
@@ -416,6 +438,23 @@ def test_diameter_rejects_negative_radicand():
 def test_diameter_rejects_negative_F():
     with pytest.raises(ValueError, match="F must be nonnegative"):
         diameter_bound(1.0, -0.1, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "mu0, F, c, name",
+    [
+        (math.inf, 0.0, 1.0, "mu0"),
+        (math.nan, 0.0, 1.0, "mu0"),
+        (1.0, math.nan, 1.0, "F"),
+        (1.0, math.inf, 1.0, "F"),
+        (1.0, 0.0, math.inf, "c"),
+        (1.0, 0.0, -math.inf, "c"),
+        (1.0, 0.0, math.nan, "c"),
+    ],
+)
+def test_diameter_refuses_a_non_finite_argument(mu0, F, c, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        diameter_bound(mu0, F, c, 3)
 
 
 def test_diameter_monotonicities():

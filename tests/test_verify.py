@@ -7,7 +7,7 @@ import pytest
 
 from solab.cli import DEMO_MANIFESTS
 from solab.comparison import derive_setup, laplacian_comparison_check
-from solab.errors import MissingParams, NonFiniteValues, NonPositiveG, NotConformallyFlat, NotTraceFree
+from solab.errors import NonFiniteValues, NonPositiveG, NotConformallyFlat, NotTraceFree
 from solab.factory import (
     build_classified,
     build_einstein_family,
@@ -27,7 +27,6 @@ from solab.kernel import EDGE_WIDTH, GridFn, derivative, nan_fill
 from solab.manifest import build_spec, parse_manifest
 from solab.verify import (
     IDENTITY_IDS,
-    TrivialityAuditParams,
     Classification,
     Flag,
     Verdict,
@@ -526,32 +525,15 @@ def test_audit_scalar_bounds_audits_a_trivial_spec_by_the_sign_of_lambda(spec, s
     assert rep.verdict is Verdict.CONSISTENT
 
 
-def test_audit_triviality_requires_params():
-    with pytest.raises(MissingParams):
-        audit_theorem(gaussian_spec(), "triviality")
-
-
 def test_audit_triviality_exponential_gradient_fails_growth():
     # space-form expander: f' grows like sinh, so the polynomial growth
     # hypothesis cannot hold and the nontrivial soliton is no counterexample
     s = build_classified(c=1.0, a=-0.5, b=0.0, n=4, r_max=6.0)
-    params = TrivialityAuditParams(alpha=0.0, sigma=0.5, mu=0.0, A=1.0, B=1.0)
-    rep = audit_theorem(s, "triviality", params)
+    rep = audit_theorem(s, "triviality")
     assert rep.verdict is Verdict.HYPOTHESES_NOT_MET
     assert not rep.hypothesis_flags["gradient_growth"].passed
     assert rep.hypothesis_flags["gradient_growth"].measured > 2.0 / 3.0
     assert rep.hypothesis_flags["expanding"].passed
-
-
-def test_audit_triviality_params_validation():
-    with pytest.raises(ValueError):
-        TrivialityAuditParams(alpha=-3.0, sigma=0.0, mu=0.0, A=1.0, B=1.0)
-    with pytest.raises(ValueError):
-        TrivialityAuditParams(alpha=0.0, sigma=0.9, mu=0.0, A=1.0, B=1.0)
-    with pytest.raises(ValueError):
-        TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=2.0, A=1.0, B=1.0)
-    with pytest.raises(ValueError):
-        TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=0.0, A=2.0, B=1.0)
 
 
 def test_audit_trace_free_gap_einstein_branch():
@@ -563,9 +545,8 @@ def test_audit_trace_free_gap_einstein_branch():
 @pytest.mark.parametrize("name", sorted(ALL_SPECS))
 def test_no_factory_spec_violates_any_theorem(name):
     s = ALL_SPECS[name]
-    params = TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=0.0, A=1.0, B=1.0)
     for theorem in ("triviality", "scalar_bounds", "trace_free_gap"):
-        rep = audit_theorem(s, theorem, params)
+        rep = audit_theorem(s, theorem)
         assert rep.verdict is not Verdict.VIOLATION, f"{theorem} on {name}"
 
 
@@ -652,11 +633,53 @@ def test_audit_triviality_all_hypotheses_met_on_trivial_expander():
     # constant-potential hyperbolic expander: every hypothesis holds at
     # the boundary and the trivial conclusion closes the audit
     s = hyperbolic_trivial()
-    params = TrivialityAuditParams(alpha=0.0, sigma=0.0, mu=0.0, A=1.0, B=1.0)
-    rep = audit_theorem(s, "triviality", params)
+    rep = audit_theorem(s, "triviality")
     assert rep.verdict is Verdict.CONSISTENT
     assert all(f.passed for f in rep.hypothesis_flags.values())
     assert rep.conclusion_flags["trivial"]
+
+
+def test_audit_scalar_bounds_calls_a_sign_changing_lambda_indefinite():
+    # constant f, so the spec is trivial, but lambda = sin 2t + 1/2 takes
+    # both signs: the audit takes the census classify_soliton takes, not
+    # the sign of the mean
+    base = hyperbolic_trivial()
+    s = replace(base, lam=replace(base.lam, values=np.sin(2.0 * base.lam.grid) + 0.5))
+    assert classify_soliton(s) is Classification.TRIVIAL
+    rep = audit_theorem(s, "scalar_bounds")
+    assert rep.hypothesis_flags["definite_sign"] == Flag(False, "indefinite")
+    assert rep.conclusion_flags == {}
+    assert rep.verdict is Verdict.HYPOTHESES_NOT_MET
+
+
+def oy_profile(values, t1):
+    return GridFn(0.0, t1, values(np.linspace(0.0, t1, 2001)))
+
+
+# (audit, hypothesis flag) -> a pinned input on which the flag reads false;
+# the keys list every flag each audit reports
+FLAG_WITNESSES = {
+    ("triviality", "expanding"): gaussian_spec,
+    ("triviality", "gradient_growth"): gaussian_spec,
+    ("triviality", "lambda_bounds"): gaussian_spec,
+    ("triviality", "sign_condition"): einstein_cosh,
+    ("scalar_bounds", "delta_lambda_nonpositive"): einstein_cosh,
+    ("scalar_bounds", "definite_sign"): einstein_cosh,
+    ("trace_free_gap", "hess_lambda_T_nonnegative"): general_sine,
+    ("omori_yau", "nondecreasing"): lambda: oy_profile(lambda t: 2.0 - 0.1 * t, 10.0),
+    ("omori_yau", "scaling_ratio_stabilizes"): lambda: oy_profile(lambda t: 2.0 - 0.1 * t, 10.0),
+    ("omori_yau", "inverse_sqrt_not_integrable"): lambda: oy_profile(lambda t: np.exp(t**2), 20.0),
+}
+
+
+@pytest.mark.parametrize("audit, flag", sorted(FLAG_WITNESSES))
+def test_every_hypothesis_flag_can_fail(audit, flag):
+    # a flag that holds on every input measures nothing
+    subject = FLAG_WITNESSES[audit, flag]()
+    rep = check_OY_hypotheses(subject, subject.t1) if audit == "omori_yau" else audit_theorem(subject, audit)
+    assert set(rep.hypothesis_flags) == {f for a, f in FLAG_WITNESSES if a == audit}
+    assert not rep.hypothesis_flags[flag].passed, rep.hypothesis_flags[flag]
+    assert rep.verdict is Verdict.HYPOTHESES_NOT_MET
 
 
 def test_audit_unknown_theorem_rejected():
