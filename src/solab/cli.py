@@ -4,10 +4,10 @@
     solab families
     solab demo
 
-The manifest file alone sets what a run computes: family, grid,
-suites and tolerances (its seed is echoed in the report and read by no
-suite).  Exit codes: 0 when every requested suite passes, 1 when a suite
-fails, 2 on bad arguments and on manifest, precondition, or I/O errors.
+The manifest file alone sets what a run computes: family, grid and
+suites (its seed is echoed in the report and read by no suite).  Exit
+codes: 0 when every requested suite passes, 1 when a suite fails, 2 on
+bad arguments and on manifest, precondition, or I/O errors.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InvalidRegime, NegativeRadicand, NonFiniteValues
 from .factory import SolitonSpec
-from .geometry import integral_to, sphere_volume_density, weighted_ball_volume
+from .geometry import integral_to, require_dimension, sphere_volume_density, weighted_ball_volume
 from .kernel import GridFn, integrate_cumulative, nan_fill, solve_linear_ode2_with_derivative
 from .verify import ResidualReport, residual_report
 
@@ -242,6 +242,7 @@ def diameter_bound(mu0: float, F: float, c: float, n: int) -> float:
     F = c = 0 returns 0, a degenerate bound reported as-is (it flags a
     vacuous curvature ceiling rather than an error)."""
     _require_finite_args(mu0=mu0, F=F, c=c)
+    require_dimension(n)
     if not mu0 > 0:
         raise ValueError("mu0 must be positive")
     if F < 0:

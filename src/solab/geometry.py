@@ -47,7 +47,15 @@ __all__ = [
     "weighted_sphere_volume",
     "weighted_ball_volume",
     "integral_to",
+    "require_dimension",
 ]
+
+
+def require_dimension(n) -> None:
+    """Refuse a total dimension that is not an integer (numpy's too) or is below 2 (so a bool)."""
+    if not isinstance(n, (int, np.integer)) or n < 2:
+        raise InvalidDimension(f"total dimension must be an integer of at least 2, got {n!r}")
+
 
 # samples within 10 grid spacings of a pole are excluded from sup-norms;
 # ratios like g'/g amplify stencil noise there
@@ -141,8 +149,7 @@ class WarpProfile:
     n_samples: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidDimension("total dimension must be at least 2")
+        require_dimension(self.n)
         if self.n == 2 and abs(self.rho_sigma) > 1e-14:
             raise ValueError("a one-dimensional fiber is Ricci flat: rho_sigma must be 0")
 
@@ -376,7 +383,9 @@ def integral_to(p: WarpProfile, what: str, integrand: np.ndarray, r: float | np.
     require_finite on that prefix alone, so samples past r can neither
     enter nor refuse it, and on the integral (a sum of finite samples can
     overflow).  The values read are then the whole grid's, bit for bit."""
-    m = int(np.clip((np.max(r) - p.t0) / p.h + 4, MIN_SAMPLES, p.n_samples))
+    if not math.isfinite(r_max := np.max(r)):
+        raise ValueError("evaluation point outside the grid domain")
+    m = int(np.clip((r_max - p.t0) / p.h + 4, MIN_SAMPLES, p.n_samples))
     prefix = integrand[:m]
     p.require_finite(what, prefix)
     F = integrate_cumulative(prefix, p.h)

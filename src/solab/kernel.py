@@ -92,7 +92,7 @@ def interpolate(v: np.ndarray, t0: float, h: float, t):
     scalar = tq.ndim == 0
     s = (np.atleast_1d(tq) - t0) / h
     last = v.size - 1
-    if (s < -1e-9 * last).any() or (s > last * (1.0 + 1e-9)).any():
+    if not ((s >= -1e-9 * last) & (s <= last * (1.0 + 1e-9))).all():  # NaN fails too
         raise ValueError("evaluation point outside the grid domain")
     i = np.clip(np.floor(s).astype(int), 1, v.size - 3)
     u = s - i

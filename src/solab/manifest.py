@@ -28,7 +28,6 @@ from .kernel import MIN_SAMPLES
 __all__ = ["Manifest", "parse_manifest", "build_spec", "FAMILIES", "SUITES", "DEFAULT_SEED", "MAX_SAMPLES"]
 
 SUITES = ("residual", "identities", "audits", "comparison", "okumura", "oy")
-TOLERANCE_KEYS = ("residual", "identities")
 DEFAULT_SEED = 42
 # 50 times the 200001-sample fine grid; a job peaks near 23 full-grid
 # arrays, about 1.8 GB at this size (README, Conventions)
@@ -82,7 +81,6 @@ class Manifest:
     interval: tuple
     resolution: int
     suites: tuple
-    tolerances: dict
     seed: int
 
     def echo(self) -> dict:
@@ -92,7 +90,6 @@ class Manifest:
             "params": self.params,
             "grid": {"interval": list(self.interval), "resolution": self.resolution},
             "suites": list(self.suites),
-            "tolerances": self.tolerances,
             "seed": self.seed,
         }
 
@@ -157,7 +154,7 @@ def parse_manifest(text) -> Manifest:
     if not isinstance(raw, dict):
         raise SchemaError("manifest root must be an object")
 
-    _require_keys(raw, {"version", "family", "params", "grid", "suites", "tolerances", "seed"}, "$")
+    _require_keys(raw, {"version", "family", "params", "grid", "suites", "seed"}, "$")
 
     version = raw.get("version")
     if version != "1":
@@ -224,15 +221,6 @@ def parse_manifest(text) -> Manifest:
         if s in suites_raw[:i]:
             raise SchemaError(f"duplicate suite at $.suites: {s!r}")
 
-    tolerances = raw.get("tolerances", {})
-    if not isinstance(tolerances, dict):
-        raise SchemaError("expected an object at $.tolerances")
-    _require_keys(tolerances, set(TOLERANCE_KEYS), "$.tolerances")
-    tolerances = {k: _number(v, f"$.tolerances.{k}") for k, v in tolerances.items()}
-    for key, tol in tolerances.items():
-        if not tol > 0:
-            raise SchemaError(f"expected a positive number at $.tolerances.{key}")
-
     seed = _integer(raw.get("seed", DEFAULT_SEED), "$.seed")
     if seed < 0:
         raise SchemaError("expected a non-negative integer at $.seed")
@@ -244,7 +232,6 @@ def parse_manifest(text) -> Manifest:
         interval=(a, b),
         resolution=resolution,
         suites=tuple(suites_raw),
-        tolerances=tolerances,
         seed=seed,
     )
 

@@ -102,14 +102,13 @@ def run_suite(m: Manifest) -> RunReport:
         try:
             if name == "residual":
                 # reports are reduced to their dicts at once, so no per_point outlives its check
-                check = _residual_dict(soliton_residual(spec, tol=m.tolerances.get("residual")))
+                check = _residual_dict(soliton_residual(spec))
                 result = {"suite": "residual", "passed": check["passed"], "checks": [check]}
             elif name == "identities":
                 checks = []
-                tol = m.tolerances.get("identities")
                 for ident in IDENTITY_IDS:
                     try:
-                        checks.append(_residual_dict(identity_residual(spec, ident, tol=tol)))
+                        checks.append(_residual_dict(identity_residual(spec, ident)))
                     except NotConformallyFlat as exc:
                         checks.append({"identity_id": ident, "skipped": str(exc)})
                 passed = all(c.get("passed", True) for c in checks)

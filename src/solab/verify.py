@@ -158,18 +158,16 @@ def residual_report(
     )
 
 
-def soliton_residual(s: SolitonSpec, tol: float | None = None) -> ResidualReport:
+def soliton_residual(s: SolitonSpec) -> ResidualReport:
     """Residual of Ric + Hess(f) = lambda <,> in both eigendirections:
     max(|rho_fib + f' g'/g - lambda|, |rho_rad + f'' - lambda|)."""
     eig_f, eig_r = s.bakry_emery
     lam = s.lam.values
     per_point = np.maximum(np.abs(eig_f - lam), np.abs(eig_r - lam))
-    return residual_report(
-        "soliton", s.profile, per_point, s.residual_tolerance if tol is None else tol
-    )
+    return residual_report("soliton", s.profile, per_point, s.residual_tolerance)
 
 
-def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> ResidualReport:
+def identity_residual(s: SolitonSpec, ident: str) -> ResidualReport:
     """Radial residual of one of the differential identities.
 
     grad_f_bochner      half Delta_f |grad f|^2 against |Hess f|^2
@@ -216,7 +214,7 @@ def identity_residual(s: SolitonSpec, ident: str, tol: float | None = None) -> R
         per -= 4.0 / (n - 2) * trace_free_cube(p)
         per -= grad_T_norm2(s)
     # composed stencils pollute twice the band
-    return residual_report(ident, p, per, IDENTITY_TOL if tol is None else tol, edge=2 * EDGE_WIDTH)
+    return residual_report(ident, p, per, IDENTITY_TOL, edge=2 * EDGE_WIDTH)
 
 
 def grad_T_norm2(s: SolitonSpec) -> np.ndarray:
@@ -250,21 +248,18 @@ def okumura_check(eigenvalues):
 
         sum lam_i^3 >= -(n-2)/sqrt(n(n-1)) * (sum lam_i^2)^(3/2)
 
-    Returns (lhs, rhs, passed); equality is attained exactly on multiples
-    of (-(n-1), 1, ..., 1) and permutations.  Tuples run along the last
-    axis; a stack of tuples gives arrays of lhs, rhs and passed.
+    Returns (lhs, rhs, passed) for one tuple; equality is attained exactly
+    on multiples of (-(n-1), 1, ..., 1) and permutations.
     """
     lam = np.asarray(eigenvalues, dtype=float)
-    n = lam.shape[-1] if lam.ndim else 1
-    if n < 2:
-        raise ValueError("need at least two eigenvalues")
-    trace = np.abs(lam.sum(axis=-1))
-    if np.max(trace) > 1e-10:
-        raise NotTraceFree(f"eigenvalues sum to {np.max(trace):.3e} in absolute value")
-    lhs = np.sum(lam * lam * lam, axis=-1)
-    rhs = -(n - 2) / math.sqrt(n * (n - 1)) * np.sum(lam**2, axis=-1) ** 1.5
-    if lam.ndim == 1:
-        lhs, rhs = float(lhs), float(rhs)
+    n = lam.size
+    if lam.ndim > 1 or n < 2:
+        raise ValueError("need at least two eigenvalues, as one tuple")
+    trace = abs(sum(lam.tolist()))  # Python's sum: inf - inf is NaN, with no numpy warning
+    if not trace <= 1e-10:
+        raise NotTraceFree(f"eigenvalues sum to {trace:.3e} in absolute value")
+    lhs = float(np.sum(lam * lam * lam))
+    rhs = float(-(n - 2) / math.sqrt(n * (n - 1)) * np.sum(lam**2) ** 1.5)
     return lhs, rhs, lhs >= rhs - 1e-12
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from solab import cli
 from solab.cli import DEMO_MANIFESTS, main
 from solab.errors import NotAModel, ParseError, SchemaError
-from solab.manifest import FAMILIES, MAX_SAMPLES, SUITES, TOLERANCE_KEYS, build_spec, parse_manifest
+from solab.manifest import FAMILIES, MAX_SAMPLES, SUITES, build_spec, parse_manifest
 from solab import report as report_module
 from solab.report import render_report, run_suite
 
@@ -381,10 +381,11 @@ _EMPTY_BANDS = [
         *((dict(GAUSSIAN_MANIFEST, **{key: value}), message) for key, value, message in (
             ("params", [1, 3], "expected an object at $.params"),
             ("grid", [0, 8], "expected an object at $.grid"),
-            ("tolerances", 1e-8, "expected an object at $.tolerances"),
             ("grid", {"interval": [0, 4, 8]}, "expected [start, end] at $.grid.interval"),
             ("suites", [], "expected a non-empty list at $.suites"),
         )),
+        # every bound is fixed by its check: no manifest key can set one
+        (dict(GAUSSIAN_MANIFEST, tolerances={"residual": 1.0}), "unknown key at $.tolerances"),
         *((dict(GAUSSIAN_MANIFEST, family="general", params={"g": g, "rho_sigma": 1, "A": 0.5, "B": 0, "n": 3}),
            message) for g, message in (
             ("t", "expected a closed-form object at $.params.g"),
@@ -404,7 +405,7 @@ _EMPTY_BANDS = [
          "oy_profile_with_nan", "unresolved_sin_frequency", "okumura_profile_with_nan",
          "comparison_solution_overflow", "oy_comparison_solution_overflow",
          *(f"empty_band_{demo}_{res}" for demo, _, res, _ in _EMPTY_BANDS),
-         "params_not_object", "grid_not_object", "tolerances_not_object", "interval_not_a_pair", "empty_suites",
+         "params_not_object", "grid_not_object", "interval_not_a_pair", "empty_suites", "tolerances_unknown_key",
          "closed_form_not_object", "closed_form_empty_coeffs", "general_warp_vanishes_at_pole"],
 )
 def test_cli_precondition_error_exit_two(tmp_path, capsys, payload, message):
@@ -554,8 +555,6 @@ def manifests(draw):
         "params": params,
         "grid": {"interval": [start, end], "resolution": draw(st.integers(9, 401))},
         "suites": draw(st.lists(st.sampled_from(SUITES), min_size=1, unique=True)),
-        "tolerances": draw(st.dictionaries(
-            st.sampled_from(TOLERANCE_KEYS), st.floats(allow_nan=False, allow_infinity=False))),
         "seed": draw(st.integers()),
     }
 
@@ -606,10 +605,8 @@ def test_cli_no_trusted_samples_exit_two(tmp_path, capsys, suite):
 
 
 def test_cli_tol_override(tmp_path):
-    # an absurdly tight residual tolerance in the manifest turns the pass into a failure
-    path = write_manifest(tmp_path, dict(GAUSSIAN_MANIFEST, tolerances={"residual": 1e-15}))
-    assert main(["run", path]) == 1
-    # the manifest is the only place a tolerance or seed is set
+    path = write_manifest(tmp_path, GAUSSIAN_MANIFEST)
+    # no flag sets a tolerance, and only the manifest sets the seed
     for flag in (["--tol", "residual=1e-15"], ["--seed", "7"]):
         with pytest.raises(SystemExit) as exc:
             main(["run", path, *flag])
@@ -763,15 +760,10 @@ def test_parse_rejects_bad_suite_and_tolerance_keys():
     bad = dict(GAUSSIAN_MANIFEST, suites=["residual", "identities", "residual"])
     with pytest.raises(SchemaError, match=r"duplicate suite at \$\.suites: 'residual'"):
         parse_manifest(manifest_bytes(bad))
-    bad = dict(GAUSSIAN_MANIFEST, tolerances={"volume": 1e-3})
-    with pytest.raises(SchemaError, match=r"tolerances\.volume"):
+    # a bound belongs to its check, so tolerances is an unknown key
+    bad = dict(GAUSSIAN_MANIFEST, tolerances={"identities": 10.0})
+    with pytest.raises(SchemaError, match=r"unknown key at \$\.tolerances"):
         parse_manifest(manifest_bytes(bad))
-    # no check can pass a tolerance of zero or less
-    for key in TOLERANCE_KEYS:
-        for tol in (0.0, -1e-8):
-            bad = dict(GAUSSIAN_MANIFEST, tolerances={key: tol})
-            with pytest.raises(SchemaError, match=rf"positive number at \$\.tolerances\.{key}"):
-                parse_manifest(manifest_bytes(bad))
 
 
 def test_parse_rejects_bad_grid():

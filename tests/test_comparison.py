@@ -14,7 +14,7 @@ from solab.comparison import (
     volest_bound,
     volume_bound_check,
 )
-from solab.errors import InvalidRegime, NegativeRadicand, NonFiniteValues, NotAModel
+from solab.errors import InvalidDimension, InvalidRegime, NegativeRadicand, NonFiniteValues, NotAModel
 from solab.factory import build_classified, build_einstein_family, build_gaussian
 from solab.geometry import integral_to, weighted_ball_volume, weighted_sphere_volume
 from solab.kernel import (
@@ -415,6 +415,20 @@ def test_parabolicity_rejects_overflowing_integrand(lambda0, t):
             f_parabolic_test(s, 16.0)
 
 
+@pytest.mark.parametrize("entry", ["interpolate", "weighted_ball_volume", "volume_bound_check", "f_parabolic_test"])
+def test_a_nan_evaluation_point_lies_outside_the_grid_domain(entry):
+    # NaN fails no `<` or `>` test, so each range check is written to fail on it
+    s = build_gaussian(1.0, 3, r_max=8.0, resolution=401)
+    call = {
+        "interpolate": lambda: interpolate(np.arange(9.0), 0.0, 1.0, math.nan),
+        "weighted_ball_volume": lambda: weighted_ball_volume(s.profile, s.f, math.nan),
+        "volume_bound_check": lambda: volume_bound_check(s, derive_setup(s), np.array([1.0, math.nan])),
+        "f_parabolic_test": lambda: f_parabolic_test(s, math.nan),
+    }[entry]
+    with pytest.raises(ValueError, match="evaluation point outside the grid domain"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # diameter bound
 # ---------------------------------------------------------------------------
@@ -438,6 +452,17 @@ def test_diameter_rejects_negative_radicand():
 def test_diameter_rejects_negative_F():
     with pytest.raises(ValueError, match="F must be nonnegative"):
         diameter_bound(1.0, -0.1, 1.0, 3)
+
+
+@pytest.mark.parametrize("n", [1, True, 0, 2.5, 3.0], ids=["one", "bool", "zero", "fraction", "float_3"])
+def test_diameter_rejects_a_dimension_that_is_not_an_integer_of_at_least_2(n):
+    # n = 1 and n = True once gave a zero diameter, n = 0 a negative radicand
+    with pytest.raises(InvalidDimension, match="total dimension must be an integer of at least 2"):
+        diameter_bound(1.0, 0.0, 1.0, n)
+
+
+def test_diameter_takes_a_numpy_integer_dimension():
+    assert diameter_bound(2.0, 0.0, 2.0, np.int64(3)) == diameter_bound(2.0, 0.0, 2.0, 3)
 
 
 @pytest.mark.parametrize(

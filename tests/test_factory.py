@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from solab.errors import InvalidCase, InvalidWarp, NonFiniteValues
+from solab.errors import InvalidCase, InvalidDimension, InvalidWarp, NonFiniteValues
 from solab.factory import (
     FamilyTag,
     SolitonSpec,
@@ -149,6 +149,27 @@ def test_classified_space_form_constant_lambda_is_trivial():
 def test_classified_space_form_rejects_flat():
     with pytest.raises(InvalidCase):
         build_classified(c=0.0, a=1.0, b=0.0, n=3)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_gaussian(1.0, 2.5),  # would build a fiber of dimension 1.5
+        lambda: build_gaussian(1.0, 3.0),
+        lambda: build_classified(1.0, 0.0, 0.0, 3.5),
+        lambda: build_classified(1.0, 0.0, 0.0, True),
+        lambda: WarpProfile(1, 0.0, SnCombination(k=0.0, c1=1.0, c2=0.0), 0.0, 1.0, 101),
+    ],
+    ids=["gaussian_2.5", "gaussian_float_3", "space_form_3.5", "space_form_bool", "profile_1"],
+)
+def test_profile_refuses_a_dimension_that_is_not_an_integer_of_at_least_2(build):
+    with pytest.raises(InvalidDimension, match="total dimension must be an integer of at least 2"):
+        build()
+
+
+def test_profile_takes_a_numpy_integer_dimension():
+    s = build_classified(1.0, 0.0, 0.0, np.int64(3))
+    assert s.profile.d == 2 and soliton_residual(s).passed
 
 
 def test_gaussian_total_weighted_volume():

@@ -405,18 +405,18 @@ def test_okumura_random_tuples_and_equality_classifier():
             assert np.max(np.abs(unit - pattern)) < 1e-4
 
 
-def test_okumura_check_takes_tuples_along_the_last_axis():
-    rng = np.random.default_rng(3)
-    v = rng.normal(size=(2, 25, 4))
-    v -= v.mean(axis=-1, keepdims=True)
-    lhs, rhs, ok = okumura_check(v)
-    assert lhs.shape == rhs.shape == ok.shape == (2, 25)
-    # numpy's vector pow may round the last bit differently from the scalar one
-    for row, l1, r1, ok1 in zip(v.reshape(-1, 4), lhs.ravel(), rhs.ravel(), ok.ravel()):
-        assert okumura_check(row) == (pytest.approx(l1, rel=1e-15), pytest.approx(r1, rel=1e-15), ok1)
-    v[1, 7, 0] += 1e-3  # one tuple off the trace-free subspace rejects the stack
+@pytest.mark.parametrize(
+    "eigenvalues", [[math.nan, 1.0, -1.0], [math.inf, -math.inf]], ids=["nan", "inf_minus_inf"]
+)
+def test_okumura_rejects_a_non_finite_tuple(eigenvalues):
+    # a NaN trace fails `trace > tol` as well as `trace <= tol`: only the latter refuses it
     with pytest.raises(NotTraceFree):
-        okumura_check(v)
+        okumura_check(eigenvalues)
+
+
+def test_okumura_takes_one_tuple_only():
+    with pytest.raises(ValueError, match="as one tuple"):
+        okumura_check(np.zeros((2, 3)))
 
 
 def test_okumura_equality_for_scaled_patterns():
