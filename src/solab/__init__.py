@@ -33,7 +33,7 @@ from .geometry import (
     weighted_ball_volume,
     weighted_sphere_volume,
 )
-from .kernel import GridFn, cn, derivative, integrate_cumulative, sn, solve_linear_ode2
+from .kernel import GridFn, derivative, integrate_cumulative, sn_cn, solve_linear_ode2
 from .manifest import Manifest, build_spec, parse_manifest
 from .report import RunReport, emit_report, run_suite
 from .verify import (

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidCase, InvalidDimension, InvalidWarp
-from .geometry import SnCombination, WarpProfile, radial_laplacian
+from .geometry import SnCombination, WarpProfile, radial_laplacian, require_dimension
 from .kernel import GridFn, derivative, integrate_cumulative
 
 __all__ = [
@@ -158,6 +158,7 @@ def build_einstein_family(
     with g = gp0 * sn_{-c} + g0 * cn_{-c} and the fiber Einstein constant
     rho_sigma = (n-2) (gp0^2 - c g0^2) that makes the total space Einstein.
     """
+    require_dimension(n)  # before n enters float arithmetic
     if n < 3:
         raise InvalidDimension("einstein family needs n >= 3")
     t0, t1 = float(interval[0]), float(interval[1])
@@ -229,6 +230,7 @@ def build_classified(
     f = a cn_{-c}(r) / c + b, the classified Einstein almost soliton of
     curvature -c; the flat one (c = 0) is build_gaussian, so c = 0 is
     rejected."""
+    require_dimension(n)  # before n enters float arithmetic
     c, a, b, r_max = float(c), float(a), float(b), float(r_max)
     if c == 0.0:
         raise InvalidCase("space-form case requires c != 0")
@@ -251,6 +253,7 @@ def build_gaussian(lambda0: float, n: int, r_max: float = 8.0, resolution: int =
     steady (and trivial) for lambda0 = 0, expanding for lambda0 < 0."""
     if n < 2:
         raise InvalidDimension("gaussian needs n >= 2")
+    require_dimension(n)  # before n enters float arithmetic
     lambda0, r_max = float(lambda0), float(r_max)
     profile = WarpProfile(
         n=n,

@@ -32,7 +32,7 @@ from .errors import (
     NoTrustedSamples,
     NotAModel,
 )
-from .kernel import EDGE_WIDTH, MIN_SAMPLES, GridFn, cn, integrate_cumulative, interpolate, sn
+from .kernel import EDGE_WIDTH, MIN_SAMPLES, GridFn, integrate_cumulative, interpolate, sn_cn
 
 __all__ = [
     "SnCombination",
@@ -52,9 +52,12 @@ __all__ = [
 
 
 def require_dimension(n) -> None:
-    """Refuse a total dimension that is not an integer (numpy's too) or is below 2 (so a bool)."""
+    """Refuse a total dimension that is not an integer (numpy's too), is below 2 (so a bool)
+    or is past 2**53, the integers a float holds exactly (the manifest's own cap)."""
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise InvalidDimension(f"total dimension must be an integer of at least 2, got {n!r}")
+    if n > 2**53:  # not echoed: its repr may run to thousands of digits
+        raise InvalidDimension("total dimension must be at most 2**53")
 
 
 # samples within 10 grid spacings of a pole are excluded from sup-norms;
@@ -92,8 +95,8 @@ class SnCombination:
     c0: float = 0.0
 
     def derivatives(self, t):
-        """(g, g', g'') at t from one sn and one cn evaluation (cn' = -k sn)."""
-        s, c = sn(self.k, t), cn(self.k, t)
+        """(g, g', g'') at t from one sn_cn evaluation (cn' = -k sn)."""
+        s, c = sn_cn(self.k, t)
         u = self.c1 * s + self.c2 * c
         return u + self.c0, self.c1 * c - self.c2 * self.k * s, -self.k * u
 

@@ -5,9 +5,10 @@ take an array and its spacing h; the first two return a fresh array, and
 the RK4 solver for y'' = Q(t) y returns arrays too.  GridFn is the record
 of a spec's f and lambda and of the bound profile G (the solver's Q): an
 array with its [t0, t1], read between samples by interpolate.  Also
-sn_k / cn_k.  The accuracy contracts here bind everything
-downstream: O(h^4) for derivatives and integrals on smooth data, including
-second derivatives of composed integrals.
+sn_cn, the generalized sine and cosine as one pair.  The accuracy
+contracts here bind everything downstream: O(h^4) for derivatives and
+integrals on smooth data, including second derivatives of composed
+integrals.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import numpy as np
 __all__ = [
     "GridFn",
     "interpolate",
-    "sn",
-    "cn",
+    "sn_cn",
     "derivative",
     "nan_fill",
     "integrate_cumulative",
@@ -114,51 +114,28 @@ def interpolate(v: np.ndarray, t0: float, h: float, t):
 _SERIES_CUTOFF = 1e-8
 
 
-def _near_zero(k: float, tq: np.ndarray) -> np.ndarray:
-    """Indices of the samples where the closed forms give way to the series."""
-    t2 = tq * tq
-    t2 *= abs(k)
-    return np.flatnonzero(t2 < _SERIES_CUTOFF)
-
-
-def sn(k: float, t):
-    """Generalized sine: the solution of y'' + k y = 0, y(0)=0, y'(0)=1.
-
-    sinh(sqrt(-k) t)/sqrt(-k) for k < 0, t for k = 0, sin(sqrt(k) t)/sqrt(k)
-    for k > 0.  Accepts scalars or arrays in t.
-    """
+def sn_cn(k: float, t):
+    """(sn_k(t), cn_k(t)): sn_k solves y'' + k y = 0, y(0)=0, y'(0)=1,
+    as sinh(sqrt(-k) t)/sqrt(-k), t or sin(sqrt(k) t)/sqrt(k) by the sign
+    of k, and cn_k = sn_k' is cosh, 1 or cos.  A float t gives a pair of
+    floats, an array t a pair of arrays."""
     k = float(k)
     tq = np.asarray(t, dtype=float)
     scalar = tq.ndim == 0
     tq = np.atleast_1d(tq)
     if k == 0.0:
-        out = tq.copy()
+        s, c = tq.copy(), np.ones_like(tq)
     else:
         r = np.sqrt(abs(k))
-        out = np.sin(r * tq) if k > 0 else np.sinh(r * tq)
-        out /= r
-        near = _near_zero(k, tq)
+        rt = r * tq
+        s, c = (np.sin(rt), np.cos(rt)) if k > 0 else (np.sinh(rt), np.cosh(rt))
+        s /= r
+        near = np.flatnonzero(tq * tq * abs(k) < _SERIES_CUTOFF)
         ts = tq[near]
         kt2 = k * (ts * ts)  # k * k would overflow for |k| above about 1e154
-        out[near] = ts * (1.0 - kt2 / 6.0 + kt2 * kt2 / 120.0)
-    return float(out[0]) if scalar else out
-
-
-def cn(k: float, t):
-    """Derivative of sn in t: cosh, 1, or cos according to the sign of k."""
-    k = float(k)
-    tq = np.asarray(t, dtype=float)
-    scalar = tq.ndim == 0
-    tq = np.atleast_1d(tq)
-    if k == 0.0:
-        out = np.ones_like(tq)
-    else:
-        r = np.sqrt(abs(k))
-        out = np.cos(r * tq) if k > 0 else np.cosh(r * tq)
-        near = _near_zero(k, tq)
-        kt2 = k * (tq[near] * tq[near])
-        out[near] = 1.0 - kt2 / 2.0 + kt2 * kt2 / 24.0
-    return float(out[0]) if scalar else out
+        s[near] = ts * (1.0 - kt2 / 6.0 + kt2 * kt2 / 120.0)
+        c[near] = 1.0 - kt2 / 2.0 + kt2 * kt2 / 24.0
+    return (float(s[0]), float(c[0])) if scalar else (s, c)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +366,10 @@ def _transfer_scan(m00, m01, m10, m11, y0: float, yp0: float):
         a, b, c, d = m00[full], m01[full], m10[full], m11[full]
         p00, p01, p10, p11 = a * p00 + b * p10, a * p01 + b * p11, c * p00 + d * p10, c * p01 + d * p11
 
-    # block-start states; a trailing partial block needs its start too
-    starts = [(float(y0), float(yp0))]
-    for b00, b01, b10, b11 in zip(p00.tolist(), p01.tolist(), p10.tolist(), p11.tolist()):
-        if len(starts) * L >= N:
-            break
-        ys, vs = starts[-1]
-        starts.append((b00 * ys + b01 * vs, b10 * ys + b11 * vs))
-    y[0:N:L], v[0:N:L] = zip(*starts)
+    # block-start states, written in place; a trailing partial block needs its start too
+    ys, vs = y[0], v[0] = float(y0), float(yp0)
+    for i, b00, b01, b10, b11 in zip(range(L, N, L), p00.tolist(), p01.tolist(), p10.tolist(), p11.tolist()):
+        ys, vs = y[i], v[i] = b00 * ys + b01 * vs, b10 * ys + b11 * vs
 
     for j in range(L):
         steps, after = slice(j, N, L), slice(j + 1, N + 1, L)

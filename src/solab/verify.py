@@ -258,8 +258,12 @@ def okumura_check(eigenvalues):
     trace = abs(sum(lam.tolist()))  # Python's sum: inf - inf is NaN, with no numpy warning
     if not trace <= 1e-10:
         raise NotTraceFree(f"eigenvalues sum to {trace:.3e} in absolute value")
-    lhs = float(np.sum(lam * lam * lam))
-    rhs = float(-(n - 2) / math.sqrt(n * (n - 1)) * np.sum(lam**2) ** 1.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        cubes, norm_cubed = np.sum(lam * lam * lam), np.sum(lam**2) ** 1.5
+    if not (np.isfinite(cubes) and np.isfinite(norm_cubed)):
+        raise ValueError(f"eigenvalues up to {np.abs(lam).max():.3e} in absolute value: cubes past the float range")
+    lhs = float(cubes)
+    rhs = float(-(n - 2) / math.sqrt(n * (n - 1)) * norm_cubed)
     return lhs, rhs, lhs >= rhs - 1e-12
 
 

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from solab.comparison import diameter_bound
 from solab.errors import InvalidCase, InvalidDimension, InvalidWarp, NonFiniteValues
 from solab.factory import (
     FamilyTag,
@@ -164,6 +165,24 @@ def test_classified_space_form_rejects_flat():
 )
 def test_profile_refuses_a_dimension_that_is_not_an_integer_of_at_least_2(build):
     with pytest.raises(InvalidDimension, match="total dimension must be an integer of at least 2"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: diameter_bound(1.0, 0.0, 1.0, 10**400),
+        lambda: build_gaussian(1.0, 10**400),
+        lambda: build_classified(1.0, 0.0, 0.0, 10**400),
+        lambda: build_einstein_family(1.0, 1.0, 0.0, 1.0, 0.0, 10**400),
+        lambda: build_general_family(SnCombination(k=-1.0, c1=0.0, c2=1.0), 1.0, 0.5, 0.0, 10**400),
+        lambda: WarpProfile(2**53 + 1, 0.0, SnCombination(k=0.0, c1=1.0, c2=0.0), 0.0, 1.0, 101),
+    ],
+    ids=["diameter", "gaussian", "space_form", "einstein", "general", "profile_2**53+1"],
+)
+def test_a_dimension_past_2_to_the_53_is_refused_by_name(build):
+    # 10**400 once met float arithmetic as a bare OverflowError
+    with pytest.raises(InvalidDimension, match=r"total dimension must be at most 2\*\*53"):
         build()
 
 

@@ -9,13 +9,12 @@ from solab.factory import build_gaussian
 from solab.kernel import (
     EDGE_WIDTH,
     GridFn,
-    cn,
     derivative,
     fd_weights,
     integrate_cumulative,
     interpolate,
     nan_fill,
-    sn,
+    sn_cn,
     solve_linear_ode2,
     solve_linear_ode2_with_derivative,
 )
@@ -35,44 +34,44 @@ def test_oracle_constants_are_what_the_series_says():
 
 
 # ---------------------------------------------------------------------------
-# sn / cn
+# sn_cn
 # ---------------------------------------------------------------------------
 
 def test_sn_flat_case_is_identity():
-    assert sn(0.0, 2.5) == 2.5
+    assert sn_cn(0.0, 2.5)[0] == 2.5
 
 
 def test_sn_positive_curvature():
-    assert sn(1.0, np.pi / 2) == pytest.approx(1.0, abs=1e-15)
+    assert sn_cn(1.0, np.pi / 2)[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_sn_negative_curvature_matches_series_oracle():
-    assert sn(-1.0, 1.0) == pytest.approx(SINH_1, abs=1e-14)
+    assert sn_cn(-1.0, 1.0)[0] == pytest.approx(SINH_1, abs=1e-14)
 
 
 def test_cn_flat_case():
-    assert cn(0.0, 7.0) == 1.0
+    assert sn_cn(0.0, 7.0)[1] == 1.0
 
 
 def test_cn_positive_curvature():
-    assert cn(1.0, np.pi) == pytest.approx(-1.0, abs=1e-15)
+    assert sn_cn(1.0, np.pi)[1] == pytest.approx(-1.0, abs=1e-15)
 
 
 def test_cn_negative_curvature_matches_series_oracle():
     # cn_{-4}(0.5) = cosh(2 * 0.5) = cosh(1)
-    assert cn(-4.0, 0.5) == pytest.approx(COSH_1, abs=1e-14)
+    assert sn_cn(-4.0, 0.5)[1] == pytest.approx(COSH_1, abs=1e-14)
 
 
 def test_sn_cn_continuous_in_k_at_zero():
     t = 1.7
     for k in (1e-13, -1e-13):
-        assert sn(k, t) == pytest.approx(t, abs=1e-12)
-        assert cn(k, t) == pytest.approx(1.0, abs=1e-12)
+        assert sn_cn(k, t)[0] == pytest.approx(t, abs=1e-12)
+        assert sn_cn(k, t)[1] == pytest.approx(1.0, abs=1e-12)
     # no jump where the series branch hands over to the closed forms
     for k in (3.3e-9, -3.3e-9):  # |k| t^2 straddles the 1e-8 cutoff near t ~ 1.74
         for tt in (1.70, 1.78):
-            assert sn(k, tt) == pytest.approx(tt * (1 - k * tt**2 / 6), abs=1e-13)
-            assert cn(k, tt) == pytest.approx(1 - k * tt**2 / 2, abs=1e-13)
+            assert sn_cn(k, tt)[0] == pytest.approx(tt * (1 - k * tt**2 / 6), abs=1e-13)
+            assert sn_cn(k, tt)[1] == pytest.approx(1 - k * tt**2 / 2, abs=1e-13)
 
 
 @pytest.mark.parametrize("k", [-2.5, 0.7])
@@ -87,15 +86,66 @@ def test_sn_cn_equal_the_series_closed_form_selection(k):
     cn_closed = np.cos(r * t) if k > 0 else np.cosh(r * t)
     sn_series = t * (1.0 - k * t2 / 6.0 + k * k * t2 * t2 / 120.0)
     cn_series = 1.0 - k * t2 / 2.0 + k * k * t2 * t2 / 24.0
-    assert np.array_equal(sn(k, t), np.where(near, sn_series, sn_closed))
-    assert np.array_equal(cn(k, t), np.where(near, cn_series, cn_closed))
+    assert np.array_equal(sn_cn(k, t)[0], np.where(near, sn_series, sn_closed))
+    assert np.array_equal(sn_cn(k, t)[1], np.where(near, cn_series, cn_closed))
 
 
 @pytest.mark.filterwarnings("error")
 def test_sn_cn_series_finite_for_huge_k():
     # the series terms go through k t^2: k * k alone overflows above |k| ~ 1.3e154
-    assert sn(1e200, 0.0) == 0.0
-    np.testing.assert_allclose(cn(-1e200, [0.0, 1e-105]), [1.0, 1.0 + 5e-11], rtol=1e-15, atol=0)
+    assert sn_cn(1e200, 0.0)[0] == 0.0
+    np.testing.assert_allclose(sn_cn(-1e200, [0.0, 1e-105])[1], [1.0, 1.0 + 5e-11], rtol=1e-15, atol=0)
+
+
+def _sn_by_expression(k, t):
+    """sn_k(t) as its own function, closed form patched by the series
+    below the 1e-8 cutoff on |k| t^2: the reference for sn_cn's first half."""
+    k = float(k)
+    tq = np.atleast_1d(np.asarray(t, dtype=float))
+    if k == 0.0:
+        out = tq.copy()
+    else:
+        r = np.sqrt(abs(k))
+        out = (np.sin(r * tq) if k > 0 else np.sinh(r * tq)) / r
+        near = np.flatnonzero(tq * tq * abs(k) < 1e-8)
+        kt2 = k * (tq[near] * tq[near])
+        out[near] = tq[near] * (1.0 - kt2 / 6.0 + kt2 * kt2 / 120.0)
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+def _cn_by_expression(k, t):
+    """cn_k(t) likewise: the reference for sn_cn's second half."""
+    k = float(k)
+    tq = np.atleast_1d(np.asarray(t, dtype=float))
+    if k == 0.0:
+        out = np.ones_like(tq)
+    else:
+        r = np.sqrt(abs(k))
+        out = np.cos(r * tq) if k > 0 else np.cosh(r * tq)
+        near = np.flatnonzero(tq * tq * abs(k) < 1e-8)
+        kt2 = k * (tq[near] * tq[near])
+        out[near] = 1.0 - kt2 / 2.0 + kt2 * kt2 / 24.0
+    return float(out[0]) if np.ndim(t) == 0 else out
+
+
+@pytest.mark.parametrize("k", [-1e200, -4.0, -3.3e-9, 0.0, 3.3e-9, 0.7, 1e200])
+@pytest.mark.parametrize(
+    "t",
+    [np.linspace(-3.0, 3.0, 2001), np.array([0.0, 1e-105, 1e-5, 1.70, 1.78, -2.0]), 0.0, 1e-7, 1.78, -0.5],
+    ids=["grid", "array", "zero", "tiny", "past_cutoff", "negative"],
+)
+def test_sn_cn_is_bitwise_the_separate_expressions(k, t):
+    # |k| = 3.3e-9 puts 1.70 below the series cutoff and 1.78 above it;
+    # |k| = 1e200 puts 1e-105 below it and every other nonzero sample above
+    with np.errstate(over="ignore"):  # sinh and cosh of 1e100 t are inf on both sides
+        s, c = sn_cn(k, t)
+        s_ref, c_ref = _sn_by_expression(k, t), _cn_by_expression(k, t)
+    if np.ndim(t) == 0:
+        assert type(s) is float and type(c) is float
+        assert (s, c) == (s_ref, c_ref)
+    else:
+        assert isinstance(s, np.ndarray) and isinstance(c, np.ndarray)
+        assert np.array_equal(s, s_ref) and np.array_equal(c, c_ref)
 
 
 def test_pythagorean_identity_all_sign_cases():
@@ -103,7 +153,7 @@ def test_pythagorean_identity_all_sign_cases():
     for _ in range(200):
         k = rng.uniform(-4.0, 4.0)
         t = rng.uniform(-2.0, 2.0)
-        assert cn(k, t) ** 2 + k * sn(k, t) ** 2 == pytest.approx(1.0, abs=1e-12)
+        assert sn_cn(k, t)[1] ** 2 + k * sn_cn(k, t)[0] ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_sn_solves_its_ode_against_rk4():
@@ -112,7 +162,7 @@ def test_sn_solves_its_ode_against_rk4():
         k = rng.uniform(-4.0, 4.0)
         Q = GridFn(0.0, 2.0, np.full(2001, -k))
         y = solve_linear_ode2(Q, 0.0, 1.0)
-        assert np.max(np.abs(y - sn(k, Q.grid))) < 1e-8
+        assert np.max(np.abs(y - sn_cn(k, Q.grid)[0])) < 1e-8
 
 
 # ---------------------------------------------------------------------------

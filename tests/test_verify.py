@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -411,6 +412,13 @@ def test_okumura_random_tuples_and_equality_classifier():
 def test_okumura_rejects_a_non_finite_tuple(eigenvalues):
     # a NaN trace fails `trace > tol` as well as `trace <= tol`: only the latter refuses it
     with pytest.raises(NotTraceFree):
+        okumura_check(eigenvalues)
+
+
+@pytest.mark.parametrize("eigenvalues", [[1e103, -1e103], [1e200, -1e200]], ids=["1e103", "1e200"])
+def test_okumura_refuses_a_tuple_whose_cubes_overflow(eigenvalues):
+    # these once leaked numpy's "overflow encountered in multiply"
+    with pytest.raises(ValueError, match=re.escape(f"eigenvalues up to {eigenvalues[0]:.3e} in absolute value")):
         okumura_check(eigenvalues)
 
 
